@@ -1,6 +1,6 @@
 // egoistd — the out-of-process route-serving daemon.
 //
-// Deploys one serving overlay (the serve_load/serve_remote deployment:
+// Deploys one serving overlay (the serve_remote deployment:
 // BR in §5 scale mode, churned, warmed up), attaches a host::RouteService,
 // and serves wire-protocol queries over TCP and/or a Unix-domain socket
 // through an rpc::Server while the main thread keeps driving epochs — the
@@ -101,7 +101,7 @@ int run(int argc, char** argv) {
            "listeners are live; SIGTERM/SIGINT shut down gracefully.\n\n"
         << flags.usage()
         << "\nAny other --key=value flag is an overlay knob (n, k, policy,\n"
-           "seed, warmup, churn, ... — the serve_load deployment set),\n"
+           "seed, warmup, churn, ... — the serve_remote deployment set),\n"
            "layered over the optional --scenario file.\n";
     return 0;
   }

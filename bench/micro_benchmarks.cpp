@@ -59,8 +59,8 @@ BENCHMARK(BM_AllPairsShortestPaths)->Arg(50)->Arg(100)->Arg(295);
 
 void BM_PathEngineResidualAllPairs(benchmark::State& state) {
   // The BR hot path: residual all-pairs served from the engine's shared
-  // base trees (compare with BM_AllPairsShortestPaths, which is what the
-  // legacy path paid per node per epoch on top of a graph copy).
+  // base trees (compare with BM_AllPairsShortestPaths, which a residual
+  // graph copy would pay per node per epoch).
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto g = make_overlay(n, 4, 7);
   graph::PathEngine engine(g);
@@ -107,7 +107,8 @@ void BM_BestResponseLocalSearch(benchmark::State& state) {
   const auto g = make_overlay(n, 4, 11);
   std::vector<double> direct(n, 0.0);
   for (std::size_t v = 1; v < n; ++v) direct[v] = delays.delay(0, static_cast<int>(v));
-  const auto objective = core::make_delay_objective(g, 0, direct);
+  graph::PathEngine engine(g);
+  const auto objective = core::make_delay_objective(engine, 0, direct);
   core::BestResponseOptions options;
   options.exact_budget = 0;
   for (auto _ : state) {
@@ -132,7 +133,9 @@ void BM_BestResponseSampled(benchmark::State& state) {
   for (std::size_t v = 1; v < n; ++v) candidates.push_back(static_cast<graph::NodeId>(v));
   util::Rng rng(17);
   const auto sample = core::random_sample(candidates, m, rng);
-  const auto objective = core::make_sampled_delay_objective(g, 0, direct, sample);
+  graph::PathEngine engine(g);
+  const auto objective =
+      core::make_sampled_delay_objective(engine, 0, direct, sample);
   core::BestResponseOptions options;
   options.exact_budget = 0;
   for (auto _ : state) {

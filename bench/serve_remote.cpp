@@ -1,5 +1,5 @@
-// Out-of-process serving load generator: spawns the egoistd daemon (built
-// next to this binary) and replays the serve_load workload against it over
+// Serving load generator: spawns the egoistd daemon (built next to this
+// binary) and replays the serving workload against it over
 // loopback TCP and a Unix-domain socket with pipelined wire-protocol
 // clients, reporting each transport side by side with the in-process leg.
 // Thin wrapper over the scenario driver (scenarios/serve_remote.scn).

@@ -18,8 +18,8 @@
 //
 // Residual matrices are stored as flat row-major graph::DistanceMatrix
 // (produced allocation-free by graph::PathEngine); the nested-vector
-// constructors remain as conversions for hand-built fixtures and the
-// legacy all-pairs path.
+// constructors remain as conversions for hand-built fixtures and for
+// reference matrices from graph::all_pairs_*.
 #pragma once
 
 #include <span>
@@ -101,7 +101,7 @@ class DelayObjective final : public WiringObjective {
                  std::vector<double> preference, std::vector<NodeId> targets,
                  double unreachable_penalty);
 
-  /// Legacy nested-matrix convenience (converts; throws on ragged input).
+  /// Nested-matrix convenience (converts; throws on ragged input).
   DelayObjective(NodeId self, std::vector<NodeId> candidates,
                  std::vector<double> direct_cost,
                  const std::vector<std::vector<double>>& residual_dist,
@@ -161,7 +161,7 @@ class BandwidthObjective final : public WiringObjective {
                      graph::DistanceMatrix residual_bw,
                      std::vector<NodeId> targets);
 
-  /// Legacy nested-matrix convenience (converts; throws on ragged input).
+  /// Nested-matrix convenience (converts; throws on ragged input).
   BandwidthObjective(NodeId self, std::vector<NodeId> candidates,
                      std::vector<double> direct_bw,
                      const std::vector<std::vector<double>>& residual_bw,

@@ -3,21 +3,13 @@
 // A node computing its best response works on the *residual* graph G_{-i}
 // (the overlay with its own out-edges removed, §2.1) as learned through the
 // link-state protocol, plus its own direct-link measurements. These helpers
-// do that derivation: strip the node's out-edges, run the appropriate
-// all-pairs computation, and package the result as a WiringObjective.
+// do that derivation and package the result as a WiringObjective.
 //
-// Two paths produce the same objectives:
-//
-// - The graph::PathEngine overloads (the hot path): the engine holds a CSR
-//   snapshot of the overlay and serves G_{-i} as an O(1) residual *view*
-//   (no graph copy, no per-call allocations). One engine is shared across
-//   every node evaluated against the same snapshot.
-// - The Digraph overloads (the legacy reference): materialize the residual
-//   Digraph and run graph::all_pairs_* on it. Kept as the independent
-//   implementation the equivalence tests compare against, and as the
-//   baseline the perf_epoch_scaling bench measures.
-//
-// Distances from the two paths are bit-identical by construction.
+// The residual distances come from graph::PathEngine: the engine holds a
+// CSR snapshot of the overlay and serves G_{-i} as an O(1) residual *view*
+// (no graph copy, no per-call allocations). One engine is shared across
+// every node evaluated against the same snapshot. Tests check the
+// objectives against graph::all_pairs_* run on residual Digraph copies.
 #pragma once
 
 #include <optional>
@@ -39,24 +31,18 @@ double default_unreachable_penalty(const graph::CsrGraph& overlay);
 
 /// Builds a delay/load objective for `self`.
 ///
-/// overlay:      current global wiring (edge weights = announced costs);
-///               self's out-edges are ignored (residual graph semantics).
+/// engine:       snapshot of the current global wiring (edge weights =
+///               announced costs); self's out-edges are excluded (residual
+///               graph semantics). It must have been rebuilt from the
+///               overlay the caller is deciding on.
 /// direct_cost:  measured direct-link cost self -> v, indexed by id; only
 ///               candidate entries are read.
 /// preference:   p_ij per destination; std::nullopt = uniform over targets.
+/// scratch:      when non-null the residual matrix is written into it and
+///               the objective borrows it (the epoch loop reuses one matrix
+///               instead of allocating n^2 doubles per node); it must then
+///               outlive the objective.
 /// Candidates and targets default to all active nodes except self.
-DelayObjective make_delay_objective(
-    const graph::Digraph& overlay, NodeId self,
-    const std::vector<double>& direct_cost,
-    std::optional<std::vector<double>> preference = std::nullopt,
-    std::optional<double> unreachable_penalty = std::nullopt);
-
-/// Engine-backed variant: residual distances come from the shared CSR
-/// snapshot with self's out-edge range excluded. The engine must have been
-/// rebuilt from the overlay the caller is deciding on. When `scratch` is
-/// non-null the residual matrix is written into it and the objective
-/// borrows it (the epoch loop reuses one matrix instead of allocating
-/// n^2 doubles per node); it must then outlive the objective.
 DelayObjective make_delay_objective(
     graph::PathEngine& engine, NodeId self,
     const std::vector<double>& direct_cost,
@@ -77,11 +63,6 @@ DelayObjective make_delay_objective(
 
 /// Builds a bandwidth objective for `self` (edge weights = available
 /// bandwidth; residual computation = all-pairs widest paths).
-BandwidthObjective make_bandwidth_objective(const graph::Digraph& overlay,
-                                            NodeId self,
-                                            const std::vector<double>& direct_bw);
-
-/// Engine-backed variant of the bandwidth objective (scratch as above).
 BandwidthObjective make_bandwidth_objective(graph::PathEngine& engine,
                                             NodeId self,
                                             const std::vector<double>& direct_bw,
@@ -93,26 +74,13 @@ BandwidthObjective make_bandwidth_objective(
     NodeId self, const std::vector<double>& direct_bw,
     graph::DistanceMatrix* scratch = nullptr);
 
-/// Restricted variants for the sampling policies of §5: candidates and
+/// Restricted variant for the sampling policies of §5: candidates and
 /// targets are limited to `sample` (the newcomer only measures and reasons
-/// about the sampled nodes).
-DelayObjective make_sampled_delay_objective(
-    const graph::Digraph& overlay, NodeId self,
-    const std::vector<double>& direct_cost, const std::vector<NodeId>& sample,
-    std::optional<double> unreachable_penalty = std::nullopt);
-
-/// Engine-backed sampled variant: only the sampled sources' residual rows
+/// about the sampled nodes), and only the sampled sources' residual rows
 /// are computed (single-source queries against the shared snapshot).
 DelayObjective make_sampled_delay_objective(
     graph::PathEngine& engine, NodeId self,
     const std::vector<double>& direct_cost, const std::vector<NodeId>& sample,
-    std::optional<double> unreachable_penalty = std::nullopt);
-
-/// Const-engine sampled variant for worker threads.
-DelayObjective make_sampled_delay_objective(
-    const graph::PathEngine& engine, graph::PathEngine::QueryScratch& query,
-    NodeId self, const std::vector<double>& direct_cost,
-    const std::vector<NodeId>& sample,
     std::optional<double> unreachable_penalty = std::nullopt);
 
 }  // namespace egoist::core

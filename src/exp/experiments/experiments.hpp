@@ -23,7 +23,6 @@ void run_ablation_design_choices(const ParamReader& params, ResultSink& sink);
 void run_perf_epoch_scaling(const ParamReader& params, ResultSink& sink);
 void run_steady_state(const ParamReader& params, ResultSink& sink);
 void run_scale_frontier(const ParamReader& params, ResultSink& sink);
-void run_serve_load(const ParamReader& params, ResultSink& sink);
 void run_serve_remote(const ParamReader& params, ResultSink& sink);
 
 }  // namespace egoist::exp

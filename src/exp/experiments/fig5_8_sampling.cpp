@@ -84,11 +84,13 @@ graph::Digraph build_base(Base base, const SamplingSetup& setup,
       for (std::size_t v = 1; v < base_nodes; ++v) {
         g.set_active(static_cast<NodeId>(v), false);
       }
+      graph::PathEngine engine;  // re-snapshotted per joiner, buffers reused
       for (std::size_t j = 1; j < base_nodes; ++j) {
         const auto self = static_cast<NodeId>(j);
         g.set_active(self, true);
+        engine.rebuild(g);
         const auto direct = direct_delays(delays, self, base_nodes + 1);
-        const auto objective = core::make_delay_objective(g, self, direct);
+        const auto objective = core::make_delay_objective(engine, self, direct);
         core::BestResponseOptions options;
         options.exact_budget = 0;
         const auto br = core::best_response(objective, setup.degree, options);

@@ -1,45 +1,38 @@
-// Epoch wall-time scaling of the BR hot path (ISSUE 2 acceptance bench,
-// extended with the parallel epoch pipeline in ISSUE 6).
+// Epoch wall-time scaling of the BR hot path.
 //
 // Measures EgoistNetwork::run_epoch() wall time for BR / HybridBR overlays
-// at growing n, on four variants:
+// at growing n, on these variants:
 //
-//   legacy      residual Digraph copy + all-pairs per node (the seed's path)
-//   engine      graph::PathEngine, serial (CSR snapshot + reused workspace)
-//   engine-mt   graph::PathEngine with the per-source worker pool
+//   engine      the sequential epoch over the CSR graph::PathEngine
 //   engine-par  the parallel epoch pipeline (snapshot -> parallel evaluate
 //               -> deterministic merge), at epoch_workers = 1 and at the
 //               resolved `workers` knob
 //   full-quiet  sequential full recompute on a quiet measurement plane
 //               (ping jitter / drift zeroed) after `inc-warmup` epochs —
 //               the steady-state baseline for the incremental row
-//   incremental dirty-set epochs (ISSUE 7; tau = 0 exact mode) on the same
-//               quiet deployment — must re-wire identically to full-quiet
-//               and reports evaluated / skipped / dirty_frac
+//   incremental dirty-set epochs (tau = 0 exact mode) on the same quiet
+//               deployment — must re-wire identically to full-quiet and
+//               reports evaluated / skipped / dirty_frac
 //
-// legacy / engine / engine-mt run the sequential epoch and produce
-// bit-identical distances, so they walk the *same* wiring trajectory for a
-// fixed seed — their re-wiring counts double as a correctness cross-check
-// (they must match, and the run fails when they do not). engine-par runs
-// the pipeline semantics (every node evaluates against the epoch-start
-// snapshot), a *different* deterministic trajectory: its cross-check is
-// internal — every engine-par row must re-wire exactly like the
-// engine-par workers=1 baseline, at any worker count.
+// engine runs the paper's unsynchronized sequential epoch; engine-par
+// runs the pipeline semantics (every node evaluates against the
+// epoch-start snapshot), a *different* deterministic trajectory. engine-par
+// @1's speedup is read against engine; every further engine-par row must
+// re-wire exactly like engine-par@1 (bit-identical at any worker count),
+// and the run fails when one does not.
 //
 // The `workers` knob (0 = auto) is resolved to a concrete pool size via
 // util::WorkerPool::resolve up front, and every row reports that actual
-// count — a row claiming workers=0 is a reporting bug and aborts the run.
-// `profile = true` enables the in-process profiler around the timed epochs
-// and emits per-phase rows ("profile" panel; see docs/EXPERIMENTS.md).
+// count. `profile = true` enables the in-process profiler around the timed
+// epochs and emits per-phase rows ("profile" panel; see
+// docs/EXPERIMENTS.md).
 //
-// Emits a machine-readable JSON report (console, and the `json` knob names
-// a file) so CI can track the perf trajectory, plus per-measurement rows
-// through the structured sink. Timings are wall-clock and thus not
-// deterministic; rewiring counts and trajectories are. The report carries
-// `host_cpus` so speedups are read against the hardware that produced them.
+// Output is the structured sink: one "scaling" row per measurement, which
+// carries `host_cpus` so speedups are read against the hardware that
+// produced them. Timings are wall-clock and thus not deterministic;
+// rewiring counts and trajectories are.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -57,8 +50,6 @@ namespace {
 
 struct BackendSpec {
   std::string name;
-  overlay::PathBackend backend;
-  int path_workers;   ///< per-source tree builds inside one evaluation
   int epoch_workers;  ///< 0 = sequential epoch; >= 1 = parallel pipeline
   bool incremental = false;  ///< dirty-set epochs (exact mode, tau = 0)
   bool quiet = false;        ///< quiet measurement plane (no jitter/drift)
@@ -123,8 +114,6 @@ Measurement measure(overlay::Policy policy, std::size_t n,
   config.k = std::min(k, n - 1);
   config.donated_links = 2;
   config.seed = seed;
-  config.path_backend = spec.backend;
-  config.path_workers = spec.path_workers;
   config.epoch_workers = spec.epoch_workers;
   config.incremental = spec.incremental;  // tau = 0: exact dirty-set mode
 
@@ -142,11 +131,7 @@ Measurement measure(overlay::Policy policy, std::size_t n,
   m.policy = overlay::to_string(policy);
   m.n = n;
   m.backend = spec.name;
-  m.workers = spec.epoch_workers > 0 ? spec.epoch_workers : spec.path_workers;
-  if (m.workers <= 0) {
-    throw std::runtime_error("refusing to report a workers=0 row for " +
-                             spec.name + " (resolve the pool size first)");
-  }
+  m.workers = std::max(spec.epoch_workers, 1);
   // Profile the timed epochs only: drop whatever warmup recorded.
   if (profile) util::Profiler::instance().reset();
   const std::uint64_t evals_mark = net.total_evaluations();
@@ -173,46 +158,10 @@ Measurement measure(overlay::Policy policy, std::size_t n,
   return m;
 }
 
-std::string json_report(const std::vector<Measurement>& results, std::size_t k,
-                        int warmup, int epochs, std::uint64_t seed) {
-  std::ostringstream out;
-  out << std::fixed << std::setprecision(3);
-  out << "{\"bench\":\"perf_epoch_scaling\",\"metric\":\"delay(ping)\","
-      << "\"k\":" << k << ",\"warmup\":" << warmup << ",\"epochs\":" << epochs
-      << ",\"seed\":" << seed
-      << ",\"host_cpus\":" << std::thread::hardware_concurrency()
-      << ",\"peak_rss_note\":\"peak_rss_bytes is the process-wide monotonic "
-         "high-water mark at row completion (later rows can only repeat or "
-         "raise it); rss_delta_bytes is the high-water growth attributable "
-         "to the row itself\""
-      << ",\"results\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& m = results[i];
-    if (i > 0) out << ",";
-    out << "{\"policy\":\"" << m.policy << "\",\"n\":" << m.n
-        << ",\"backend\":\"" << m.backend << "\",\"workers\":" << m.workers
-        << ",\"epoch_ms_mean\":" << m.epoch_ms_mean
-        << ",\"epoch_ms_min\":" << m.epoch_ms_min
-        << ",\"rewirings\":" << m.rewirings
-        << ",\"evaluated\":" << m.evaluated << ",\"skipped\":" << m.skipped
-        << ",\"dirty_frac\":" << m.dirty_frac
-        << ",\"substrate_bytes\":" << m.substrate_bytes
-        << ",\"peak_rss_bytes\":" << m.peak_rss_bytes
-        << ",\"rss_delta_bytes\":" << m.rss_delta_bytes;
-    if (m.speedup > 0.0) {
-      out << ",\"speedup\":" << m.speedup << ",\"baseline\":\"" << m.baseline
-          << "\"";
-    }
-    out << "}";
-  }
-  out << "]}";
-  return out.str();
-}
-
 const std::vector<std::string> kRowColumns{
     "policy", "n", "backend", "workers", "epoch_ms_mean", "epoch_ms_min",
     "rewirings", "evaluated", "skipped", "dirty_frac", "speedup", "baseline",
-    "substrate_bytes", "peak_rss_bytes", "rss_delta_bytes"};
+    "substrate_bytes", "peak_rss_bytes", "rss_delta_bytes", "host_cpus"};
 
 std::vector<std::string> row_cells(const Measurement& m) {
   std::ostringstream mean_ms, min_ms, dirty_frac, speedup;
@@ -232,7 +181,8 @@ std::vector<std::string> row_cells(const Measurement& m) {
           m.baseline.empty() ? "-" : m.baseline,
           std::to_string(m.substrate_bytes),
           std::to_string(m.peak_rss_bytes),
-          std::to_string(m.rss_delta_bytes)};
+          std::to_string(m.rss_delta_bytes),
+          std::to_string(std::thread::hardware_concurrency())};
 }
 
 std::vector<std::string> profile_row_columns() {
@@ -275,42 +225,29 @@ void run_perf_epoch_scaling(const ParamReader& params, ResultSink& sink) {
   // engine sized its pool internally).
   const int workers = util::WorkerPool::resolve(params.get_int("workers", 0));
   const bool profile = params.get_bool("profile", false);
-  const int legacy_max_n = params.get_int("legacy-max-n", 400);
-  const std::string json_path = params.get_string("json", "");
   const auto env_config = parse_underlay(params);
 
   sink.section(
       "perf: epoch scaling",
-      "run_epoch() wall time per backend; rewiring counts must agree within\n"
-      "each semantics family (sequential backends vs legacy, engine-par vs\n"
-      "its workers=1 baseline) — bit-identical trajectories for a fixed\n"
-      "seed.");
+      "run_epoch() wall time per variant; every engine-par row must re-wire\n"
+      "like its workers=1 baseline and incremental like full-quiet —\n"
+      "bit-identical trajectories for a fixed seed.");
 
-  std::vector<BackendSpec> specs{
-      {"legacy", overlay::PathBackend::kLegacy, 1, 0},
-      {"engine", overlay::PathBackend::kCsrEngine, 1, 0},
-      {"engine-mt", overlay::PathBackend::kCsrEngine, workers, 0},
-      {"engine-par", overlay::PathBackend::kCsrEngine, 1, 1},
-  };
-  if (workers > 1) {
-    specs.push_back({"engine-par", overlay::PathBackend::kCsrEngine, 1, workers});
-  }
+  std::vector<BackendSpec> specs{{"engine", 0}, {"engine-par", 1}};
+  if (workers > 1) specs.push_back({"engine-par", workers});
   // Incremental dirty-set rows run on a quiet measurement plane (no ping
   // jitter, no drift), where the overlay converges and the dirty set can
   // drain; full-quiet is the sequential full recompute of the *same*
   // deployment and the incremental row's baseline and trajectory
   // reference — exact mode must re-wire identically, or the run fails.
-  specs.push_back({"full-quiet", overlay::PathBackend::kCsrEngine, 1, 0,
-                   /*incremental=*/false, /*quiet=*/true});
-  specs.push_back({"incremental", overlay::PathBackend::kCsrEngine, 1, 0,
-                   /*incremental=*/true, /*quiet=*/true});
+  specs.push_back({"full-quiet", 0, /*incremental=*/false, /*quiet=*/true});
+  specs.push_back({"incremental", 0, /*incremental=*/true, /*quiet=*/true});
   auto quiet_env = env_config;
   quiet_env.ping_jitter_ms = 0.0;
   quiet_env.delay_drift_volatility = 0.0;
 
   util::ProfileSession profile_session(profile);
 
-  std::vector<Measurement> results;
   {
     std::ostringstream head;
     head << std::left << std::setw(10) << "policy" << std::setw(7) << "n"
@@ -324,27 +261,20 @@ void run_perf_epoch_scaling(const ParamReader& params, ResultSink& sink) {
   std::string mismatch_report;
   for (const auto policy : policies) {
     for (const std::size_t n : n_list) {
-      double legacy_ms = 0.0;
-      int legacy_rewirings = -1;
+      double engine_ms = 0.0;
       double par1_ms = 0.0;
       int par1_rewirings = -1;
       double fullq_ms = 0.0;
       int fullq_rewirings = -1;
       for (const auto& spec : specs) {
-        if (spec.name == "legacy" &&
-            n > static_cast<std::size_t>(legacy_max_n)) {
-          continue;
-        }
         auto m = measure(policy, n, spec, k, spec.quiet ? inc_warmup : warmup,
                          epochs, seed, spec.quiet ? quiet_env : env_config,
                          profile);
-        const bool pipeline = spec.epoch_workers > 0;
-        if (spec.name == "legacy") {
-          legacy_ms = m.epoch_ms_mean;
-          legacy_rewirings = m.rewirings;
+        if (spec.name == "engine") {
+          engine_ms = m.epoch_ms_mean;
         } else if (spec.name == "full-quiet") {
           // Quiet plane, sequential full recompute: the incremental row's
-          // baseline. Different environment, so no legacy cross-check.
+          // baseline and trajectory reference.
           fullq_ms = m.epoch_ms_mean;
           fullq_rewirings = m.rewirings;
         } else if (spec.name == "incremental") {
@@ -363,35 +293,29 @@ void run_perf_epoch_scaling(const ParamReader& params, ResultSink& sink) {
                                " vs full-quiet " +
                                std::to_string(fullq_rewirings) + "\n";
           }
-        } else if (pipeline && spec.epoch_workers == 1) {
+        } else if (spec.epoch_workers == 1) {
           // The pipeline's own single-thread baseline: later engine-par
           // rows check their trajectory and speedup against this row.
           par1_ms = m.epoch_ms_mean;
           par1_rewirings = m.rewirings;
-          if (legacy_ms > 0.0 && m.epoch_ms_mean > 0.0) {
-            m.speedup = legacy_ms / m.epoch_ms_mean;
-            m.baseline = "legacy";
+          if (engine_ms > 0.0 && m.epoch_ms_mean > 0.0) {
+            m.speedup = engine_ms / m.epoch_ms_mean;
+            m.baseline = "engine";
           }
         } else {
-          const double base_ms = pipeline ? par1_ms : legacy_ms;
-          if (base_ms > 0.0 && m.epoch_ms_mean > 0.0) {
-            m.speedup = base_ms / m.epoch_ms_mean;
-            m.baseline = pipeline ? "engine-par@1" : "legacy";
+          if (par1_ms > 0.0 && m.epoch_ms_mean > 0.0) {
+            m.speedup = par1_ms / m.epoch_ms_mean;
+            m.baseline = "engine-par@1";
           }
-          // Enforce the trajectory cross-check the banner promises, within
-          // each semantics family: sequential backends must re-wire like
-          // legacy; every engine-par row must re-wire like engine-par@1
-          // (the bit-identical-at-any-worker-count contract).
-          const int expected = pipeline ? par1_rewirings : legacy_rewirings;
-          const std::string reference = pipeline ? "engine-par@1" : "legacy";
-          if (expected >= 0 && m.rewirings != expected) {
+          // The bit-identical-at-any-worker-count contract.
+          if (par1_rewirings >= 0 && m.rewirings != par1_rewirings) {
             ++trajectory_mismatches;
             mismatch_report += "TRAJECTORY MISMATCH: " + m.policy +
                                " n=" + std::to_string(n) + " " + m.backend +
                                " workers=" + std::to_string(m.workers) +
                                " rewired " + std::to_string(m.rewirings) +
-                               " vs " + reference + " " +
-                               std::to_string(expected) + "\n";
+                               " vs engine-par@1 " +
+                               std::to_string(par1_rewirings) + "\n";
           }
         }
         std::ostringstream line;
@@ -409,19 +333,10 @@ void run_perf_epoch_scaling(const ParamReader& params, ResultSink& sink) {
         sink.text(line.str());
         sink.row("scaling", kRowColumns, row_cells(m));
         if (profile) emit_profile_rows(sink, m);
-        results.push_back(std::move(m));
       }
     }
   }
 
-  const std::string json = json_report(results, k, warmup, epochs, seed);
-  sink.text("\nJSON: " + json + "\n");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) throw std::runtime_error("cannot write " + json_path);
-    out << json << "\n";
-    sink.text("wrote " + json_path + "\n");
-  }
   if (trajectory_mismatches > 0) {
     throw std::runtime_error(
         mismatch_report + "error: " + std::to_string(trajectory_mismatches) +

@@ -1,15 +1,19 @@
-// serve_remote: the out-of-process serving bench — spawns egoistd and
-// hammers it over loopback TCP and a Unix-domain socket.
+// serve_remote: the serving bench — spawns egoistd and hammers it over
+// loopback TCP and a Unix-domain socket, and serves the same workload
+// in-process for comparison.
 //
-// One daemon process per `loops` value is forked (the egoistd binary next
-// to this one, or knob `egoistd-bin`), configured with exactly the
-// deployment knobs this scenario carries — the deployment builder is
-// shared (exp/serve_workload.hpp), so each daemon's overlay is
-// bit-identical to the local comparison overlay this process deploys.
-// After a daemon's "EGOISTD READY" handshake, each (transport × mix ×
-// mode) triple gets one serving window: `readers` client threads, each
-// with its own rpc::Client, replay the serve_load workload — hot source
-// pool, zipf or uniform destinations — while the daemon keeps churning
+// The `transports` knob lists the legs: `uds` and `tcp` go through
+// daemons, `inproc` through a host::RouteService in this process. Daemons
+// are spawned only when a socket transport is listed: one process per
+// `loops` value (the egoistd binary next to this one, or knob
+// `egoistd-bin`), configured with exactly the deployment knobs this
+// scenario carries — the deployment builder is shared
+// (exp/serve_workload.hpp), so each daemon's overlay is bit-identical to
+// the local overlay this process deploys. After a daemon's "EGOISTD
+// READY" handshake, each (socket transport × mix × mode) triple gets one
+// serving window: `readers` client threads, each with its own
+// rpc::Client, replay the serving workload — hot source pool, zipf or
+// uniform destinations — while the daemon keeps churning
 // epochs on its side of the socket. Mode `pipeline` posts `pipeline-depth`
 // single ROUTE frames per burst; mode `batch` (knob `batch`) ships the
 // same depth as ONE BATCH_ROUTE frame — one header decode and one send
@@ -22,13 +26,14 @@
 // breakdown, scaled by depth for batch windows) — the direct read on
 // whether SO_REUSEPORT / the UDS round-robin actually spread the load.
 //
-// After the remote windows, the same workload runs in-process against the
-// local overlay (`inproc-compare`) — serve_load's exact inner loop — so
-// every mix gets socket rows and an in-process row side by side: the cost
-// of the wire. Each daemon is then SIGTERMed and must exit 0 after
+// Each daemon is SIGTERMed after its windows and must exit 0 after
 // proving RouteService::drain — the "daemon" table carries one row per
-// daemon (loops, host_cpus, exit code, drain flag, transport counters),
-// which CI gates on (qps floor, loop scaling, decode_errors == 0,
+// daemon (loops, host_cpus, exit code, drain flag, transport counters).
+// With `inproc` listed, the same workload then runs in-process against the
+// local overlay (exp::run_inproc_window) while its host thread keeps
+// running churned epochs that publish snapshots through the RCU swap: one
+// inproc row per mix beside the socket rows, the cost of the wire. CI
+// gates on these tables (qps floors, loop scaling, decode_errors == 0,
 // seal_violations == 0, clean exit).
 #include <algorithm>
 #include <atomic>
@@ -330,14 +335,21 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
       throw std::invalid_argument("mix must be zipf or uniform, got " + mix);
     }
   }
-  const auto transports = split_csv(params.get_string("transports", "uds,tcp"));
-  for (const auto& transport : transports) {
-    if (transport != "uds" && transport != "tcp") {
-      throw std::invalid_argument("transports must be uds or tcp, got " +
-                                  transport);
+  const std::string transports_text =
+      params.get_string("transports", "uds,tcp,inproc");
+  std::vector<std::string> transports;  // the socket legs
+  bool inproc = false;
+  for (const auto& transport : split_csv(transports_text)) {
+    if (transport == "inproc") {
+      inproc = true;
+    } else if (transport == "uds" || transport == "tcp") {
+      transports.push_back(transport);
+    } else {
+      throw std::invalid_argument(
+          "transports must be uds, tcp or inproc, got " + transport);
     }
   }
-  if (mixes.empty() || transports.empty()) {
+  if (mixes.empty() || (transports.empty() && !inproc)) {
     throw std::invalid_argument("empty mix or transports list");
   }
   std::vector<int> loops_list;
@@ -364,7 +376,6 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
   if (max_epochs < 1) throw std::invalid_argument("max-epochs must be >= 1");
   const int depth = params.get_int("pipeline-depth", 16);
   if (depth < 1) throw std::invalid_argument("pipeline-depth must be >= 1");
-  const bool inproc_compare = params.get_bool("inproc-compare", true);
   const double ready_timeout_s = params.get_double("ready-timeout", 300.0);
   std::string egoistd_bin = params.get_string("egoistd-bin", "");
   if (egoistd_bin.empty()) {
@@ -378,12 +389,11 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
   }
 
   // Each daemon keeps churning across every one of its remote windows, so
-  // its churn trace must cover the worst case; the local comparison
-  // overlay runs at most one window per mix on top.
+  // its churn trace must cover the worst case; the local overlay runs at
+  // most one window per mix on top.
   const int windows_per_daemon =
       static_cast<int>(transports.size() * mixes.size() * modes.size());
-  const int inproc_windows =
-      static_cast<int>(inproc_compare ? mixes.size() : 0);
+  const int inproc_windows = static_cast<int>(inproc ? mixes.size() : 0);
   const auto deployment = read_serve_deployment(
       params,
       static_cast<double>(windows_per_daemon + inproc_windows) * max_epochs);
@@ -401,12 +411,14 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
   }
 
   // Spawn every daemon first (fork while this process is still small, and
-  // the warmups overlap), then deploy the local comparison overlay while
-  // they build theirs.
+  // the warmups overlap), then deploy the local overlay while they build
+  // theirs.
   std::vector<Daemon> daemons;
   ServingOverlay serving;
   try {
-    for (std::size_t d = 0; d < loops_list.size(); ++d) {
+    // Daemons serve the socket legs only.
+    const std::size_t daemon_count = transports.empty() ? 0 : loops_list.size();
+    for (std::size_t d = 0; d < daemon_count; ++d) {
       const std::string uds_path = "/tmp/egoistd-" +
                                    std::to_string(::getpid()) + "-l" +
                                    std::to_string(loops_list[d]) + ".sock";
@@ -428,11 +440,10 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
 
   sink.section(
       "serve remote: egoistd n=" + std::to_string(n) + " over " +
-          params.get_string("transports", "uds,tcp") + ", loops " +
-          params.get_string("loops", "1"),
+          transports_text + ", loops " + params.get_string("loops", "1"),
       std::to_string(readers) + " client thread(s), depth " +
           std::to_string(depth) + ", hammer one spawned egoistd daemon per "
-          "loops value with the serve_load workload (hot pool of " +
+          "loops value with the serving workload (hot pool of " +
           std::to_string(sources) + " sources, " +
           params.get_string("mix", "zipf,uniform") + " destination mix) "
           "while it churns epochs behind the socket; mode pipeline posts "
@@ -587,9 +598,8 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
     throw;
   }
 
-  // The in-process comparison leg: serve_load's exact inner loop on the
-  // bit-identical local overlay.
-  if (inproc_compare) {
+  // The in-process leg on the bit-identical local overlay.
+  if (inproc) {
     for (const auto& mix : mixes) {
       const auto pool =
           hot_source_pool(local_host.snapshot(handle), deployment.config.seed,
@@ -610,7 +620,7 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
   }
 
   sink.table("serve_remote", table);
-  sink.table("daemon", daemon_table);
+  if (!daemons.empty()) sink.table("daemon", daemon_table);
 }
 
 }  // namespace egoist::exp

@@ -23,9 +23,6 @@ void run_steady_state(const ParamReader& params, ResultSink& sink) {
       params.get_int("donated-links", static_cast<int>(config.donated_links)));
   config.backbone =
       overlay::parse_backbone(params.get_string("backbone", "cycles"));
-  config.path_backend =
-      overlay::parse_path_backend(params.get_string("backend", "engine"));
-  config.path_workers = params.get_int("path-workers", config.path_workers);
   config.preference_zipf_exponent =
       params.get_double("zipf", config.preference_zipf_exponent);
   if (config.policy == overlay::Policy::kFullMesh) config.k = n - 1;

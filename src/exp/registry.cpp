@@ -66,15 +66,11 @@ const std::vector<Experiment>& experiments() {
        "underlay with sampled candidates, landmark objectives and memory "
        "telemetry",
        &run_scale_frontier},
-      {"serve_load",
-       "concurrent snapshot serving: reader threads replay route lookups "
-       "against a RouteService while churned BR epochs publish snapshots, "
-       "reporting qps and p50/p99/p999 latency",
-       &run_serve_load},
       {"serve_remote",
-       "out-of-process serving: spawns the egoistd daemon and hammers it "
+       "route serving under churn: spawns the egoistd daemon and hammers it "
        "over loopback TCP and a Unix-domain socket with pipelined "
-       "wire-protocol clients, side by side with the in-process leg",
+       "wire-protocol clients, side by side with in-process readers on a "
+       "RouteService (transports=inproc), reporting qps and latency",
        &run_serve_remote},
   };
   return kExperiments;

@@ -1,11 +1,10 @@
-// Shared machinery for the serving benches (serve_load, serve_remote) and
-// the egoistd daemon.
+// Shared machinery for the serving bench (serve_remote) and the egoistd
+// daemon.
 //
-// All three construct the SAME deployment from the same knob set: one BR
+// Both construct the SAME deployment from the same knob set: one BR
 // overlay in §5 scale mode on the procedural underlay, churned, warmed up,
-// then served from — in-process through a host::RouteService (serve_load,
-// the in-process comparison leg of serve_remote) or out-of-process through
-// egoistd's rpc::Server. Keeping the knob reader and deployment builder in
+// then served from — in-process through a host::RouteService (serve_remote's
+// inproc transport) or out-of-process through egoistd's rpc::Server. Keeping the knob reader and deployment builder in
 // one place is what makes the remote bench's local comparison overlay
 // bit-identical to the daemon's: both sides call read_serve_deployment +
 // deploy_serving_overlay with the same scenario knobs, and the whole stack
@@ -79,7 +78,7 @@ ServingOverlay deploy_serving_overlay(const ServeDeployment& deployment);
 
 /// The hot source pool for serving window `window`: `sources` distinct
 /// nodes sampled from the currently-online set with the window-tagged
-/// stream serve_load has always used.
+/// stream every serving window has always used.
 std::vector<overlay::NodeId> hot_source_pool(const host::WiringSnapshot& snap,
                                              std::uint64_t seed,
                                              std::size_t window,
@@ -95,11 +94,10 @@ struct WindowResult {
 };
 
 /// Runs one in-process serving window: `readers` threads hammer
-/// `service` with the serve_load workload (hot `pool` sources, zipf or
+/// `service` with the serving workload (hot `pool` sources, zipf or
 /// uniform destinations over [0, n)) while the calling thread drives
 /// epochs — at least one, then until `duration_s` elapses or `max_epochs`
-/// ran. This is serve_load's inner loop, shared so serve_remote's
-/// in-process comparison column measures exactly the same thing.
+/// ran. These are serve_remote's inproc rows.
 WindowResult run_inproc_window(host::OverlayHost& host,
                                host::OverlayHandle handle,
                                host::RouteService& service,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 #include <type_traits>
 
 #include "graph/shortest_path.hpp"
@@ -19,7 +18,7 @@ void CsrGraph::rebuild(const Digraph& g) {
 
   // The max weight scans *every* stored edge, including those dropped for
   // inactivity below: the default unreachable penalty is derived from it
-  // and must match the legacy Digraph scan, which never looks at activity.
+  // and must match the Digraph overload's scan, which never looks at activity.
   max_weight_ = 0.0;
   for (std::size_t u = 0; u < n; ++u) {
     for (const Edge& e : g.out_edges(static_cast<NodeId>(u))) {
@@ -140,15 +139,6 @@ constexpr auto make_better(std::bool_constant<false>) {
 
 }  // namespace
 
-void PathEngine::set_workers(int workers) {
-  if (workers < 0) throw std::invalid_argument("workers must be >= 0");
-  if (workers == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    workers = static_cast<int>(std::min(4u, std::max(1u, hw)));
-  }
-  workers_ = workers;
-}
-
 void PathEngine::rebuild(const Digraph& g) {
   csr_.rebuild(g);
   shortest_base_.valid = false;
@@ -205,11 +195,6 @@ void PathEngine::update_out_edges(NodeId u, const Digraph& g) {
   }
 }
 
-PathEngine::QueryScratch& PathEngine::workspace(std::size_t i) {
-  if (workspaces_.size() <= i) workspaces_.resize(i + 1);
-  return workspaces_[i];
-}
-
 template <bool kWidest>
 void PathEngine::run(QueryScratch& qs, NodeId src, NodeId exclude,
                      std::span<double> out, NodeId* parent_row) const {
@@ -258,38 +243,15 @@ void PathEngine::ensure_base(BaseTrees& base) {
   base.parent.resize(n * n);     // likewise
   base.child_count.assign(n * n, 0);
 
-  // One SSSP tree per source; rows and parent slices are disjoint, so the
-  // sources can be fanned out over a small worker pool (read-only CSR).
-  const std::size_t pool = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(workers_, 1)),
-      std::max<std::size_t>(n, 1));
-  for (std::size_t w = 0; w < pool; ++w) workspace(w);  // allocate up front
-  auto build_range = [&](std::size_t worker, std::size_t begin,
-                         std::size_t end) {
-    for (std::size_t src = begin; src < end; ++src) {
-      NodeId* parent_row = base.parent.data() + src * n;
-      run<kWidest>(workspaces_[worker], static_cast<NodeId>(src), kNoExclude,
-                   base.dist.row(src), parent_row);
-      std::int32_t* counts = base.child_count.data() + src * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (parent_row[j] >= 0) ++counts[static_cast<std::size_t>(parent_row[j])];
-      }
+  // One SSSP tree per source.
+  for (std::size_t src = 0; src < n; ++src) {
+    NodeId* parent_row = base.parent.data() + src * n;
+    run<kWidest>(scratch_, static_cast<NodeId>(src), kNoExclude,
+                 base.dist.row(src), parent_row);
+    std::int32_t* counts = base.child_count.data() + src * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (parent_row[j] >= 0) ++counts[static_cast<std::size_t>(parent_row[j])];
     }
-  };
-  if (pool <= 1 || n == 0) {
-    build_range(0, 0, n);
-  } else {
-    const std::size_t chunk = (n + pool - 1) / pool;
-    std::vector<std::thread> threads;
-    threads.reserve(pool - 1);
-    for (std::size_t w = 1; w < pool; ++w) {
-      const std::size_t begin = w * chunk;
-      const std::size_t end = std::min(begin + chunk, n);
-      if (begin >= end) break;
-      threads.emplace_back(build_range, w, begin, end);
-    }
-    build_range(0, 0, std::min(chunk, n));
-    for (auto& t : threads) t.join();
   }
   base.valid = true;
 }
@@ -444,7 +406,7 @@ bool PathEngine::update_tree(BaseTrees& base, NodeId src, NodeId u) {
   const auto out = base.dist.row(s);
   NodeId* parent_row = base.parent.data() + s * n;
   std::int32_t* count_row = base.child_count.data() + s * n;
-  QueryScratch& qs = workspace(0);
+  QueryScratch& qs = scratch_;
   if (src == u) {
     // Every distance from u runs over u's own (replaced) out-edges.
     update_row_before_.assign(out.begin(), out.end());
@@ -627,22 +589,22 @@ void PathEngine::all_widest(NodeId exclude, DistanceMatrix& out,
 
 void PathEngine::shortest_from(NodeId src, NodeId exclude,
                                std::span<double> dist_out) {
-  shortest_from(src, exclude, dist_out, workspace(0));
+  shortest_from(src, exclude, dist_out, scratch_);
 }
 
 void PathEngine::widest_from(NodeId src, NodeId exclude,
                              std::span<double> bottleneck_out) {
-  widest_from(src, exclude, bottleneck_out, workspace(0));
+  widest_from(src, exclude, bottleneck_out, scratch_);
 }
 
 void PathEngine::all_shortest(NodeId exclude, DistanceMatrix& out) {
   prepare_shortest();
-  all_rows<false>(workspace(0), exclude, out);
+  all_rows<false>(scratch_, exclude, out);
 }
 
 void PathEngine::all_widest(NodeId exclude, DistanceMatrix& out) {
   prepare_widest();
-  all_rows<true>(workspace(0), exclude, out);
+  all_rows<true>(scratch_, exclude, out);
 }
 
 }  // namespace egoist::graph

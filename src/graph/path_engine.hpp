@@ -2,12 +2,10 @@
 //
 // Best-response evaluation needs, for every node i, the all-pairs distances
 // of the residual graph G_{-i} (the announced overlay minus i's out-edges).
-// The legacy path (core::residual_of + graph::all_pairs_shortest_paths)
-// materializes a fresh Digraph and runs n full Dijkstras per node —
-// O(n^2 m log n) work per epoch plus hundreds of allocations per node,
-// which is what pinned the figure benches at n = 50.
-//
-// PathEngine replaces that with three layers:
+// Materializing each G_{-i} as a fresh Digraph and running n full
+// Dijkstras on it costs O(n^2 m log n) work per epoch plus hundreds of
+// allocations per node. PathEngine is the overlay's only residual-path
+// implementation and avoids both with three layers:
 //
 // - CsrGraph: a flat compressed-sparse-row snapshot (forward + reverse
 //   offset / endpoint / weight arrays + an active bitmap) rebuilt in place
@@ -16,7 +14,7 @@
 // - Residual *views*: every traversal takes an `exclude_out_edges_of`
 //   source whose edge range is skipped, so G_{-i} costs O(1) instead of an
 //   O(n + m) graph copy. Paths *through* the excluded node are unaffected
-//   (its in-edges remain), matching core::residual_of semantics exactly.
+//   (its in-edges remain), exactly as in a residual copy of the graph.
 // - Shared base trees: the first all-pairs query against a snapshot
 //   computes one SSSP tree per source (dist row + parent links), shared by
 //   every later query on the snapshot. A query excluding node i differs
@@ -40,7 +38,8 @@
 // algorithm enumerates the paths, and every kept row value is squeezed
 // between the full-graph minimum and a surviving path that attains it.
 // The equivalence suite in tests/graph/path_engine_test.cpp enforces all
-// of this against the legacy implementation, which stays as the reference.
+// of this against graph::all_pairs_* on residual Digraph copies, which
+// stay as the test reference.
 //
 // Steady-state queries allocate nothing: the workspace (4-ary heap, stamp
 // marks, scratch lists) and the base-tree arenas are reused across
@@ -104,7 +103,7 @@ class CsrGraph {
   /// Largest edge weight of the snapshotted Digraph (0 for an edgeless
   /// graph). Unlike the adjacency arrays this includes edges dropped for
   /// inactivity: core::default_unreachable_penalty derives from it and
-  /// must agree with the legacy Digraph scan, which ignores activity.
+  /// must agree with its Digraph overload, which ignores activity.
   double max_weight() const { return max_weight_; }
 
   /// Active node ids, ascending.
@@ -131,7 +130,7 @@ class CsrGraph {
 /// Reusable residual-path solver over a CsrGraph snapshot.
 ///
 /// Thread model: every mutation (rebuild, update_out_edges, prepare_*, the
-/// legacy non-scratch query overloads, which may build base trees lazily)
+/// non-scratch query overloads, which may build base trees lazily)
 /// requires exclusive access. The QueryScratch overloads are const and
 /// touch only caller-owned scratch, so once the base trees are prepared —
 /// or with no base trees at all (they fall back to direct SSSP) — any
@@ -162,17 +161,7 @@ class PathEngine {
   };
 
   PathEngine() = default;
-  /// workers: parallelism for the per-source base-tree build (the one
-  /// O(n * SSSP) pass per snapshot). 1 = serial, 0 = auto (min(4,
-  /// hardware_concurrency)). Results are identical at any setting; the
-  /// sources are partitioned into contiguous chunks of disjoint rows.
-  explicit PathEngine(const Digraph& g, int workers = 1) : PathEngine() {
-    set_workers(workers);
-    rebuild(g);
-  }
-
-  void set_workers(int workers);
-  int workers() const { return workers_; }
+  explicit PathEngine(const Digraph& g) { rebuild(g); }
 
   /// Takes a fresh snapshot of `g`, reusing all internal buffers, and
   /// invalidates the shared base trees (rebuilt lazily on the next
@@ -311,14 +300,10 @@ class PathEngine {
   template <bool kWidest>
   void all_rows(QueryScratch& qs, NodeId exclude, DistanceMatrix& out) const;
 
-  QueryScratch& workspace(std::size_t i);
-
   CsrGraph csr_;
-  int workers_ = 1;
-  /// workspace(0) doubles as the engine-owned scratch behind the legacy
-  /// overloads and the in-place tree updates; the rest are the base-build
-  /// workers' heaps.
-  std::vector<QueryScratch> workspaces_;
+  /// Engine-owned scratch behind the non-scratch overloads, the base-tree
+  /// build, and the in-place tree updates.
+  QueryScratch scratch_;
   BaseTrees shortest_base_;
   BaseTrees widest_base_;
   std::vector<std::uint8_t> active_before_;   ///< update_out_edges guard

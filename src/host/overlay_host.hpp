@@ -88,10 +88,8 @@ class OverlaySpec {
     config_.audit_tolerance = tolerance;
     return *this;
   }
-  OverlaySpec& path_backend(overlay::PathBackend value) { config_.path_backend = value; return *this; }
-  OverlaySpec& path_workers(int value) { config_.path_workers = value; return *this; }
   /// Wiring-epoch worker threads (overlay::OverlayConfig::epoch_workers):
-  /// 0 = sequential legacy epoch, >= 1 = the deterministic parallel
+  /// 0 = sequential epoch, >= 1 = the deterministic parallel
   /// pipeline (trajectories bit-identical at any worker count).
   OverlaySpec& workers(int value) { config_.epoch_workers = value; return *this; }
   OverlaySpec& preference_zipf(double exponent) {

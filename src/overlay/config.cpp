@@ -34,14 +34,6 @@ const char* to_string(Backbone backbone) {
   return "?";
 }
 
-const char* to_string(PathBackend backend) {
-  switch (backend) {
-    case PathBackend::kCsrEngine: return "engine";
-    case PathBackend::kLegacy: return "legacy";
-  }
-  return "?";
-}
-
 Policy parse_policy(const std::string& name) {
   if (name == "BR") return Policy::kBestResponse;
   if (name == "HybridBR") return Policy::kHybridBR;
@@ -69,13 +61,6 @@ Backbone parse_backbone(const std::string& name) {
   if (name == "mst") return Backbone::kMst;
   throw std::invalid_argument("unknown backbone '" + name +
                               "' (want cycles, mst)");
-}
-
-PathBackend parse_path_backend(const std::string& name) {
-  if (name == "engine") return PathBackend::kCsrEngine;
-  if (name == "legacy") return PathBackend::kLegacy;
-  throw std::invalid_argument("unknown path backend '" + name +
-                              "' (want engine, legacy)");
 }
 
 }  // namespace egoist::overlay

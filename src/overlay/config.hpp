@@ -39,23 +39,15 @@ enum class RewireMode {
   kImmediate,  ///< re-evaluate as soon as the loss is detected
 };
 
-/// How BR/HybridBR compute residual all-pairs distances.
-enum class PathBackend {
-  kCsrEngine,  ///< graph::PathEngine: CSR snapshot + reusable workspace
-  kLegacy,     ///< residual Digraph copy + graph::all_pairs_* (reference)
-};
-
 const char* to_string(Policy policy);
 const char* to_string(Metric metric);
 const char* to_string(Backbone backbone);
-const char* to_string(PathBackend backend);
 
 /// Parse the to_string names back into enums (scenario files / CLI flags).
 /// Throw std::invalid_argument listing the accepted spellings.
 Policy parse_policy(const std::string& name);
 Metric parse_metric(const std::string& name);
 Backbone parse_backbone(const std::string& name);
-PathBackend parse_path_backend(const std::string& name);
 
 struct OverlayConfig {
   std::size_t k = 5;                  ///< neighbor budget per node
@@ -98,20 +90,9 @@ struct OverlayConfig {
   /// Best-response search tuning.
   core::BestResponseOptions search;
 
-  /// Residual path computation backend. kCsrEngine is the allocation-free
-  /// hot path; kLegacy is the reference implementation it is validated
-  /// against (bit-identical distances, so identical wiring trajectories).
-  PathBackend path_backend = PathBackend::kCsrEngine;
-
-  /// Worker threads for the engine's per-source SSSP loop (read-only CSR,
-  /// disjoint output rows — results are identical at any setting).
-  /// 1 = serial, 0 = auto (min(4, hardware threads)). Only the CSR engine
-  /// backend parallelizes.
-  int path_workers = 1;
-
   /// Worker threads for the wiring epoch itself (BR/HybridBR only; the
   /// other policies are trivial and ignore this). 0 (the default) keeps the
-  /// legacy sequential epoch: nodes evaluate in a shuffled order and each
+  /// paper's unsynchronized sequential epoch: nodes evaluate in a shuffled order and each
   /// sees the re-wirings of the nodes before it — byte-identical to the
   /// historical trajectories. >= 1 switches run_epoch to the snapshot ->
   /// parallel evaluate -> deterministic merge pipeline

@@ -26,6 +26,14 @@ bool same_set(std::vector<NodeId> a, std::vector<NodeId> b) {
   return a == b;
 }
 
+/// The free-link budget left once a search's fixed (donated) links are
+/// committed.
+std::size_t free_budget(std::size_t budget,
+                        const core::BestResponseOptions& options) {
+  const std::size_t fixed = options.fixed_links.size();
+  return budget > fixed ? budget - fixed : 0;
+}
+
 /// Per-node wiring capacity of the SoA store: the degree budget k, except
 /// for the full mesh which wires to everyone.
 std::size_t wiring_capacity(const OverlayConfig& config, std::size_t n) {
@@ -52,7 +60,6 @@ EgoistNetwork::EgoistNetwork(Environment& env, OverlayConfig config)
   if (config_.k == 0 || config_.k >= env.size()) {
     throw std::invalid_argument("need 0 < k < n");
   }
-  engine_.set_workers(config_.path_workers);  // throws on negative
   if (config_.epoch_workers < 0) {
     throw std::invalid_argument("epoch_workers must be >= 0");
   }
@@ -199,7 +206,7 @@ void EgoistNetwork::set_online(int node, bool online) {
     for (NodeId u : online_nodes()) {
       const auto w = store_.wiring(static_cast<std::size_t>(u));
       if (std::find(w.begin(), w.end(), static_cast<NodeId>(node)) != w.end()) {
-        if (evaluate_node(u)) ++total_rewirings_;
+        evaluate_counted(u);
       }
     }
   }
@@ -380,53 +387,32 @@ bool EgoistNetwork::evaluate_node_sampled(int node) {
   if (landmark_state_.evals_left > 0) --landmark_state_.evals_left;
 
   const auto pool = sample_pool(node);
-  auto direct = measure_pool(node, pool);
+  const auto direct = measure_pool(node, pool);
   const auto current = store_.wiring_vec(static_cast<std::size_t>(node));
+  const double penalty = config_.metric == Metric::kBandwidth
+                             ? 0.0
+                             : unreachable_penalty(announced_);
+  const auto objective = landmark_objective(node, pool, direct, penalty);
+  // Both the kept and the proposed wiring are subsets of the measured pool
+  // (fixed links included), so `direct` covers every announced cost.
+  return commit(node, current,
+                propose(node, objective, current, degree_budget(), br_scratch_),
+                direct);
+}
 
+core::LandmarkObjective EgoistNetwork::landmark_objective(
+    NodeId node, std::vector<NodeId> pool, std::vector<double> direct,
+    double penalty) const {
   std::vector<NodeId> targets;
   targets.reserve(landmark_state_.landmarks.size());
   for (NodeId l : landmark_state_.landmarks) {
     if (l != node) targets.push_back(l);
   }
-
   const bool maximize = config_.metric == Metric::kBandwidth;
-  const double penalty = maximize ? 0.0 : unreachable_penalty(announced_);
-  const core::LandmarkObjective objective(
-      node, pool, direct, &landmark_state_.dist, &landmark_state_.column,
-      std::move(targets), maximize, penalty);
-
-  core::BestResponseOptions options = config_.search;
-  options.scratch = &br_scratch_;
-  options.seed_wiring = current;
-  options.exact_budget = 0;
-  std::size_t free_k = std::min(config_.k, online_count() - 1);
-  if (config_.policy == Policy::kHybridBR) {
-    options.fixed_links = store_.donated_vec(static_cast<std::size_t>(node));
-    free_k = free_k > options.fixed_links.size()
-                 ? free_k - options.fixed_links.size()
-                 : 0;
-  }
-  const double current_cost = objective.cost(current);
-  core::BestResponseResult br = core::best_response(objective, free_k, options);
-  std::vector<NodeId> proposed = options.fixed_links;
-  proposed.insert(proposed.end(), br.wiring.begin(), br.wiring.end());
-
-  const double improvement = current_cost - br.cost;
-  const double fraction =
-      config_.epsilon > 0.0 ? config_.epsilon : config_.noise_floor;
-  const double threshold = fraction * std::abs(current_cost);
-  // Both the kept and the proposed wiring are subsets of the measured pool
-  // (fixed links included), so `direct` covers every announced cost.
-  if (improvement <= threshold || same_set(current, proposed)) {
-    apply_wiring(node, std::vector<NodeId>(current), direct);
-    return false;
-  }
-  apply_wiring(node, std::move(proposed), direct);
-  if (hooks_.on_rewire) {
-    hooks_.on_rewire(node, current,
-                     store_.wiring_vec(static_cast<std::size_t>(node)));
-  }
-  return true;
+  return core::LandmarkObjective(
+      node, std::move(pool), std::move(direct), &landmark_state_.dist,
+      &landmark_state_.column, std::move(targets), maximize,
+      maximize ? 0.0 : penalty);
 }
 
 double EgoistNetwork::announced_cost(int node, double measured) const {
@@ -700,17 +686,10 @@ std::vector<NodeId> EgoistNetwork::choose_wiring(int node,
       return candidates;
     case Policy::kBestResponse:
     case Policy::kHybridBR: {
-      core::BestResponseOptions options = config_.search;
-      options.scratch = &br_scratch_;
-      std::size_t free_k = k;
-      if (config_.policy == Policy::kHybridBR) {
-        options.fixed_links = store_.donated_vec(static_cast<std::size_t>(node));
-        free_k = k > options.fixed_links.size() ? k - options.fixed_links.size() : 0;
-      }
-      // Adoption decision happens in evaluate_node; here return combined.
-      auto br = run_best_response(node, direct, free_k, options,
-                                  /*current_for_cost=*/nullptr,
-                                  /*current_cost=*/nullptr);
+      // A joiner has no wiring to keep: no BR(eps) decision, no seed.
+      const auto options = search_options(node, br_scratch_);
+      const auto br = core::best_response(*dense_objective(node, direct),
+                                          free_budget(k, options), options);
       auto combined = options.fixed_links;
       combined.insert(combined.end(), br.wiring.begin(), br.wiring.end());
       return combined;
@@ -719,35 +698,87 @@ std::vector<NodeId> EgoistNetwork::choose_wiring(int node,
   return {};
 }
 
-core::BestResponseResult EgoistNetwork::run_best_response(
-    int node, const std::vector<double>& direct, std::size_t free_k,
-    const core::BestResponseOptions& options,
-    const std::vector<NodeId>* current_for_cost, double* current_cost) {
-  auto search = [&](const core::WiringObjective& objective) {
-    if (current_for_cost != nullptr && current_cost != nullptr) {
-      *current_cost = objective.cost(*current_for_cost);
-    }
-    return core::best_response(objective, free_k, options);
-  };
+std::unique_ptr<core::WiringObjective> EgoistNetwork::dense_objective(
+    int node, const std::vector<double>& direct) {
   const graph::Digraph& decision = decision_graph();
-  const bool use_engine = config_.path_backend == PathBackend::kCsrEngine;
   // Inside a synchronized epoch the engine already mirrors the decision
   // graph (snapshotted at the boundary, patched after each re-announce);
   // otherwise it re-snapshots per call, reusing its buffers.
-  if (use_engine && !engine_synced_) engine_.rebuild(decision);
+  if (!engine_synced_) engine_.rebuild(decision);
   if (config_.metric == Metric::kBandwidth) {
-    return search(use_engine
-                      ? core::make_bandwidth_objective(engine_, node, direct,
-                                                       &residual_scratch_)
-                      : core::make_bandwidth_objective(decision, node, direct));
+    engine_.prepare_widest();
+    return residual_objective(node, direct, 0.0, query_scratch_,
+                              residual_scratch_);
   }
-  const double penalty = unreachable_penalty(decision);
-  return search(use_engine
-                    ? core::make_delay_objective(engine_, node, direct,
-                                                 preference_of(node), penalty,
-                                                 &residual_scratch_)
-                    : core::make_delay_objective(decision, node, direct,
-                                                 preference_of(node), penalty));
+  engine_.prepare_shortest();
+  return residual_objective(node, direct, unreachable_penalty(decision),
+                            query_scratch_, residual_scratch_);
+}
+
+std::unique_ptr<core::WiringObjective> EgoistNetwork::residual_objective(
+    NodeId node, const std::vector<double>& direct, double penalty,
+    graph::PathEngine::QueryScratch& query,
+    graph::DistanceMatrix& residual) const {
+  const graph::PathEngine& engine = engine_;  // const: scratch-based queries
+  if (config_.metric == Metric::kBandwidth) {
+    return std::make_unique<core::BandwidthObjective>(
+        core::make_bandwidth_objective(engine, query, node, direct, &residual));
+  }
+  return std::make_unique<core::DelayObjective>(core::make_delay_objective(
+      engine, query, node, direct, preference_of(node), penalty, &residual));
+}
+
+core::BestResponseOptions EgoistNetwork::search_options(
+    int node, core::BestResponseScratch& scratch) const {
+  core::BestResponseOptions options = config_.search;
+  options.scratch = &scratch;
+  if (config_.policy == Policy::kHybridBR) {
+    options.fixed_links = store_.donated_vec(static_cast<std::size_t>(node));
+  }
+  return options;
+}
+
+std::size_t EgoistNetwork::degree_budget() const {
+  return std::min(config_.k, online_count() - 1);
+}
+
+EgoistNetwork::Proposal EgoistNetwork::propose(
+    int node, const core::WiringObjective& objective,
+    const std::vector<NodeId>& current, std::size_t budget,
+    core::BestResponseScratch& scratch) const {
+  core::BestResponseOptions options = search_options(node, scratch);
+  options.seed_wiring = current;  // sticky search: move only on improvement
+  options.exact_budget = 0;       // exhaustive search is not seedable
+  const double current_cost = objective.cost(current);
+  const auto br = core::best_response(
+      objective, free_budget(budget, options), options);
+  Proposal proposal{options.fixed_links, false};
+  proposal.wiring.insert(proposal.wiring.end(), br.wiring.begin(),
+                         br.wiring.end());
+  // BR(eps) (§4.3): adopt only an improvement beyond eps of the current
+  // cost (the noise floor for plain BR), and only a different wiring.
+  const double improvement = current_cost - br.cost;
+  const double fraction =
+      config_.epsilon > 0.0 ? config_.epsilon : config_.noise_floor;
+  const double threshold = fraction * std::abs(current_cost);
+  proposal.adopt =
+      !(improvement <= threshold || same_set(current, proposal.wiring));
+  return proposal;
+}
+
+bool EgoistNetwork::commit(int node, const std::vector<NodeId>& current,
+                           Proposal proposal, std::span<const double> direct) {
+  if (!proposal.adopt) {
+    // Keep the wiring but refresh the announced costs.
+    apply_wiring(node, current, direct);
+    return false;
+  }
+  apply_wiring(node, std::move(proposal.wiring), direct);
+  if (hooks_.on_rewire) {
+    hooks_.on_rewire(node, current,
+                     store_.wiring_vec(static_cast<std::size_t>(node)));
+  }
+  return true;
 }
 
 void EgoistNetwork::join(int node) {
@@ -767,59 +798,25 @@ bool EgoistNetwork::evaluate_node(int node) {
   if (scale_mode()) return evaluate_node_sampled(node);
   const auto direct = measure_direct(node);
   const auto current = store_.wiring_vec(static_cast<std::size_t>(node));
-
-  const bool is_br = config_.policy == Policy::kBestResponse ||
-                     config_.policy == Policy::kHybridBR;
-  if (!is_br) {
+  if (!best_response_policy()) {
+    // Same set: costs may have drifted; refresh without re-wiring.
     auto proposed = choose_wiring(node, direct);
-    if (same_set(current, proposed)) {
-      // Costs may have drifted; refresh announcements without re-wiring.
-      apply_wiring(node, std::move(proposed), direct);
-      return false;
-    }
-    apply_wiring(node, std::move(proposed), direct);
-    if (hooks_.on_rewire) {
-      hooks_.on_rewire(node, current,
-                       store_.wiring_vec(static_cast<std::size_t>(node)));
-    }
-    return true;
+    const bool adopt = !same_set(current, proposed);
+    return commit(node, current, {std::move(proposed), adopt}, direct);
   }
+  // BR path: the residual objective under the same fresh measurements
+  // scores both the current wiring and the search's proposal.
+  return commit(node, current,
+                propose(node, *dense_objective(node, direct), current,
+                        degree_budget(), br_scratch_),
+                direct);
+}
 
-  // BR path: build the residual objective once, search, then apply the
-  // BR(eps) adoption rule (§4.3) against the current wiring's cost under
-  // the same fresh measurements.
-  core::BestResponseOptions options = config_.search;
-  options.scratch = &br_scratch_;
-  options.seed_wiring = current;  // sticky search: move only on improvement
-  options.exact_budget = 0;       // exhaustive search is not seedable
-  std::size_t free_k = std::min(config_.k, online_count() - 1);
-  if (config_.policy == Policy::kHybridBR) {
-    options.fixed_links = store_.donated_vec(static_cast<std::size_t>(node));
-    free_k = free_k > options.fixed_links.size()
-                 ? free_k - options.fixed_links.size()
-                 : 0;
-  }
-  double current_cost = 0.0;
-  core::BestResponseResult br =
-      run_best_response(node, direct, free_k, options, &current, &current_cost);
-  std::vector<NodeId> proposed = options.fixed_links;
-  proposed.insert(proposed.end(), br.wiring.begin(), br.wiring.end());
-
-  const double improvement = current_cost - br.cost;
-  const double fraction =
-      config_.epsilon > 0.0 ? config_.epsilon : config_.noise_floor;
-  const double threshold = fraction * std::abs(current_cost);
-  if (improvement <= threshold || same_set(current, proposed)) {
-    // Keep the wiring but refresh the announced costs.
-    apply_wiring(node, std::vector<NodeId>(current), direct);
-    return false;
-  }
-  apply_wiring(node, std::move(proposed), direct);
-  if (hooks_.on_rewire) {
-    hooks_.on_rewire(node, current,
-                     store_.wiring_vec(static_cast<std::size_t>(node)));
-  }
-  return true;
+bool EgoistNetwork::evaluate_counted(int node) {
+  ++total_evaluations_;
+  const bool rewired = evaluate_node(node);
+  if (rewired) ++total_rewirings_;
+  return rewired;
 }
 
 bool EgoistNetwork::run_node(int node) {
@@ -834,16 +831,16 @@ bool EgoistNetwork::run_node(int node) {
     // it, which is exactly the "keep chasing a moving world" semantics.
     dirty_.clear(static_cast<std::size_t>(node));
   }
-  ++total_evaluations_;
-  const bool rewired = evaluate_node(node);
-  if (rewired) ++total_rewirings_;
-  return rewired;
+  return evaluate_counted(node);
+}
+
+bool EgoistNetwork::best_response_policy() const {
+  return config_.policy == Policy::kBestResponse ||
+         config_.policy == Policy::kHybridBR;
 }
 
 bool EgoistNetwork::use_pipeline() const {
-  return config_.epoch_workers >= 1 &&
-         (config_.policy == Policy::kBestResponse ||
-          config_.policy == Policy::kHybridBR);
+  return config_.epoch_workers >= 1 && best_response_policy();
 }
 
 EpochEngine& EgoistNetwork::epoch_engine() {
@@ -854,91 +851,39 @@ EpochEngine& EgoistNetwork::epoch_engine() {
 }
 
 void EgoistNetwork::evaluate_proposal(NodeId v, EpochWorkspace& ws,
-                                      const graph::Digraph& decision,
-                                      double penalty,
-                                      std::size_t base_free_k) {
+                                      double penalty, std::size_t budget) {
   const auto node = static_cast<std::size_t>(v);
   const std::size_t n = store_.size();
-  const bool maximize = config_.metric == Metric::kBandwidth;
   const std::vector<NodeId> current = store_.wiring_vec(node);
 
-  core::BestResponseOptions options = config_.search;
-  options.scratch = &ws.br;
-  options.seed_wiring = current;  // sticky search: move only on improvement
-  options.exact_budget = 0;       // exhaustive search is not seedable
-  std::size_t free_k = base_free_k;
-  if (config_.policy == Policy::kHybridBR) {
-    options.fixed_links = store_.donated_vec(node);
-    free_k = free_k > options.fixed_links.size()
-                 ? free_k - options.fixed_links.size()
-                 : 0;
-  }
-
-  double current_cost = 0.0;
-  core::BestResponseResult br;
+  Proposal proposal;
   if (scale_mode()) {
     const auto ids = epoch_store_.pool_ids(node);
     const auto values = epoch_store_.pool_values(node);
     // Rebuild the node's sparse measurement row in the full-size workspace
     // buffer, restore after the search: O(pool) per node, not O(n).
-    const double unmeasured = maximize ? 0.0 : graph::kUnreachable;
+    const double unmeasured =
+        config_.metric == Metric::kBandwidth ? 0.0 : graph::kUnreachable;
     if (ws.direct.size() != n) ws.direct.assign(n, unmeasured);
     for (std::size_t i = 0; i < ids.size(); ++i) {
       ws.direct[static_cast<std::size_t>(ids[i])] = values[i];
     }
-    std::vector<NodeId> targets;
-    targets.reserve(landmark_state_.landmarks.size());
-    for (NodeId l : landmark_state_.landmarks) {
-      if (l != v) targets.push_back(l);
-    }
-    const core::LandmarkObjective objective(
-        v, std::vector<NodeId>(ids.begin(), ids.end()), ws.direct,
-        &landmark_state_.dist, &landmark_state_.column, std::move(targets),
-        maximize, maximize ? 0.0 : penalty);
-    current_cost = objective.cost(current);
-    br = core::best_response(objective, free_k, options);
+    proposal = propose(v,
+                       landmark_objective(v, {ids.begin(), ids.end()},
+                                          ws.direct, penalty),
+                       current, budget, ws.br);
     for (NodeId id : ids) {
       ws.direct[static_cast<std::size_t>(id)] = unmeasured;
     }
   } else {
-    const auto& snapshot = std::as_const(epoch_store_);
-    const auto row = snapshot.direct_row(node);
+    const auto row = std::as_const(epoch_store_).direct_row(node);
     ws.direct.assign(row.begin(), row.end());
-    const bool use_engine = config_.path_backend == PathBackend::kCsrEngine;
-    const graph::PathEngine& engine = engine_;  // const: scratch-based queries
-    auto search = [&](const core::WiringObjective& objective) {
-      current_cost = objective.cost(current);
-      br = core::best_response(objective, free_k, options);
-    };
-    if (maximize) {
-      if (use_engine) {
-        search(core::make_bandwidth_objective(engine, ws.query, v, ws.direct,
-                                              &ws.residual));
-      } else {
-        search(core::make_bandwidth_objective(decision, v, ws.direct));
-      }
-    } else {
-      if (use_engine) {
-        search(core::make_delay_objective(engine, ws.query, v, ws.direct,
-                                          preference_of(v), penalty,
-                                          &ws.residual));
-      } else {
-        search(core::make_delay_objective(decision, v, ws.direct,
-                                          preference_of(v), penalty));
-      }
-    }
+    proposal = propose(
+        v, *residual_objective(v, ws.direct, penalty, ws.query, ws.residual),
+        current, budget, ws.br);
   }
-
-  std::vector<NodeId> proposed = options.fixed_links;
-  proposed.insert(proposed.end(), br.wiring.begin(), br.wiring.end());
-  const double improvement = current_cost - br.cost;
-  const double fraction =
-      config_.epsilon > 0.0 ? config_.epsilon : config_.noise_floor;
-  const double threshold = fraction * std::abs(current_cost);
-  const bool adopt =
-      !(improvement <= threshold || same_set(current, proposed));
-  std::sort(proposed.begin(), proposed.end());
-  epoch_store_.set_proposal(node, proposed, adopt);
+  std::sort(proposal.wiring.begin(), proposal.wiring.end());
+  epoch_store_.set_proposal(node, proposal.wiring, proposal.adopt);
 }
 
 int EgoistNetwork::run_epoch_pipeline() {
@@ -947,7 +892,6 @@ int EgoistNetwork::run_epoch_pipeline() {
   const std::size_t n = store_.size();
   const auto online = store_.online_nodes();  // ascending: the merge order
   const bool maximize = config_.metric == Metric::kBandwidth;
-  const bool use_engine = config_.path_backend == PathBackend::kCsrEngine;
   EpochEngine& engine = epoch_engine();
 
   // Incremental mode: freeze the dirty set into this epoch's active list
@@ -1007,27 +951,25 @@ int EgoistNetwork::run_epoch_pipeline() {
         const auto row = epoch_store_.direct_row(static_cast<std::size_t>(v));
         std::copy(direct.begin(), direct.end(), row.begin());
       }
-      if (use_engine) {
-        // One shared snapshot + eager base trees; the evaluate phase only
-        // issues const scratch-based queries against it.
-        engine_.rebuild(*decision);
-        if (maximize) {
-          engine_.prepare_widest();
-        } else {
-          engine_.prepare_shortest();
-        }
+      // One shared snapshot + eager base trees; the evaluate phase only
+      // issues const scratch-based queries against it.
+      engine_.rebuild(*decision);
+      if (maximize) {
+        engine_.prepare_widest();
+      } else {
+        engine_.prepare_shortest();
       }
     }
   }
 
   // --- Evaluate (parallel, pure per-node) ---
-  const std::size_t base_free_k =
+  const std::size_t budget =
       online.empty() ? 0 : std::min(config_.k, online.size() - 1);
   const double penalty = maximize ? 0.0 : *epoch_penalty_;
   {
     EGOIST_PROFILE_SCOPE("evaluate");
     engine.run(active.size(), [&](std::size_t i, EpochWorkspace& ws) {
-      evaluate_proposal(active[i], ws, *decision, penalty, base_free_k);
+      evaluate_proposal(active[i], ws, penalty, budget);
     });
   }
 
@@ -1053,17 +995,11 @@ int EgoistNetwork::run_epoch_pipeline() {
         }
         direct = sparse_direct;
       }
-      if (epoch_store_.adopted(node)) {
-        const std::vector<NodeId> old_wiring = store_.wiring_vec(node);
-        const auto proposal = epoch_store_.proposal(node);
-        apply_wiring(v, {proposal.begin(), proposal.end()}, direct);
-        if (hooks_.on_rewire) {
-          hooks_.on_rewire(v, old_wiring, store_.wiring_vec(node));
-        }
+      const auto proposal = epoch_store_.proposal(node);
+      if (commit(v, store_.wiring_vec(node),
+                 {{proposal.begin(), proposal.end()}, epoch_store_.adopted(node)},
+                 direct)) {
         ++rewired;
-      } else {
-        // Keep the wiring but refresh the announced costs.
-        apply_wiring(v, store_.wiring_vec(node), direct);
       }
     }
   }
@@ -1088,8 +1024,6 @@ int EgoistNetwork::run_epoch() {
   // across the sequential epoch instead of being rebuilt n times. Audit
   // mode rebuilds the audited decision graph per node, so it re-snapshots
   // per evaluation instead.
-  const bool is_br = config_.policy == Policy::kBestResponse ||
-                     config_.policy == Policy::kHybridBR;
   const bool audited = config_.enable_audits &&
                        (config_.metric == Metric::kDelayPing ||
                         config_.metric == Metric::kDelayCoords);
@@ -1097,8 +1031,7 @@ int EgoistNetwork::run_epoch() {
     // Epoch-shared landmark state instead of epoch-shared base trees: the
     // whole epoch evaluates against the boundary announced graph.
     refresh_landmarks();
-  } else if (is_br && !audited &&
-             config_.path_backend == PathBackend::kCsrEngine) {
+  } else if (best_response_policy() && !audited) {
     engine_.rebuild(announced_);
     engine_synced_ = true;
   }

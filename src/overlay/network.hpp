@@ -154,6 +154,10 @@ class EgoistNetwork {
   /// Re-evaluates one node's wiring; returns true when it re-wired.
   bool evaluate_node(int node);
 
+  /// evaluate_node plus the evaluation / re-wiring counters: the one
+  /// counting point for run_node and immediate-mode repairs.
+  bool evaluate_counted(int node);
+
   /// Measures the direct metric cost/value from `node` to every online
   /// other (ping / coords / own load / bandwidth probe).
   std::vector<double> measure_direct(int node);
@@ -213,15 +217,58 @@ class EgoistNetwork {
   /// Scale-mode bootstrap wiring: k closest/widest of a fresh sample.
   void join_sampled(int node);
 
-  /// Builds the metric-appropriate residual objective over the decision
-  /// graph — through the shared CSR engine or the legacy residual-copy
-  /// path, per config — and runs the BR search. When `current_for_cost`
-  /// is non-null, *current_cost receives that wiring's cost under the same
-  /// objective (the BR(eps) adoption baseline).
-  core::BestResponseResult run_best_response(
-      int node, const std::vector<double>& direct, std::size_t free_k,
-      const core::BestResponseOptions& options,
-      const std::vector<NodeId>* current_for_cost, double* current_cost);
+  /// --- The BR decision, shared by the dense, scale-mode and pipeline
+  /// evaluations ---
+  /// One evaluation's outcome: the proposed wiring (fixed links first)
+  /// and whether the BR(eps) rule adopts it.
+  struct Proposal {
+    std::vector<NodeId> wiring;
+    bool adopt = false;
+  };
+
+  bool best_response_policy() const;
+
+  /// Search options for `node`: the configured tuning, the given scratch,
+  /// and HybridBR's donated links as fixed links.
+  core::BestResponseOptions search_options(
+      int node, core::BestResponseScratch& scratch) const;
+
+  /// k, capped at the number of other online nodes.
+  std::size_t degree_budget() const;
+
+  /// Runs the sticky BR search (seeded with `current`) over `objective`
+  /// and applies the BR(eps) adoption rule (§4.3) against the current
+  /// wiring's cost under the same objective. Pure: safe to run
+  /// concurrently for distinct nodes with distinct scratch.
+  Proposal propose(int node, const core::WiringObjective& objective,
+                   const std::vector<NodeId>& current, std::size_t budget,
+                   core::BestResponseScratch& scratch) const;
+
+  /// Applies an evaluation's outcome: the proposal when adopted (firing
+  /// on_rewire), else the current wiring with refreshed announced costs.
+  /// Returns proposal.adopt.
+  bool commit(int node, const std::vector<NodeId>& current, Proposal proposal,
+              std::span<const double> direct);
+
+  /// The dense residual objective over the decision graph for the
+  /// sequential paths: re-snapshots the shared engine unless an epoch
+  /// keeps it synchronized, and prepares the metric's base trees.
+  std::unique_ptr<core::WiringObjective> dense_objective(
+      int node, const std::vector<double>& direct);
+
+  /// The metric's residual objective from the prepared engine, using only
+  /// caller-owned scratch (the pipeline's workers call this concurrently).
+  std::unique_ptr<core::WiringObjective> residual_objective(
+      NodeId node, const std::vector<double>& direct, double penalty,
+      graph::PathEngine::QueryScratch& query,
+      graph::DistanceMatrix& residual) const;
+
+  /// The scale-mode objective: `pool` candidates scored against the
+  /// epoch-shared landmarks (penalty ignored for bandwidth).
+  core::LandmarkObjective landmark_objective(NodeId node,
+                                             std::vector<NodeId> pool,
+                                             std::vector<double> direct,
+                                             double penalty) const;
 
   bool is_cheater(int node) const;
 
@@ -242,9 +289,8 @@ class EgoistNetwork {
   /// snapshot and writes its proposal slot. Runs concurrently for distinct
   /// nodes — reads only frozen state and `ws`, writes only v's disjoint
   /// EpochStore slot.
-  void evaluate_proposal(NodeId v, EpochWorkspace& ws,
-                         const graph::Digraph& decision, double penalty,
-                         std::size_t base_free_k);
+  void evaluate_proposal(NodeId v, EpochWorkspace& ws, double penalty,
+                         std::size_t budget);
 
   /// --- Incremental dirty-set epochs (config_.incremental) ---
   /// The epoch-turn skip decision: the node's dirty bit, or — tolerance
@@ -282,15 +328,16 @@ class EgoistNetwork {
 
   graph::Digraph announced_;
 
-  /// Shared CSR path engine (PathBackend::kCsrEngine): re-snapshots the
-  /// decision graph before each BR evaluation, reusing its flat buffers, so
-  /// the residual all-pairs runs allocation-free. Each node's G_{-i} is an
-  /// O(1) exclusion view over the snapshot instead of a graph copy.
+  /// Shared CSR path engine: re-snapshots the decision graph before each
+  /// BR evaluation, reusing its flat buffers, so the residual all-pairs
+  /// runs allocation-free. Each node's G_{-i} is an O(1) exclusion view
+  /// over the snapshot instead of a graph copy.
   graph::PathEngine engine_;
 
-  /// Residual-matrix scratch reused by every engine-backed objective (the
-  /// objective borrows it for the duration of one evaluation) so the epoch
+  /// Engine query scratch and residual matrix for the sequential paths
+  /// (the objective borrows the matrix for one evaluation) so the epoch
   /// loop performs no n^2 allocations.
+  graph::PathEngine::QueryScratch query_scratch_;
   graph::DistanceMatrix residual_scratch_;
 
   /// Link-value scratch reused by every best_response() search.

@@ -1,6 +1,6 @@
 // Log-bucketed latency histogram, mergeable across threads.
 //
-// The serving layer (host::RouteService readers, bench/serve_load) records
+// The serving layer (host::RouteService readers, bench/serve_remote) records
 // one latency sample per query at rates where storing raw samples is off
 // the table. LatencyHistogram buckets values HdrHistogram-style: exact
 // buckets below 2^kSubBits, then kSubCount linear sub-buckets per power of

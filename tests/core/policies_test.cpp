@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "core/residual.hpp"
+#include "../graph/residual_reference.hpp"
 #include "net/delay_space.hpp"
 
 namespace egoist::core {
@@ -114,7 +114,7 @@ DelayObjective random_objective(std::uint64_t seed, std::size_t n, std::size_t k
   }
   std::vector<double> direct(n);
   for (std::size_t v = 1; v < n; ++v) direct[v] = delays.delay(0, static_cast<int>(v));
-  return make_delay_objective(overlay, 0, direct);
+  return egoist::testing::reference_delay_objective(overlay, 0, direct);
 }
 
 TEST(BestResponseTest, ExactBeatsOrMatchesEveryHeuristicWiring) {

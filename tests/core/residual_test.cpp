@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "../graph/residual_reference.hpp"
 #include "core/policies.hpp"
 #include "graph/shortest_path.hpp"
 #include "net/delay_space.hpp"
 
 namespace egoist::core {
 namespace {
+
+using egoist::testing::reference_bandwidth_objective;
+using egoist::testing::reference_delay_objective;
+using egoist::testing::reference_sampled_delay_objective;
 
 TEST(ResidualTest, SelfOutEdgesAreIgnored) {
   // 0 -> 1 -> 2 chain plus 0 -> 2 shortcut. The residual graph for node 0
@@ -19,7 +24,8 @@ TEST(ResidualTest, SelfOutEdgesAreIgnored) {
   overlay.set_edge(2, 1, 5.0);
 
   const std::vector<double> direct{0.0, 1.0, 100.0};
-  const auto obj = make_delay_objective(overlay, 0, direct);
+  graph::PathEngine engine(overlay);
+  const auto obj = make_delay_objective(engine, 0, direct);
   // With wiring {1}: d(0,2) must be 1 + 5 (through residual), never
   // 1 + (1->0->2) which would use 0's own edges.
   const std::vector<NodeId> w{1};
@@ -32,7 +38,8 @@ TEST(ResidualTest, UniformPreferenceAveragesTargets) {
   overlay.set_edge(2, 3, 1.0);
   overlay.set_edge(3, 1, 1.0);
   const std::vector<double> direct{0.0, 2.0, 2.0, 2.0};
-  const auto obj = make_delay_objective(overlay, 0, direct);
+  graph::PathEngine engine(overlay);
+  const auto obj = make_delay_objective(engine, 0, direct);
   // Wiring {1}: d=2, 3, 4 to targets 1,2,3 -> mean 3.
   const std::vector<NodeId> w{1};
   EXPECT_NEAR(obj.cost(w), 3.0, 1e-12);
@@ -44,7 +51,8 @@ TEST(ResidualTest, ExplicitPreferenceUsed) {
   overlay.set_edge(2, 1, 1.0);
   const std::vector<double> direct{0.0, 1.0, 7.0};
   std::vector<double> pref{0.0, 1.0, 0.0};  // only node 1 matters
-  const auto obj = make_delay_objective(overlay, 0, direct, pref);
+  graph::PathEngine engine(overlay);
+  const auto obj = make_delay_objective(engine, 0, direct, pref);
   const std::vector<NodeId> w1{1};
   const std::vector<NodeId> w2{2};
   EXPECT_NEAR(obj.cost(w1), 1.0, 1e-12);
@@ -57,7 +65,8 @@ TEST(ResidualTest, InactiveNodesExcludedFromCandidatesAndTargets) {
   overlay.set_edge(2, 1, 1.0);
   overlay.set_active(3, false);
   const std::vector<double> direct{0.0, 1.0, 1.0, 1.0};
-  const auto obj = make_delay_objective(overlay, 0, direct);
+  graph::PathEngine engine(overlay);
+  const auto obj = make_delay_objective(engine, 0, direct);
   EXPECT_EQ(obj.candidates(), (std::vector<NodeId>{1, 2}));
 }
 
@@ -65,7 +74,8 @@ TEST(ResidualTest, InactiveSelfRejected) {
   graph::Digraph overlay(3);
   overlay.set_active(0, false);
   const std::vector<double> direct{0.0, 1.0, 1.0};
-  EXPECT_THROW(make_delay_objective(overlay, 0, direct), std::invalid_argument);
+  graph::PathEngine engine(overlay);
+  EXPECT_THROW(make_delay_objective(engine, 0, direct), std::invalid_argument);
 }
 
 TEST(ResidualTest, DefaultPenaltyDominatesPathCosts) {
@@ -80,7 +90,8 @@ TEST(ResidualBandwidthTest, UsesWidestPathResiduals) {
   overlay.set_edge(1, 2, 8.0);
   overlay.set_edge(2, 1, 2.0);
   const std::vector<double> direct_bw{0.0, 10.0, 3.0};
-  const auto obj = make_bandwidth_objective(overlay, 0, direct_bw);
+  graph::PathEngine engine(overlay);
+  const auto obj = make_bandwidth_objective(engine, 0, direct_bw);
   const std::vector<NodeId> w{1};
   // bw(0,1) = 10 direct; bw(0,2) = min(10, 8) = 8 -> score 18.
   EXPECT_NEAR(obj.score(w), 18.0, 1e-12);
@@ -91,7 +102,8 @@ TEST(ResidualBandwidthTest, SelfEdgesIgnoredInResidual) {
   overlay.set_edge(0, 2, 100.0);  // self's own edge must not help candidates
   overlay.set_edge(1, 0, 50.0);
   const std::vector<double> direct_bw{0.0, 10.0, 1.0};
-  const auto obj = make_bandwidth_objective(overlay, 0, direct_bw);
+  graph::PathEngine engine(overlay);
+  const auto obj = make_bandwidth_objective(engine, 0, direct_bw);
   const std::vector<NodeId> w{1};
   // 1 can reach 0 (bw 50) but NOT 2, because 0->2 is self's edge.
   EXPECT_NEAR(obj.bandwidth_to(w, 2), 0.0, 1e-12);
@@ -106,7 +118,8 @@ TEST(SampledObjectiveTest, RestrictsToSample) {
   }
   const std::vector<double> direct{0.0, 1.0, 2.0, 3.0, 4.0};
   const std::vector<NodeId> sample{1, 3};
-  const auto obj = make_sampled_delay_objective(overlay, 0, direct, sample);
+  graph::PathEngine engine(overlay);
+  const auto obj = make_sampled_delay_objective(engine, 0, direct, sample);
   EXPECT_EQ(obj.candidates(), sample);
   // Cost over sample targets only: wiring {1} -> d(0,1)=1, d(0,3)=1+1=2.
   const std::vector<NodeId> w{1};
@@ -116,33 +129,34 @@ TEST(SampledObjectiveTest, RestrictsToSample) {
 TEST(SampledObjectiveTest, SampleMayNotContainSelf) {
   graph::Digraph overlay(3);
   const std::vector<double> direct{0.0, 1.0, 1.0};
-  EXPECT_THROW(make_sampled_delay_objective(overlay, 0, direct, {0, 1}),
+  graph::PathEngine engine(overlay);
+  EXPECT_THROW(make_sampled_delay_objective(engine, 0, direct, {0, 1}),
                std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
-// Engine-backed builders must match the legacy (residual-copy) builders
-// cost-for-cost on the same overlay snapshot.
+// Engine-backed builders must match the reference objectives (all-pairs on
+// a residual Digraph copy) cost-for-cost on the same overlay snapshot.
 
 TEST(EngineBuilderTest, DelayObjectiveMatchesLegacy) {
   graph::Digraph overlay(4);
-  overlay.set_edge(0, 1, 1.0);  // self's edge: excluded by both paths
+  overlay.set_edge(0, 1, 1.0);  // self's edge: excluded by both
   overlay.set_edge(1, 2, 2.0);
   overlay.set_edge(2, 3, 1.0);
   overlay.set_edge(3, 1, 4.0);
   const std::vector<double> direct{0.0, 1.0, 9.0, 2.5};
   graph::PathEngine engine(overlay);
-  const auto legacy = make_delay_objective(overlay, 0, direct);
+  const auto reference = reference_delay_objective(overlay, 0, direct);
   const auto hot = make_delay_objective(engine, 0, direct);
-  EXPECT_EQ(hot.candidates(), legacy.candidates());
-  EXPECT_EQ(hot.targets(), legacy.targets());
+  EXPECT_EQ(hot.candidates(), reference.candidates());
+  EXPECT_EQ(hot.targets(), reference.targets());
   for (const std::vector<NodeId>& w :
        {std::vector<NodeId>{1}, {3}, {1, 3}, {1, 2, 3}}) {
-    EXPECT_EQ(hot.cost(w), legacy.cost(w));
+    EXPECT_EQ(hot.cost(w), reference.cost(w));
   }
   for (NodeId v : hot.candidates()) {
     for (NodeId j : hot.targets()) {
-      EXPECT_EQ(hot.link_value(v, j), legacy.link_value(v, j));
+      EXPECT_EQ(hot.link_value(v, j), reference.link_value(v, j));
     }
   }
 }
@@ -155,11 +169,11 @@ TEST(EngineBuilderTest, BandwidthObjectiveMatchesLegacy) {
   overlay.set_edge(0, 3, 100.0);  // self's edge: must not help candidates
   const std::vector<double> direct_bw{0.0, 10.0, 3.0, 1.0};
   graph::PathEngine engine(overlay);
-  const auto legacy = make_bandwidth_objective(overlay, 0, direct_bw);
+  const auto reference = reference_bandwidth_objective(overlay, 0, direct_bw);
   const auto hot = make_bandwidth_objective(engine, 0, direct_bw);
   for (const std::vector<NodeId>& w :
        {std::vector<NodeId>{1}, {2}, {1, 3}, {1, 2, 3}}) {
-    EXPECT_EQ(hot.score(w), legacy.score(w));
+    EXPECT_EQ(hot.score(w), reference.score(w));
   }
 }
 
@@ -172,11 +186,12 @@ TEST(EngineBuilderTest, SampledObjectiveMatchesLegacy) {
   const std::vector<double> direct{0.0, 1.0, 2.0, 3.0, 4.0, 5.0};
   const std::vector<NodeId> sample{1, 3, 4};
   graph::PathEngine engine(overlay);
-  const auto legacy = make_sampled_delay_objective(overlay, 0, direct, sample);
+  const auto reference =
+      reference_sampled_delay_objective(overlay, 0, direct, sample);
   const auto hot = make_sampled_delay_objective(engine, 0, direct, sample);
-  EXPECT_EQ(hot.candidates(), legacy.candidates());
+  EXPECT_EQ(hot.candidates(), reference.candidates());
   for (const std::vector<NodeId>& w : {std::vector<NodeId>{1}, {3}, {1, 3}}) {
-    EXPECT_EQ(hot.cost(w), legacy.cost(w));
+    EXPECT_EQ(hot.cost(w), reference.cost(w));
   }
   EXPECT_THROW(make_sampled_delay_objective(engine, 0, direct, {0, 1}),
                std::invalid_argument);
@@ -184,9 +199,9 @@ TEST(EngineBuilderTest, SampledObjectiveMatchesLegacy) {
 
 TEST(EngineBuilderTest, DefaultPenaltyMatchesLegacyUnderChurn) {
   // Regression: a churned node holding the heaviest edge must not make the
-  // engine path default to a different "M >> n" penalty than the legacy
-  // path — otherwise unreachable targets fold to different costs and the
-  // two builders stop being drop-in equivalents.
+  // CSR snapshot default to a different "M >> n" penalty than the Digraph
+  // scan (which the decision graph uses) — otherwise unreachable targets
+  // fold to different costs than the reference objective.
   graph::Digraph overlay(4);
   overlay.set_edge(1, 2, 2.0);
   overlay.set_edge(2, 3, 1.0);
@@ -196,12 +211,12 @@ TEST(EngineBuilderTest, DefaultPenaltyMatchesLegacyUnderChurn) {
   EXPECT_EQ(default_unreachable_penalty(engine.csr()),
             default_unreachable_penalty(overlay));
   const std::vector<double> direct{0.0, 1.0, 9.0, 3.0};
-  const auto legacy = make_delay_objective(overlay, 0, direct);
+  const auto reference = reference_delay_objective(overlay, 0, direct);
   const auto hot = make_delay_objective(engine, 0, direct);
   // Node 2 cannot reach node 1 (its only outgoing edge led to churned 3),
   // so wiring {2} pays the penalty on target 1 — it must match exactly.
   const std::vector<NodeId> w{2};
-  EXPECT_EQ(hot.cost(w), legacy.cost(w));
+  EXPECT_EQ(hot.cost(w), reference.cost(w));
 }
 
 TEST(EngineBuilderTest, InactiveSelfRejected) {
@@ -232,7 +247,8 @@ TEST(ResidualIntegrationTest, BrImprovesOverArbitraryWiring) {
   for (int v = 1; v < static_cast<int>(n); ++v) {
     direct[static_cast<std::size_t>(v)] = delays.delay(0, v);
   }
-  const auto obj = make_delay_objective(overlay, 0, direct);
+  graph::PathEngine engine(overlay);
+  const auto obj = make_delay_objective(engine, 0, direct);
   const auto br = best_response(obj, 3);
   // BR must be at least as good as node 0's current (random) wiring.
   std::vector<NodeId> current;

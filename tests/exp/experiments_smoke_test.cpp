@@ -45,22 +45,18 @@ const std::map<std::string, Params>& smoke_overrides() {
       {"ablation_design_choices",
        {{"n", "8"}, {"warmup", "1"}, {"sample", "1"}, {"epochs", "6"}}},
       {"perf_epoch_scaling",
-       {{"n-list", "8"}, {"epochs", "1"}, {"warmup", "0"}, {"legacy-max-n", "8"}}},
+       {{"n-list", "8"}, {"epochs", "1"}, {"warmup", "0"}}},
       {"steady_state",
        {{"n", "10"}, {"warmup", "1"}, {"sample", "1"}, {"k", "2"}}},
       {"scale_frontier",
        {{"n-list", "64"}, {"k", "4"}, {"br-sample", "8"}, {"br-landmarks", "8"},
         {"epochs", "1"}, {"score-sources", "4"}, {"coord-warmup", "10"}}},
-      {"serve_load",
-       {{"n", "64"}, {"k", "4"}, {"br-sample", "8"}, {"br-landmarks", "8"},
-        {"readers", "2"}, {"sources", "4"}, {"duration", "0.2"},
-        {"max-epochs", "2"}, {"warmup", "1"}, {"coord-warmup", "10"}}},
       {"serve_remote",
        {{"n", "64"}, {"k", "4"}, {"br-sample", "8"}, {"br-landmarks", "8"},
         {"readers", "2"}, {"sources", "4"}, {"duration", "0.2"},
         {"max-epochs", "2"}, {"warmup", "1"}, {"coord-warmup", "10"},
-        {"pipeline-depth", "4"}, {"transports", "uds"},
-        {"inproc-compare", "false"}}},
+        {"pipeline-depth", "4"}, {"transports", "uds,inproc"},
+        {"loops", "1"}}},
   };
   return kOverrides;
 }

@@ -9,6 +9,7 @@
 
 #include "graph/shortest_path.hpp"
 #include "graph/widest_path.hpp"
+#include "residual_reference.hpp"
 #include "util/rng.hpp"
 
 namespace egoist::graph {
@@ -60,7 +61,7 @@ TEST(CsrGraphTest, SnapshotsEdgesAndActivity) {
   EXPECT_EQ(csr.out_targets(0).size(), 2u);
   EXPECT_EQ(csr.out_targets(2).size(), 0u);
   // The dropped edge to the inactive node still counts toward max_weight:
-  // the default unreachable penalty must match the legacy Digraph scan.
+  // the default unreachable penalty must match the Digraph scan.
   EXPECT_DOUBLE_EQ(csr.max_weight(), 9.0);
   EXPECT_EQ(csr.active_nodes(), (std::vector<NodeId>{0, 1, 2}));
 }
@@ -94,22 +95,9 @@ TEST(CsrGraphTest, RebuildReflectsNewSnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// PathEngine vs. the legacy reference implementation
+// PathEngine vs. graph::all_pairs_* / dijkstra on residual copies
 
-/// The legacy residual derivation (core::residual_of semantics): copy the
-/// overlay minus `exclude`'s out-edges. The engine must match this bitwise.
-Digraph residual_copy(const Digraph& overlay, NodeId exclude) {
-  Digraph residual(overlay.node_count());
-  for (std::size_t u = 0; u < overlay.node_count(); ++u) {
-    const auto uid = static_cast<NodeId>(u);
-    residual.set_active(uid, overlay.is_active(uid));
-    if (uid == exclude) continue;
-    for (const auto& e : overlay.out_edges(uid)) {
-      residual.set_edge(uid, e.to, e.weight);
-    }
-  }
-  return residual;
-}
+using egoist::testing::residual_copy;
 
 Digraph random_overlay(util::Rng& rng, std::size_t n, std::size_t out_degree,
                        double inactive_fraction) {
@@ -195,9 +183,8 @@ TEST(PathEngineTest, RowSizeValidated) {
 }
 
 /// Randomized equivalence: across random graphs with churned-out nodes,
-/// every residual view of the engine must be bit-identical to the legacy
-/// residual-copy + all-pairs path (the acceptance bar for swapping the BR
-/// hot loop onto the engine).
+/// every residual view of the engine must be bit-identical to all-pairs on
+/// a residual copy (the bar every BR evaluation relies on).
 TEST(PathEngineEquivalenceTest, RandomGraphsAllExclusionsBitIdentical) {
   util::Rng rng(20260729);
   for (int trial = 0; trial < 8; ++trial) {
@@ -229,7 +216,7 @@ TEST(PathEngineEquivalenceTest, RandomGraphsAllExclusionsBitIdentical) {
 /// Randomized incremental-update equivalence: after each single-row
 /// mutation (the sequential-epoch pattern: one node re-announces its
 /// links), the patched base trees must answer every residual query
-/// bit-identically to a from-scratch legacy computation on the new graph.
+/// bit-identically to a from-scratch computation on the new graph.
 TEST(PathEngineEquivalenceTest, IncrementalRowUpdatesStayBitIdentical) {
   util::Rng rng(0xE601u);
   for (int trial = 0; trial < 4; ++trial) {
@@ -370,31 +357,6 @@ TEST(PathEngineTest, RebuildAndFallbackReportFullRefresh) {
   EXPECT_TRUE(engine.last_update_rebuilt());
 }
 
-TEST(PathEngineEquivalenceTest, ParallelWorkersMatchSerial) {
-  util::Rng rng(7);
-  const auto g = random_overlay(rng, 40, 4, 0.1);
-  PathEngine serial(g, 1);
-  PathEngine parallel(g, 3);
-  EXPECT_EQ(parallel.workers(), 3);
-  for (NodeId exclude : {kNoExclude, NodeId{0}, NodeId{17}}) {
-    const auto a = serial.all_shortest(exclude);
-    const auto b = parallel.all_shortest(exclude);
-    for (std::size_t u = 0; u < 40; ++u) {
-      for (std::size_t j = 0; j < 40; ++j) {
-        ASSERT_EQ(a(u, j), b(u, j)) << u << " -> " << j;
-      }
-    }
-  }
-}
-
-TEST(PathEngineTest, AutoWorkersResolveToAtLeastOne) {
-  PathEngine engine;
-  engine.set_workers(0);
-  EXPECT_GE(engine.workers(), 1);
-  EXPECT_LE(engine.workers(), 4);
-  EXPECT_THROW(engine.set_workers(-1), std::invalid_argument);
-}
-
 /// Const concurrent queries against a prepared engine: every worker owns a
 /// QueryScratch and fans out over sources; rows must be bit-identical to
 /// the single-threaded engine-owned-scratch path.
@@ -465,10 +427,10 @@ TEST(PathEngineConstQueryTest, ScratchIsReusableAcrossSnapshotsAndEngines) {
     PathEngine engine(g);
     engine.prepare_shortest();
     engine.prepare_widest();
-    PathEngine legacy(g);
+    PathEngine fresh(g);
     DistanceMatrix want_d, want_b;
-    legacy.all_shortest(2, want_d);
-    legacy.all_widest(2, want_b);
+    fresh.all_shortest(2, want_d);
+    fresh.all_widest(2, want_b);
     DistanceMatrix got_d, got_b;
     static_cast<const PathEngine&>(engine).all_shortest(2, got_d, scratch);
     static_cast<const PathEngine&>(engine).all_widest(2, got_b, scratch);

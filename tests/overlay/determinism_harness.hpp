@@ -1,8 +1,8 @@
 // Shared trajectory-determinism harness.
 //
 // Several suites prove the same property from different angles: two runs
-// that should be indistinguishable (different path backend, different
-// epoch worker count, shared vs solo host) must produce bit-identical
+// that should be indistinguishable (different epoch worker count, shared
+// vs solo host, served vs unserved) must produce bit-identical
 // wiring trajectories and scores. This harness is the common vocabulary:
 // describe a deployment as a DeterminismCase, record its full Trajectory
 // (per-epoch wirings, scores, re-wiring counts), and compare records with
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -104,6 +105,35 @@ inline Trajectory record_trajectory(const DeterminismCase& c,
     service.reset();  // unsubscribes + final reclaim before the host dies
   }
   return out;
+}
+
+/// FNV-1a (64-bit) over everything a Trajectory records: per epoch the
+/// online set, every node's wiring, the bit patterns of the scores, and the
+/// cumulative re-wiring count. Equal digests mean bit-identical
+/// trajectories (up to hash collisions), so a recorded digest pins a
+/// trajectory without keeping the code that produced it.
+inline std::uint64_t digest(const Trajectory& t) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  const auto mix_ids = [&mix](const std::vector<graph::NodeId>& ids) {
+    mix(ids.size());
+    for (const auto id : ids) mix(static_cast<std::uint64_t>(id));
+  };
+  mix(t.wirings.size());
+  for (std::size_t e = 0; e < t.wirings.size(); ++e) {
+    mix_ids(t.online[e]);
+    mix(t.wirings[e].size());
+    for (const auto& wiring : t.wirings[e]) mix_ids(wiring);
+    mix(t.costs[e].size());
+    for (const double cost : t.costs[e]) mix(std::bit_cast<std::uint64_t>(cost));
+    mix(t.rewirings[e]);
+  }
+  return h;
 }
 
 /// Bit-identical comparison with a per-epoch, per-node diagnostic.

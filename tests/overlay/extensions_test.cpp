@@ -65,6 +65,32 @@ TEST(ImmediateRewireTest, RepairsWithoutWaitingForEpoch) {
   EXPECT_TRUE(graph::is_strongly_connected(net.true_cost_graph()));
 }
 
+TEST(ImmediateRewireTest, RepairsCountAsEvaluations) {
+  Environment env(18, 65);
+  OverlayConfig config;
+  config.policy = Policy::kBestResponse;
+  config.k = 3;
+  config.seed = 65;
+  config.rewire_mode = RewireMode::kImmediate;
+  EgoistNetwork net(env, config);
+  net.run_epoch();
+  const int victim = net.wiring(0).front();
+  std::uint64_t holders = 0;
+  for (int v = 0; v < 18; ++v) {
+    const auto w = net.wiring(v);
+    if (v != victim && std::find(w.begin(), w.end(), victim) != w.end()) {
+      ++holders;
+    }
+  }
+  const std::uint64_t evaluations = net.total_evaluations();
+  const std::uint64_t rewirings = net.total_rewirings();
+  net.set_online(victim, false);
+  // Every holder of the departed node re-evaluated once, right away.
+  EXPECT_EQ(net.total_evaluations() - evaluations, holders);
+  EXPECT_GT(net.total_rewirings(), rewirings);
+  EXPECT_LE(net.total_rewirings(), net.total_evaluations());
+}
+
 TEST(ImmediateRewireTest, DelayedModeWaitsForEpoch) {
   Environment env(18, 65);
   OverlayConfig config;

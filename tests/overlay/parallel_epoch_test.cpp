@@ -117,16 +117,6 @@ TEST(ParallelEpochTest, BandwidthMetricIsWorkerCountInvariant) {
   expect_worker_count_invariance(c, "BR bandwidth");
 }
 
-TEST(ParallelEpochTest, LegacyPathBackendIsWorkerCountInvariant) {
-  // The pipeline must be deterministic on the reference residual-copy
-  // backend too, not just the CSR engine.
-  DeterminismCase c;
-  c.epochs = 3;
-  c.spec = base_spec(Policy::kBestResponse, Metric::kDelayPing)
-               .path_backend(overlay::PathBackend::kLegacy);
-  expect_worker_count_invariance(c, "BR legacy backend");
-}
-
 TEST(ParallelEpochTest, ScaleModeIsWorkerCountInvariant) {
   // §5 sampled scale mode: the snapshot phase draws every sample pool and
   // landmark set sequentially, so the sampled pipeline must also be
