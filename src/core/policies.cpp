@@ -412,7 +412,10 @@ BestResponseResult best_response(const WiringObjective& objective, std::size_t k
   }
   double current_cost = eval.current_cost();
 
-  for (int pass = 0; pass < options.max_swap_passes; ++pass) {
+  // Swap passes stop at the first pass without an improving swap; this
+  // cap bounds a search that keeps finding ever-smaller improvements.
+  constexpr int kMaxSwapPasses = 8;
+  for (int pass = 0; pass < kMaxSwapPasses; ++pass) {
     bool improved = false;
     for (std::size_t s = 0; s < slots.size(); ++s) {
       for (std::size_t c = 0; c < pool.size(); ++c) {

@@ -37,9 +37,6 @@ struct BestResponseOptions {
   /// otherwise greedy + swaps. 0 disables exact search entirely.
   std::uint64_t exact_budget = 20'000;
 
-  /// Maximum full passes of the swap local search.
-  int max_swap_passes = 8;
-
   /// Links the node is committed to regardless of the search (HybridBR's
   /// donated links): they participate in every cost evaluation but do not
   /// count against k.

@@ -113,16 +113,18 @@ overlay::EnvironmentConfig parse_underlay(const ParamReader& params) {
   return env;
 }
 
-CommonArgs CommonArgs::parse(const ParamReader& params) {
+CommonArgs CommonArgs::parse(const ParamReader& params, unsigned knobs) {
   CommonArgs args;
   args.n = static_cast<std::size_t>(params.get_int("n", static_cast<int>(args.n)));
   args.seed = params.get_seed("seed", args.seed);
-  args.warmup = params.get_int("warmup", args.warmup);
-  args.sample = params.get_int("sample", args.sample);
-  args.k_min = params.get_int("k-min", args.k_min);
-  args.k_max = params.get_int("k-max", args.k_max);
-  if (args.k_min < 1 || args.k_max < args.k_min) {
-    throw std::invalid_argument("need 1 <= k-min <= k-max");
+  if (knobs & kWarmup) args.warmup = params.get_int("warmup", args.warmup);
+  if (knobs & kSample) args.sample = params.get_int("sample", args.sample);
+  if (knobs & kKRange) {
+    args.k_min = params.get_int("k-min", args.k_min);
+    args.k_max = params.get_int("k-max", args.k_max);
+    if (args.k_min < 1 || args.k_max < args.k_min) {
+      throw std::invalid_argument("need 1 <= k-min <= k-max");
+    }
   }
   return args;
 }

@@ -75,8 +75,18 @@ RunResult run_single(std::size_t n, std::uint64_t env_seed,
 /// knob keep byte-identical default outputs.
 overlay::EnvironmentConfig parse_underlay(const ParamReader& params);
 
-/// Standard knobs shared by the figure experiments.
+/// Standard knobs shared by the figure experiments. n and seed are always
+/// read; an experiment names the other groups it uses, and the rest stay
+/// unread, so a scenario value for a knob it ignores fails
+/// ParamReader::finish with the usual did-you-mean hint.
 struct CommonArgs {
+  enum Knobs : unsigned {
+    kWarmup = 1u << 0,
+    kSample = 1u << 1,
+    kKRange = 1u << 2,  ///< k-min and k-max
+    kAll = kWarmup | kSample | kKRange,
+  };
+
   std::size_t n = 50;
   std::uint64_t seed = 42;
   int warmup = 20;
@@ -84,7 +94,7 @@ struct CommonArgs {
   int k_min = 2;
   int k_max = 8;
 
-  static CommonArgs parse(const ParamReader& params);
+  static CommonArgs parse(const ParamReader& params, unsigned knobs = kAll);
   RunOptions run_options() const;
 };
 

@@ -37,7 +37,8 @@ ChurnReplayResult run_churny(const CommonArgs& args,
 }  // namespace
 
 void run_ablation_design_choices(const ParamReader& params, ResultSink& sink) {
-  const auto args = CommonArgs::parse(params);
+  const auto args =
+      CommonArgs::parse(params, CommonArgs::kWarmup | CommonArgs::kSample);
   const int epochs = params.get_int("epochs", 25);
 
   overlay::OverlayConfig base;

@@ -13,7 +13,8 @@
 namespace egoist::exp {
 
 void run_fig10_multipath_bw(const ParamReader& params, ResultSink& sink) {
-  const auto args = CommonArgs::parse(params);
+  const auto args =
+      CommonArgs::parse(params, CommonArgs::kWarmup | CommonArgs::kKRange);
   const double session_cap = params.get_double("session-cap", 2.0);
   const int min_providers = params.get_int("min-providers", 2);
   const int max_providers = params.get_int("max-providers", 5);

@@ -12,7 +12,8 @@
 namespace egoist::exp {
 
 void run_fig11_disjoint_paths(const ParamReader& params, ResultSink& sink) {
-  const auto args = CommonArgs::parse(params);
+  const auto args =
+      CommonArgs::parse(params, CommonArgs::kWarmup | CommonArgs::kKRange);
   const int pairs = params.get_int("pairs", 200);
 
   sink.section(

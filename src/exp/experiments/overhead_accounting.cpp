@@ -13,7 +13,7 @@
 namespace egoist::exp {
 
 void run_overhead_accounting(const ParamReader& params, ResultSink& sink) {
-  const auto args = CommonArgs::parse(params);
+  const auto args = CommonArgs::parse(params, CommonArgs::kKRange);
   const double epoch = params.get_double("epoch", 60.0);
   const double announce = params.get_double("announce", 20.0);
   const int rounds = params.get_int("rounds", 30);

@@ -24,7 +24,8 @@
 // The per_loop_qps column splits a window's answer rate across the
 // daemon's event loops (per-loop frames_out deltas from the v2 STATS
 // breakdown, scaled by depth for batch windows) — the direct read on
-// whether SO_REUSEPORT / the UDS round-robin actually spread the load.
+// whether loop 0's round-robin accept path, one for TCP and UDS alike,
+// actually spreads the load.
 //
 // Each daemon is SIGTERMed after its windows and must exit 0 after
 // proving RouteService::drain — the "daemon" table carries one row per

@@ -83,9 +83,8 @@ class OverlaySpec {
     config_.cheat_factor = factor;
     return *this;
   }
-  OverlaySpec& audits(bool enable, double tolerance = 1.5) {
+  OverlaySpec& audits(bool enable) {
     config_.enable_audits = enable;
-    config_.audit_tolerance = tolerance;
     return *this;
   }
   /// Wiring-epoch worker threads (overlay::OverlayConfig::epoch_workers):

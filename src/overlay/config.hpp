@@ -58,12 +58,6 @@ struct OverlayConfig {
   /// more than this fraction (0 = plain BR; paper evaluates 0.1).
   double epsilon = 0.0;
 
-  /// Measurement-noise floor for plain BR (epsilon == 0): improvements
-  /// below this fraction of the current cost are indistinguishable from
-  /// ping/probe noise and do not trigger a re-wire. The deployed system
-  /// gets the same effect from averaging link samples across an epoch.
-  double noise_floor = 0.01;
-
   /// HybridBR: number of donated backbone links k2 (must be even, < k).
   std::size_t donated_links = 2;
 
@@ -75,20 +69,16 @@ struct OverlayConfig {
   RewireMode rewire_mode = RewireMode::kDelayed;
 
   /// Audits (§3.4): before using an announced link cost, cross-check it
-  /// against the virtual-coordinate estimate; announcements more than
-  /// audit_tolerance x the estimate are discarded and replaced by the
-  /// estimate, neutering cost-inflation cheaters. Delay metrics only.
+  /// against the virtual-coordinate estimate; announcements well above the
+  /// estimate are discarded and replaced by the estimate, neutering
+  /// cost-inflation cheaters. Delay metrics only.
   bool enable_audits = false;
-  double audit_tolerance = 1.5;
 
   /// Free riders: nodes that announce link costs inflated by cheat_factor
   /// (> 1; the paper's experiment uses 2x). Only they lie; their own
   /// decisions use truthful local measurements.
   std::vector<int> cheaters;
   double cheat_factor = 2.0;
-
-  /// Best-response search tuning.
-  core::BestResponseOptions search;
 
   /// Worker threads for the wiring epoch itself (BR/HybridBR only; the
   /// other policies are trivial and ignore this). 0 (the default) keeps the

@@ -42,9 +42,9 @@ struct EpochWorkspace {
   graph::PathEngine::QueryScratch query;
   core::BestResponseScratch br;
   graph::DistanceMatrix residual;
-  /// Full-size direct-measurement buffer for scale mode: filled from a
-  /// node's pool before evaluation, restored to defaults after, so each
-  /// evaluation costs O(pool), not O(n).
+  /// Full-size direct-measurement buffer: filled from a node's pool
+  /// before evaluation, restored to defaults after, so each evaluation
+  /// costs O(pool), not O(n).
   std::vector<double> direct;
 };
 

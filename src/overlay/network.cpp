@@ -190,9 +190,8 @@ void EgoistNetwork::set_online(int node, bool online) {
     if (!others.empty()) {
       const NodeId bootstrap = others[static_cast<std::size_t>(
           rng_.uniform_int(0, static_cast<std::int64_t>(others.size()) - 1))];
-      const auto direct = scale_mode()
-                              ? measure_pool(node, {bootstrap})
-                              : measure_direct(node);
+      const auto direct = measure_pool(
+          node, scale_mode() ? std::vector<NodeId>{bootstrap} : online_nodes());
       apply_wiring(node, {bootstrap}, direct);
     }
   }
@@ -233,13 +232,6 @@ std::span<const NodeId> EgoistNetwork::wiring(int node) const {
 std::span<const NodeId> EgoistNetwork::donated(int node) const {
   announced_.check_node(node);
   return store_.donated(static_cast<std::size_t>(node));
-}
-
-std::vector<double> EgoistNetwork::measure_direct(int node) {
-  // Probing everyone is the dense-mode behavior; the ascending online set
-  // walks the same pairs in the same order as the historical per-id loop,
-  // so the measurement-noise streams are untouched.
-  return measure_pool(node, online_nodes());
 }
 
 std::vector<double> EgoistNetwork::measure_pool(int node,
@@ -346,36 +338,6 @@ void EgoistNetwork::refresh_landmarks() {
   landmark_state_.evals_left = online_count();
 }
 
-void EgoistNetwork::join_sampled(int node) {
-  // Scale-mode bootstrap: a joiner cannot measure everyone, so it wires to
-  // the best of a fresh sample (closest for delay/load, widest for
-  // bandwidth); BR epochs refine from there. HybridBR's donated backbone
-  // links come first, as in the dense path.
-  if (config_.policy == Policy::kHybridBR) {
-    const auto backbone = backbone_links(node);
-    store_.set_donated(static_cast<std::size_t>(node), backbone);
-  }
-  const auto pool = sample_pool(node);
-  auto direct = measure_pool(node, pool);
-
-  const auto donated = store_.donated_vec(static_cast<std::size_t>(node));
-  std::vector<NodeId> free_pool;
-  for (NodeId v : pool) {
-    if (std::find(donated.begin(), donated.end(), v) == donated.end()) {
-      free_pool.push_back(v);
-    }
-  }
-  const std::size_t free_k =
-      config_.k > donated.size() ? config_.k - donated.size() : 0;
-  std::vector<NodeId> wiring = donated;
-  const auto picked =
-      config_.metric == Metric::kBandwidth
-          ? core::select_k_widest(free_pool, direct, free_k)
-          : core::select_k_closest(free_pool, direct, free_k);
-  wiring.insert(wiring.end(), picked.begin(), picked.end());
-  apply_wiring(node, std::move(wiring), direct);
-}
-
 bool EgoistNetwork::evaluate_node_sampled(int node) {
   // The landmark state serves one epoch-equivalent of evaluations (see
   // LandmarkState): inside run_epoch it was refreshed at the boundary;
@@ -445,6 +407,10 @@ const graph::Digraph& EgoistNetwork::decision_graph() {
   const bool delay_metric = config_.metric == Metric::kDelayPing ||
                             config_.metric == Metric::kDelayCoords;
   if (!config_.enable_audits || !delay_metric) return announced_;
+  // Announcements above this multiple of the coordinate estimate count as
+  // inflated and are replaced by the estimate (§3.4); the paper's free
+  // riders inflate by 2x.
+  constexpr double kAuditTolerance = 1.5;
   graph::Digraph audited(store_.size());
   for (std::size_t u = 0; u < store_.size(); ++u) {
     const auto uid = static_cast<NodeId>(u);
@@ -452,7 +418,7 @@ const graph::Digraph& EgoistNetwork::decision_graph() {
     for (const auto& e : announced_.out_edges(uid)) {
       const double estimate =
           env_.measure_delay_coords(static_cast<int>(u), e.to);
-      const bool suspicious = e.weight > config_.audit_tolerance * estimate;
+      const bool suspicious = e.weight > kAuditTolerance * estimate;
       audited.set_edge(uid, e.to, suspicious ? estimate : e.weight);
     }
   }
@@ -613,7 +579,7 @@ void EgoistNetwork::refresh_backbone() {
       }
     }
     const auto direct =
-        scale_mode() ? measure_pool(v, combined) : measure_direct(v);
+        measure_pool(v, scale_mode() ? combined : online_nodes());
     apply_wiring(v, std::move(combined), direct);
   }
 }
@@ -730,7 +696,7 @@ std::unique_ptr<core::WiringObjective> EgoistNetwork::residual_objective(
 
 core::BestResponseOptions EgoistNetwork::search_options(
     int node, core::BestResponseScratch& scratch) const {
-  core::BestResponseOptions options = config_.search;
+  core::BestResponseOptions options;
   options.scratch = &scratch;
   if (config_.policy == Policy::kHybridBR) {
     options.fixed_links = store_.donated_vec(static_cast<std::size_t>(node));
@@ -757,9 +723,14 @@ EgoistNetwork::Proposal EgoistNetwork::propose(
                          br.wiring.end());
   // BR(eps) (§4.3): adopt only an improvement beyond eps of the current
   // cost (the noise floor for plain BR), and only a different wiring.
+  // The noise floor: improvements below this fraction of the current cost
+  // are indistinguishable from ping/probe noise and do not trigger a
+  // re-wire. The deployed system gets the same effect from averaging link
+  // samples across an epoch.
+  constexpr double kNoiseFloor = 0.01;
   const double improvement = current_cost - br.cost;
   const double fraction =
-      config_.epsilon > 0.0 ? config_.epsilon : config_.noise_floor;
+      config_.epsilon > 0.0 ? config_.epsilon : kNoiseFloor;
   const double threshold = fraction * std::abs(current_cost);
   proposal.adopt =
       !(improvement <= threshold || same_set(current, proposal.wiring));
@@ -782,21 +753,45 @@ bool EgoistNetwork::commit(int node, const std::vector<NodeId>& current,
 }
 
 void EgoistNetwork::join(int node) {
-  if (scale_mode()) {
-    join_sampled(node);
+  // HybridBR's donated backbone links come first. backbone_links draws no
+  // randomness and reads no measurement state, so setting them ahead of
+  // the measurement leaves every stream where it was; the scale-mode pool
+  // re-measures them.
+  if (config_.policy == Policy::kHybridBR) {
+    store_.set_donated(static_cast<std::size_t>(node), backbone_links(node));
+  }
+  // One measurement over the node's pool: a joiner in scale mode cannot
+  // measure everyone, so it probes a fresh sample; otherwise everyone.
+  const auto pool = scale_mode() ? sample_pool(node) : online_nodes();
+  const auto direct = measure_pool(node, pool);
+  if (!scale_mode()) {
+    apply_wiring(node, choose_wiring(node, direct), direct);
     return;
   }
-  auto direct = measure_direct(node);
-  if (config_.policy == Policy::kHybridBR) {
-    const auto backbone = backbone_links(node);
-    store_.set_donated(static_cast<std::size_t>(node), backbone);
+  // Scale mode wires to the best of the sample (closest for delay/load,
+  // widest for bandwidth) after the donated links; BR epochs refine from
+  // there.
+  const auto donated = store_.donated_vec(static_cast<std::size_t>(node));
+  std::vector<NodeId> free_pool;
+  for (NodeId v : pool) {
+    if (std::find(donated.begin(), donated.end(), v) == donated.end()) {
+      free_pool.push_back(v);
+    }
   }
-  apply_wiring(node, choose_wiring(node, direct), direct);
+  const std::size_t free_k =
+      config_.k > donated.size() ? config_.k - donated.size() : 0;
+  std::vector<NodeId> wiring = donated;
+  const auto picked =
+      config_.metric == Metric::kBandwidth
+          ? core::select_k_widest(free_pool, direct, free_k)
+          : core::select_k_closest(free_pool, direct, free_k);
+  wiring.insert(wiring.end(), picked.begin(), picked.end());
+  apply_wiring(node, std::move(wiring), direct);
 }
 
 bool EgoistNetwork::evaluate_node(int node) {
   if (scale_mode()) return evaluate_node_sampled(node);
-  const auto direct = measure_direct(node);
+  const auto direct = measure_pool(node, online_nodes());
   const auto current = store_.wiring_vec(static_cast<std::size_t>(node));
   if (!best_response_policy()) {
     // Same set: costs may have drifted; refresh without re-wiring.
@@ -855,32 +850,28 @@ void EgoistNetwork::evaluate_proposal(NodeId v, EpochWorkspace& ws,
   const auto node = static_cast<std::size_t>(v);
   const std::size_t n = store_.size();
   const std::vector<NodeId> current = store_.wiring_vec(node);
-
-  Proposal proposal;
-  if (scale_mode()) {
-    const auto ids = epoch_store_.pool_ids(node);
-    const auto values = epoch_store_.pool_values(node);
-    // Rebuild the node's sparse measurement row in the full-size workspace
-    // buffer, restore after the search: O(pool) per node, not O(n).
-    const double unmeasured =
-        config_.metric == Metric::kBandwidth ? 0.0 : graph::kUnreachable;
-    if (ws.direct.size() != n) ws.direct.assign(n, unmeasured);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      ws.direct[static_cast<std::size_t>(ids[i])] = values[i];
-    }
-    proposal = propose(v,
-                       landmark_objective(v, {ids.begin(), ids.end()},
-                                          ws.direct, penalty),
-                       current, budget, ws.br);
-    for (NodeId id : ids) {
-      ws.direct[static_cast<std::size_t>(id)] = unmeasured;
-    }
-  } else {
-    const auto row = std::as_const(epoch_store_).direct_row(node);
-    ws.direct.assign(row.begin(), row.end());
-    proposal = propose(
-        v, *residual_objective(v, ws.direct, penalty, ws.query, ws.residual),
-        current, budget, ws.br);
+  const auto ids = epoch_store_.pool_ids(node);
+  const auto values = epoch_store_.pool_values(node);
+  // Rebuild the node's measurement row in the full-size workspace buffer,
+  // restore after the search: O(pool) per node.
+  const double unmeasured =
+      config_.metric == Metric::kBandwidth ? 0.0 : graph::kUnreachable;
+  if (ws.direct.size() != n) ws.direct.assign(n, unmeasured);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ws.direct[static_cast<std::size_t>(ids[i])] = values[i];
+  }
+  Proposal proposal =
+      scale_mode()
+          ? propose(v,
+                    landmark_objective(v, {ids.begin(), ids.end()},
+                                       ws.direct, penalty),
+                    current, budget, ws.br)
+          : propose(v,
+                    *residual_objective(v, ws.direct, penalty, ws.query,
+                                        ws.residual),
+                    current, budget, ws.br);
+  for (NodeId id : ids) {
+    ws.direct[static_cast<std::size_t>(id)] = unmeasured;
   }
   std::sort(proposal.wiring.begin(), proposal.wiring.end());
   epoch_store_.set_proposal(node, proposal.wiring, proposal.adopt);
@@ -929,35 +920,31 @@ int EgoistNetwork::run_epoch_pipeline() {
     if (!maximize) {
       epoch_penalty_ = core::default_unreachable_penalty(*decision);
     }
-    if (scale_mode()) {
-      if (!active.empty()) {
-        refresh_landmarks();
-        epoch_store_.begin_sparse(n, store_.wiring_capacity());
-        std::vector<double> values;
-        for (NodeId v : active) {
-          const auto pool = sample_pool(v);
-          const auto direct = measure_pool(v, pool);
-          values.clear();
-          for (NodeId p : pool) {
-            values.push_back(direct[static_cast<std::size_t>(p)]);
-          }
-          epoch_store_.add_pool(static_cast<std::size_t>(v), pool, values);
-        }
-      }
-    } else if (!active.empty()) {
-      epoch_store_.begin_dense(n, store_.wiring_capacity());
+    if (!active.empty()) {
+      if (scale_mode()) refresh_landmarks();
+      // One measurement plane: each active node's pool and the values
+      // measured over it — a fresh sample in scale mode, the online set
+      // otherwise.
+      epoch_store_.begin(n, store_.wiring_capacity());
+      std::vector<double> values;
       for (NodeId v : active) {
-        const auto direct = measure_direct(v);
-        const auto row = epoch_store_.direct_row(static_cast<std::size_t>(v));
-        std::copy(direct.begin(), direct.end(), row.begin());
+        const auto pool = scale_mode() ? sample_pool(v) : online;
+        const auto direct = measure_pool(v, pool);
+        values.clear();
+        for (NodeId p : pool) {
+          values.push_back(direct[static_cast<std::size_t>(p)]);
+        }
+        epoch_store_.add_pool(static_cast<std::size_t>(v), pool, values);
       }
-      // One shared snapshot + eager base trees; the evaluate phase only
-      // issues const scratch-based queries against it.
-      engine_.rebuild(*decision);
-      if (maximize) {
-        engine_.prepare_widest();
-      } else {
-        engine_.prepare_shortest();
+      if (!scale_mode()) {
+        // One shared snapshot + eager base trees; the evaluate phase only
+        // issues const scratch-based queries against it.
+        engine_.rebuild(*decision);
+        if (maximize) {
+          engine_.prepare_widest();
+        } else {
+          engine_.prepare_shortest();
+        }
       }
     }
   }
@@ -978,22 +965,16 @@ int EgoistNetwork::run_epoch_pipeline() {
   {
     EGOIST_PROFILE_SCOPE("merge");
     const double unmeasured = maximize ? 0.0 : graph::kUnreachable;
-    std::vector<double> sparse_direct;
+    std::vector<double> direct;
     for (NodeId v : active) {
       const auto node = static_cast<std::size_t>(v);
-      std::span<const double> direct;
-      if (epoch_store_.dense()) {
-        direct = std::as_const(epoch_store_).direct_row(node);
-      } else {
-        // Reconstruct the sparse measurement row; every announced link is a
-        // pool member (kept and proposed wirings are pool subsets).
-        sparse_direct.assign(n, unmeasured);
-        const auto ids = epoch_store_.pool_ids(node);
-        const auto values = epoch_store_.pool_values(node);
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          sparse_direct[static_cast<std::size_t>(ids[i])] = values[i];
-        }
-        direct = sparse_direct;
+      // Reconstruct the measurement row; every announced link is a pool
+      // member (kept and proposed wirings are pool subsets).
+      direct.assign(n, unmeasured);
+      const auto ids = epoch_store_.pool_ids(node);
+      const auto values = epoch_store_.pool_values(node);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        direct[static_cast<std::size_t>(ids[i])] = values[i];
       }
       const auto proposal = epoch_store_.proposal(node);
       if (commit(v, store_.wiring_vec(node),
@@ -1069,7 +1050,7 @@ int EgoistNetwork::run_epoch() {
         const NodeId next = ring[(i + 1) % ring.size()];
         if (u == next || announced_.has_edge(u, next)) continue;
         auto wiring = store_.wiring_vec(static_cast<std::size_t>(u));
-        const auto direct = measure_direct(u);
+        const auto direct = measure_pool(u, ring);
         if (wiring.size() >= config_.k && !wiring.empty()) {
           announced_.remove_edge(u, wiring.back());
           wiring.pop_back();

@@ -148,7 +148,11 @@ class EgoistNetwork {
   void set_hooks(NetworkHooks hooks) { hooks_ = std::move(hooks); }
 
  private:
-  /// Bootstrap wiring for a node joining (or re-joining) the overlay.
+  /// Bootstrap wiring for a node joining (or re-joining) the overlay:
+  /// HybridBR's donated links, one measurement over the node's pool (a
+  /// fresh sample in scale mode, every online node otherwise), then the
+  /// wiring (the policy's choice; in scale mode the k closest/widest of
+  /// the sample).
   void join(int node);
 
   /// Re-evaluates one node's wiring; returns true when it re-wired.
@@ -157,10 +161,6 @@ class EgoistNetwork {
   /// evaluate_node plus the evaluation / re-wiring counters: the one
   /// counting point for run_node and immediate-mode repairs.
   bool evaluate_counted(int node);
-
-  /// Measures the direct metric cost/value from `node` to every online
-  /// other (ping / coords / own load / bandwidth probe).
-  std::vector<double> measure_direct(int node);
 
   /// Donated backbone links for `node`: +/- ring offsets over the online
   /// set (k2/2 bidirectional cycles, §3.3).
@@ -180,8 +180,8 @@ class EgoistNetwork {
   double announced_cost(int node, double measured) const;
 
   /// The graph a node reasons over: the announced overlay, optionally with
-  /// audited costs (announcements that exceed audit_tolerance x the
-  /// coordinate estimate are replaced by the estimate, §3.4). Returns a
+  /// audited costs (announcements that exceed 1.5x the coordinate
+  /// estimate are replaced by the estimate, §3.4). Returns a
   /// reference to announced_ when audits are off (the common case — no
   /// per-node graph copy), or to the member audit buffer otherwise.
   const graph::Digraph& decision_graph();
@@ -191,7 +191,7 @@ class EgoistNetwork {
   /// rescanning every edge once per node), a fresh scan otherwise.
   double unreachable_penalty(const graph::Digraph& decision) const;
 
-  /// Per-policy choice of new wiring. `direct` comes from measure_direct.
+  /// Per-policy choice of new wiring. `direct` measures every online node.
   std::vector<NodeId> choose_wiring(int node, const std::vector<double>& direct);
 
   /// --- §5 scale mode (config_.br_sample > 0) ---
@@ -201,8 +201,11 @@ class EgoistNetwork {
   /// and donated links plus a fresh random sample of br_sample others.
   std::vector<NodeId> sample_pool(int node);
 
-  /// Direct measurement restricted to `pool` (the only pairs the node
-  /// probes — what keeps the sparse measurement plane at O(probed pairs)).
+  /// Measures the direct metric cost/value (ping / coords / own load /
+  /// bandwidth probe) from `node` to each online member of `pool`, probing
+  /// in pool order; the result is indexed by node id. The pool is every
+  /// online node in dense mode and a sample in scale mode (what keeps the
+  /// scale-mode measurement plane at O(probed pairs)).
   std::vector<double> measure_pool(int node, const std::vector<NodeId>& pool);
 
   /// (Re)computes the epoch-shared landmark state: samples br_landmarks
@@ -213,9 +216,6 @@ class EgoistNetwork {
   /// Scale-mode node evaluation (sampled candidates x landmark targets);
   /// same BR(eps) adoption rule and hooks as the dense path.
   bool evaluate_node_sampled(int node);
-
-  /// Scale-mode bootstrap wiring: k closest/widest of a fresh sample.
-  void join_sampled(int node);
 
   /// --- The BR decision, shared by the dense, scale-mode and pipeline
   /// evaluations ---

@@ -48,29 +48,15 @@ void NodeStore::set_donated(std::size_t node, std::span<const NodeId> links) {
   donated_count_[node] = static_cast<std::uint32_t>(links.size());
 }
 
-void EpochStore::begin(std::size_t nodes, std::size_t wiring_capacity,
-                       bool dense) {
-  dense_ = dense;
+void EpochStore::begin(std::size_t nodes, std::size_t wiring_capacity) {
   wiring_cap_ = wiring_capacity;
   proposed_.assign(nodes * wiring_capacity, NodeId{-1});
   proposed_count_.assign(nodes, 0);
   adopt_.assign(nodes, 0);
   pool_offset_.assign(1, 0);
+  pool_offset_.reserve(nodes + 1);
   pool_ids_.clear();
   pool_values_.clear();
-  if (dense) {
-    direct_.reshape(nodes, nodes);
-  } else {
-    pool_offset_.reserve(nodes + 1);
-  }
-}
-
-void EpochStore::begin_dense(std::size_t nodes, std::size_t wiring_capacity) {
-  begin(nodes, wiring_capacity, true);
-}
-
-void EpochStore::begin_sparse(std::size_t nodes, std::size_t wiring_capacity) {
-  begin(nodes, wiring_capacity, false);
 }
 
 void EpochStore::add_pool(std::size_t node, std::span<const NodeId> ids,

@@ -10,9 +10,10 @@
 //
 // EpochStore holds the epoch-scoped planes of the parallel pipeline
 // (overlay/epoch_engine.hpp): the measurement plane captured during the
-// sequential snapshot phase (a dense n x n matrix, or compact per-node
-// pools in §5 scale mode) and the proposal plane the evaluate phase writes
-// (proposed wiring rows + adoption flags, one disjoint slot per node).
+// sequential snapshot phase (per-node pools with their measured values —
+// a fresh sample in §5 scale mode, the online set in a dense epoch) and
+// the proposal plane the evaluate phase writes (proposed wiring rows +
+// adoption flags, one disjoint slot per node).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "graph/distance_matrix.hpp"
 
 namespace egoist::overlay {
 
@@ -80,23 +80,11 @@ class NodeStore {
 
 class EpochStore {
  public:
-  /// Dense mode: the measurement plane is an n x n matrix (row v = node
-  /// v's fresh direct measurements, indexed by destination id).
-  void begin_dense(std::size_t nodes, std::size_t wiring_capacity);
-
-  /// Scale mode: the plane is CSR-style per-node pools (ids + measured
-  /// values, appended in ascending node order during the snapshot phase),
-  /// so memory stays O(probed pairs) instead of O(n^2).
-  void begin_sparse(std::size_t nodes, std::size_t wiring_capacity);
-
-  bool dense() const { return dense_; }
-
-  std::span<double> direct_row(std::size_t node) {
-    return direct_.row(node);
-  }
-  std::span<const double> direct_row(std::size_t node) const {
-    return direct_.row(node);
-  }
+  /// Starts an epoch: empty pools, empty proposals. The measurement plane
+  /// is CSR-style per-node pools (ids + measured values, appended in
+  /// ascending node order during the snapshot phase), so memory stays
+  /// O(probed pairs).
+  void begin(std::size_t nodes, std::size_t wiring_capacity);
 
   /// Appends node's pool (must be called in ascending node order; nodes
   /// without a call keep an empty pool). `values[i]` is the measured value
@@ -116,12 +104,8 @@ class EpochStore {
   bool adopted(std::size_t node) const { return adopt_[node] != 0; }
 
  private:
-  void begin(std::size_t nodes, std::size_t wiring_capacity, bool dense);
-
-  bool dense_ = false;
   std::size_t wiring_cap_ = 0;
-  graph::DistanceMatrix direct_;              ///< dense measurement plane
-  std::vector<std::size_t> pool_offset_;      ///< sparse plane (CSR append)
+  std::vector<std::size_t> pool_offset_;      ///< CSR append offsets
   std::vector<NodeId> pool_ids_;
   std::vector<double> pool_values_;
   std::vector<NodeId> proposed_;              ///< nodes x wiring_cap_

@@ -206,13 +206,86 @@ void Client::recv_frame(wire::FrameHeader& header,
   }
 }
 
-wire::Response Client::call(wire::MsgType expected_type,
-                            const std::vector<std::uint8_t>& frame,
-                            std::uint64_t id) {
+void Client::require_no_outstanding() const {
   if (!pending_ids_.empty()) {
     throw RpcError("blocking call with pipelined responses outstanding");
   }
-  send_all(frame.data(), frame.size());
+}
+
+std::uint64_t Client::queue_id() {
+  const std::uint64_t id = next_id_++;
+  pending_ids_.push_back(id);
+  return id;
+}
+
+// Each simple call is guard, post, take: one request, one response.
+
+wire::PingResponse Client::ping() {
+  require_no_outstanding();
+  wire::encode_ping_request(out_, queue_id());
+  return std::get<wire::PingResponse>(take(wire::MsgType::kPing));
+}
+
+wire::RouteResponse Client::route(std::int32_t src, std::int32_t dst) {
+  require_no_outstanding();
+  post_route(src, dst);
+  return take_route();
+}
+
+wire::PathResponse Client::path(std::int32_t src, std::int32_t dst) {
+  require_no_outstanding();
+  post_path(src, dst);
+  return take_path();
+}
+
+wire::ScoreResponse Client::score(std::int32_t node) {
+  require_no_outstanding();
+  post_score(node);
+  return take_score();
+}
+
+wire::StatsResponse Client::stats() {
+  require_no_outstanding();
+  wire::encode_stats_request(out_, queue_id());
+  return std::get<wire::StatsResponse>(take(wire::MsgType::kStats));
+}
+
+wire::BatchRouteResponse Client::route_batch(
+    const std::vector<wire::BatchRoutePair>& pairs) {
+  require_no_outstanding();
+  post_route_batch(pairs);
+  return take_route_batch();
+}
+
+void Client::post_route(std::int32_t src, std::int32_t dst) {
+  wire::encode_route_request(out_, queue_id(), {src, dst});
+}
+
+void Client::post_path(std::int32_t src, std::int32_t dst) {
+  wire::encode_path_request(out_, queue_id(), {src, dst});
+}
+
+void Client::post_score(std::int32_t node) {
+  wire::encode_score_request(out_, queue_id(), {node});
+}
+
+void Client::post_route_batch(const std::vector<wire::BatchRoutePair>& pairs) {
+  wire::encode_batch_route_request(out_, queue_id(), {pairs});
+}
+
+void Client::flush() {
+  if (out_.empty()) return;
+  send_all(out_.data(), out_.size());
+  out_.clear();
+}
+
+wire::Response Client::take(wire::MsgType expected_type) {
+  if (pending_ids_.empty()) {
+    throw RpcError("take with no outstanding request");
+  }
+  flush();  // implicit: taking forces the queued frames onto the wire
+  const std::uint64_t id = pending_ids_.front();
+  pending_ids_.pop_front();
   wire::FrameHeader header;
   std::vector<std::uint8_t> payload;
   recv_frame(header, payload);
@@ -230,112 +303,6 @@ wire::Response Client::call(wire::MsgType expected_type,
   }
   if (header.type != expected_type) {
     throw RpcError("response type mismatch");
-  }
-  return std::move(decoded.response);
-}
-
-wire::PingResponse Client::ping() {
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> frame;
-  wire::encode_ping_request(frame, id);
-  return std::get<wire::PingResponse>(call(wire::MsgType::kPing, frame, id));
-}
-
-wire::RouteResponse Client::route(std::int32_t src, std::int32_t dst) {
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> frame;
-  wire::encode_route_request(frame, id, {src, dst});
-  return std::get<wire::RouteResponse>(
-      call(wire::MsgType::kRoute, frame, id));
-}
-
-wire::PathResponse Client::path(std::int32_t src, std::int32_t dst) {
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> frame;
-  wire::encode_path_request(frame, id, {src, dst});
-  return std::get<wire::PathResponse>(call(wire::MsgType::kPath, frame, id));
-}
-
-wire::ScoreResponse Client::score(std::int32_t node) {
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> frame;
-  wire::encode_score_request(frame, id, {node});
-  return std::get<wire::ScoreResponse>(
-      call(wire::MsgType::kScore, frame, id));
-}
-
-wire::StatsResponse Client::stats() {
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> frame;
-  wire::encode_stats_request(frame, id);
-  return std::get<wire::StatsResponse>(
-      call(wire::MsgType::kStats, frame, id));
-}
-
-wire::BatchRouteResponse Client::route_batch(
-    const std::vector<wire::BatchRoutePair>& pairs) {
-  const std::uint64_t id = next_id_++;
-  std::vector<std::uint8_t> frame;
-  wire::encode_batch_route_request(frame, id, {pairs});
-  return std::get<wire::BatchRouteResponse>(
-      call(wire::MsgType::kBatchRoute, frame, id));
-}
-
-void Client::post_route(std::int32_t src, std::int32_t dst) {
-  const std::uint64_t id = next_id_++;
-  wire::encode_route_request(out_, id, {src, dst});
-  pending_ids_.push_back(id);
-}
-
-void Client::post_path(std::int32_t src, std::int32_t dst) {
-  const std::uint64_t id = next_id_++;
-  wire::encode_path_request(out_, id, {src, dst});
-  pending_ids_.push_back(id);
-}
-
-void Client::post_score(std::int32_t node) {
-  const std::uint64_t id = next_id_++;
-  wire::encode_score_request(out_, id, {node});
-  pending_ids_.push_back(id);
-}
-
-void Client::post_route_batch(const std::vector<wire::BatchRoutePair>& pairs) {
-  const std::uint64_t id = next_id_++;
-  wire::encode_batch_route_request(out_, id, {pairs});
-  pending_ids_.push_back(id);
-}
-
-void Client::flush() {
-  if (out_.empty()) return;
-  send_all(out_.data(), out_.size());
-  out_.clear();
-}
-
-wire::Response Client::take(wire::MsgType expected_type) {
-  if (pending_ids_.empty()) {
-    throw RpcError("take with no outstanding pipelined request");
-  }
-  flush();  // implicit: taking forces the queued frames onto the wire
-  const std::uint64_t id = pending_ids_.front();
-  pending_ids_.pop_front();
-  wire::FrameHeader header;
-  std::vector<std::uint8_t> payload;
-  recv_frame(header, payload);
-  if (header.request_id != id) {
-    throw RpcError("pipelined response id mismatch: expected " +
-                   std::to_string(id) + ", got " +
-                   std::to_string(header.request_id));
-  }
-  auto decoded = wire::decode_response(header, payload);
-  if (decoded.status != wire::DecodeStatus::kOk) {
-    throw RpcError(std::string("bad response payload: ") +
-                   to_string(decoded.status));
-  }
-  if (const auto* err = std::get_if<wire::ErrorResponse>(&decoded.response)) {
-    throw RemoteError(err->code, err->message);
-  }
-  if (header.type != expected_type) {
-    throw RpcError("pipelined response type mismatch");
   }
   return std::move(decoded.response);
 }

@@ -3,19 +3,23 @@
 // Used by the tests and the serve_remote bench; one instance per thread
 // (no internal locking). Two usage styles:
 //
-//   simple   route()/path()/score()/stats()/ping() — one request, one
-//            response, blocking with the per-call request timeout.
-//   pipelined post_route()/post_path()/post_score() queue frames into an
-//            outbound buffer; flush() writes them in one burst; then
-//            take_route()/take_path()/take_score() consume the responses
-//            in post order. The server answers a pipelined batch off one
-//            pinned snapshot, so the batch's answers are mutually
-//            consistent. Per-request latency is measured by stamping at
-//            flush() and at each take_*() — see bench/serve_remote.
+//   simple   route()/path()/score()/stats()/ping()/route_batch() — one
+//            request, one response, blocking with the per-call request
+//            timeout. Refused (RpcError) while pipelined responses are
+//            outstanding; otherwise a post followed by a take.
+//   pipelined post_route()/post_path()/post_score()/post_route_batch()
+//            queue frames into an outbound buffer; flush() writes them in
+//            one burst; then take_route()/take_path()/take_score()/
+//            take_route_batch() consume the responses in post order. The
+//            server answers a pipelined batch off one pinned snapshot, so
+//            the batch's answers are mutually consistent. Per-request
+//            latency is measured by stamping at flush() and at each
+//            take_*() — see bench/serve_remote.
 //
-// Every response's request_id must match its request (responses arrive in
-// order on one connection); a mismatch, a decode error, a timeout, or a
-// server ERROR frame throws RpcError. The client never blocks forever:
+// take() is the one place a response is read: its request_id must match
+// the oldest outstanding request (responses arrive in order on one
+// connection); a mismatch, a decode error, a type mismatch, a timeout, or
+// a server ERROR frame throws RpcError. The client never blocks forever:
 // all socket waits go through poll(2) with the configured timeout.
 #pragma once
 
@@ -112,10 +116,13 @@ class Client {
   /// decode error, or EOF.
   void recv_frame(wire::FrameHeader& header,
                   std::vector<std::uint8_t>& payload);
-  /// One request, one typed response (ERROR frames throw RemoteError).
-  wire::Response call(wire::MsgType expected_type,
-                      const std::vector<std::uint8_t>& frame,
-                      std::uint64_t id);
+  /// The simple calls' guard: throws RpcError while pipelined responses
+  /// are outstanding.
+  void require_no_outstanding() const;
+  /// Allocates the next request id and records it as outstanding.
+  std::uint64_t queue_id();
+  /// Flushes, then reads, id-checks, decodes and type-checks the oldest
+  /// outstanding response (ERROR frames throw RemoteError).
   wire::Response take(wire::MsgType expected_type);
 
   int fd_ = -1;

@@ -29,21 +29,29 @@ void set_nonblocking(int fd) {
                            std::strerror(errno));
 }
 
-/// One TCP listener. With SO_REUSEPORT every loop binds its own socket on
-/// the same port and the kernel load-balances accepts across them; the
-/// option must be set before bind(). The first listener may bind port 0
-/// (ephemeral) — the caller reads the resolved port back through
-/// bound_port and hands it to the remaining loops.
+/// bind + listen + nonblocking for either listener; closes the socket and
+/// throws on failure.
+void bind_and_listen(int fd, const sockaddr* addr, socklen_t len, int backlog,
+                     const std::string& where) {
+  if (::bind(fd, addr, len) != 0) {
+    ::close(fd);
+    throw_errno("bind(" + where + ")");
+  }
+  if (::listen(fd, backlog) != 0) {
+    ::close(fd);
+    throw_errno("listen(" + where + ")");
+  }
+  set_nonblocking(fd);
+}
+
+/// The TCP listener, on loop 0 like the UDS one. Port 0 binds an
+/// ephemeral port; the resolved port comes back through bound_port.
 int make_tcp_listener(const std::string& host, int port, int backlog,
                       int& bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket(AF_INET)");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-    ::close(fd);
-    throw_errno("setsockopt(SO_REUSEPORT)");
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -51,20 +59,13 @@ int make_tcp_listener(const std::string& host, int port, int backlog,
     ::close(fd);
     throw std::runtime_error("rpc::Server: bad TCP host " + host);
   }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw_errno("bind(" + host + ":" + std::to_string(port) + ")");
-  }
-  if (::listen(fd, backlog) != 0) {
-    ::close(fd);
-    throw_errno("listen");
-  }
+  bind_and_listen(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr),
+                  backlog, host + ":" + std::to_string(port));
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
     bound_port = ntohs(bound.sin_port);
   }
-  set_nonblocking(fd);
   return fd;
 }
 
@@ -78,16 +79,37 @@ int make_uds_listener(const std::string& path, int backlog) {
   ::unlink(path.c_str());  // stale socket from a crashed daemon
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    throw_errno("bind(" + path + ")");
-  }
-  if (::listen(fd, backlog) != 0) {
-    ::close(fd);
-    throw_errno("listen(" + path + ")");
-  }
-  set_nonblocking(fd);
+  bind_and_listen(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr),
+                  backlog, path);
   return fd;
+}
+
+/// The one node-id range check, ahead of the per-type dispatch: nullptr
+/// when every id the request names lies in [0, n), else the kOutOfRange
+/// message. BATCH_ROUTE is all-or-nothing: a partial answer would misalign
+/// the packed entries with the request's pair order.
+const char* out_of_range(const wire::Request& request, std::int32_t n) {
+  const auto in_range = [n](std::int32_t id) { return id >= 0 && id < n; };
+  return std::visit(
+      [&](const auto& req) -> const char* {
+        using T = std::decay_t<decltype(req)>;
+        if constexpr (std::is_same_v<T, wire::RouteRequest> ||
+                      std::is_same_v<T, wire::PathRequest>) {
+          if (!in_range(req.src) || !in_range(req.dst)) {
+            return "node id out of range";
+          }
+        } else if constexpr (std::is_same_v<T, wire::ScoreRequest>) {
+          if (!in_range(req.node)) return "node id out of range";
+        } else if constexpr (std::is_same_v<T, wire::BatchRouteRequest>) {
+          for (const auto& pair : req.pairs) {
+            if (!in_range(pair.src) || !in_range(pair.dst)) {
+              return "node id out of range in batch";
+            }
+          }
+        }
+        return nullptr;
+      },
+      request);
 }
 
 }  // namespace
@@ -113,20 +135,14 @@ Server::Server(host::RouteService& service, ServerOptions options)
     loops_.push_back(std::move(loop));
   }
   if (options_.tcp_port >= 0) {
-    // Loop 0 resolves the port (possibly ephemeral); the rest join it.
-    loops_[0]->tcp_listen_fd =
-        make_tcp_listener(options_.tcp_host, options_.tcp_port,
-                          options_.max_connections, bound_tcp_port_);
-    for (std::size_t i = 1; i < loops_.size(); ++i) {
-      int ignored = -1;
-      loops_[i]->tcp_listen_fd =
-          make_tcp_listener(options_.tcp_host, bound_tcp_port_,
-                            options_.max_connections, ignored);
-    }
+    listen_fds_.push_back(make_tcp_listener(options_.tcp_host,
+                                            options_.tcp_port,
+                                            options_.max_connections,
+                                            bound_tcp_port_));
   }
   if (!options_.uds_path.empty()) {
-    loops_[0]->uds_listen_fd =
-        make_uds_listener(options_.uds_path, options_.max_connections);
+    listen_fds_.push_back(
+        make_uds_listener(options_.uds_path, options_.max_connections));
   }
   for (auto& loop : loops_) {
     if (::pipe(loop->wake_fds) != 0) throw_errno("pipe");
@@ -137,9 +153,9 @@ Server::Server(host::RouteService& service, ServerOptions options)
 
 Server::~Server() {
   stop();
+  close_listeners();  // never started: loop 0 did not close them
   for (auto& loop : loops_) {
-    for (const int fd : {loop->tcp_listen_fd, loop->uds_listen_fd,
-                         loop->wake_fds[0], loop->wake_fds[1]}) {
+    for (const int fd : loop->wake_fds) {
       if (fd >= 0) ::close(fd);
     }
   }
@@ -165,7 +181,7 @@ void Server::stop() {
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  // Loop 0 may have parked a UDS handoff in an inbox right before its
+  // Loop 0 may have parked a handoff in an inbox right before its
   // target observed the stop flag; with every thread joined, whatever is
   // left can only be closed here.
   for (auto& loop : loops_) {
@@ -181,49 +197,39 @@ void Server::wake(Loop& loop) {
   [[maybe_unused]] const auto n = ::write(loop.wake_fds[1], &byte, 1);
 }
 
-ServerStats Server::stats() const {
+void Server::close_listeners() {
+  for (const int fd : listen_fds_) ::close(fd);
+  listen_fds_.clear();
+}
+
+void Server::accumulate(const AtomicStats& c, ServerStats& into) {
   // Acquire loads pair with the (relaxed) increments' position in each
   // loop thread's program order at join time: after stop() the sums are
   // exact, while serving they are a consistent monotonic lower bound.
+  into.connections_accepted +=
+      c.connections_accepted.load(std::memory_order_acquire);
+  into.connections_active +=
+      c.connections_active.load(std::memory_order_acquire);
+  into.frames_in += c.frames_in.load(std::memory_order_acquire);
+  into.frames_out += c.frames_out.load(std::memory_order_acquire);
+  into.decode_errors += c.decode_errors.load(std::memory_order_acquire);
+  into.error_responses += c.error_responses.load(std::memory_order_acquire);
+  into.idle_closed += c.idle_closed.load(std::memory_order_acquire);
+  into.bytes_in += c.bytes_in.load(std::memory_order_acquire);
+  into.bytes_out += c.bytes_out.load(std::memory_order_acquire);
+  into.batches += c.batches.load(std::memory_order_acquire);
+}
+
+ServerStats Server::stats() const {
   ServerStats total;
-  for (const auto& loop : loops_) {
-    const auto& c = loop->counters;
-    total.connections_accepted +=
-        c.connections_accepted.load(std::memory_order_acquire);
-    total.connections_active +=
-        c.connections_active.load(std::memory_order_acquire);
-    total.frames_in += c.frames_in.load(std::memory_order_acquire);
-    total.frames_out += c.frames_out.load(std::memory_order_acquire);
-    total.decode_errors += c.decode_errors.load(std::memory_order_acquire);
-    total.error_responses +=
-        c.error_responses.load(std::memory_order_acquire);
-    total.idle_closed += c.idle_closed.load(std::memory_order_acquire);
-    total.bytes_in += c.bytes_in.load(std::memory_order_acquire);
-    total.bytes_out += c.bytes_out.load(std::memory_order_acquire);
-    total.batches += c.batches.load(std::memory_order_acquire);
-  }
+  for (const auto& loop : loops_) accumulate(loop->counters, total);
   return total;
 }
 
 std::vector<ServerStats> Server::per_loop_stats() const {
-  std::vector<ServerStats> out;
-  out.reserve(loops_.size());
-  for (const auto& loop : loops_) {
-    const auto& c = loop->counters;
-    ServerStats s;
-    s.connections_accepted =
-        c.connections_accepted.load(std::memory_order_acquire);
-    s.connections_active =
-        c.connections_active.load(std::memory_order_acquire);
-    s.frames_in = c.frames_in.load(std::memory_order_acquire);
-    s.frames_out = c.frames_out.load(std::memory_order_acquire);
-    s.decode_errors = c.decode_errors.load(std::memory_order_acquire);
-    s.error_responses = c.error_responses.load(std::memory_order_acquire);
-    s.idle_closed = c.idle_closed.load(std::memory_order_acquire);
-    s.bytes_in = c.bytes_in.load(std::memory_order_acquire);
-    s.bytes_out = c.bytes_out.load(std::memory_order_acquire);
-    s.batches = c.batches.load(std::memory_order_acquire);
-    out.push_back(s);
+  std::vector<ServerStats> out(loops_.size());
+  for (std::size_t i = 0; i < loops_.size(); ++i) {
+    accumulate(loops_[i]->counters, out[i]);
   }
   return out;
 }
@@ -254,30 +260,25 @@ void Server::adopt_conn(Loop& loop, int fd) {
 }
 
 void Server::accept_ready(Loop& loop, int listen_fd) {
-  const bool distribute =
-      listen_fd == loop.uds_listen_fd && loops_.size() > 1;
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       return;  // transient accept failure; the listener stays armed
     }
-    if (distribute) {
-      // The kernel balances TCP accepts across SO_REUSEPORT listeners;
-      // the single UDS listener balances by hand — round-robin the fd to
-      // a peer loop's inbox and wake it.
-      const std::size_t target = uds_rr_++ % loops_.size();
-      if (target != loop.index) {
-        Loop& peer = *loops_[target];
-        {
-          std::lock_guard<std::mutex> inbox_lock(peer.inbox_mutex);
-          peer.inbox.push_back(fd);
-        }
-        wake(peer);
-        continue;
-      }
+    // One accept path for TCP and UDS alike: round-robin every fd over
+    // the loops; a peer's share goes through its inbox and a wake.
+    const std::size_t target = accept_rr_++ % loops_.size();
+    if (target == loop.index) {
+      adopt_conn(loop, fd);
+      continue;
     }
-    adopt_conn(loop, fd);
+    Loop& peer = *loops_[target];
+    {
+      std::lock_guard<std::mutex> inbox_lock(peer.inbox_mutex);
+      peer.inbox.push_back(fd);
+    }
+    wake(peer);
   }
 }
 
@@ -330,11 +331,9 @@ bool Server::dispatch(Loop& loop, Conn& conn) {
     if (hd.status != wire::DecodeStatus::kOk) {
       // Header-level garbage: framing is lost, answer once and hang up.
       loop.counters.decode_errors.fetch_add(1, std::memory_order_relaxed);
-      loop.counters.error_responses.fetch_add(1, std::memory_order_relaxed);
-      wire::ErrorResponse err;
-      err.code = static_cast<std::uint16_t>(wire::ErrorCode::kMalformedFrame);
-      err.message = std::string("malformed frame: ") + to_string(hd.status);
-      wire::encode_error_response(conn.out.tail(), hd.header.request_id, err);
+      reply_error(loop, conn.out.tail(), hd.header.request_id,
+                  wire::ErrorCode::kMalformedFrame,
+                  std::string("malformed frame: ") + to_string(hd.status));
       loop.counters.frames_out.fetch_add(1, std::memory_order_relaxed);
       conn.in.clear();
       conn.closing = true;
@@ -348,12 +347,10 @@ bool Server::dispatch(Loop& loop, Conn& conn) {
     if (decoded.status != wire::DecodeStatus::kOk) {
       // Payload-level breakage: framing is intact, the connection lives.
       loop.counters.decode_errors.fetch_add(1, std::memory_order_relaxed);
-      loop.counters.error_responses.fetch_add(1, std::memory_order_relaxed);
-      wire::ErrorResponse err;
-      err.code = static_cast<std::uint16_t>(wire::ErrorCode::kBadRequest);
-      err.message =
-          std::string("bad request payload: ") + to_string(decoded.status);
-      wire::encode_error_response(conn.out.tail(), hd.header.request_id, err);
+      reply_error(
+          loop, conn.out.tail(), hd.header.request_id,
+          wire::ErrorCode::kBadRequest,
+          std::string("bad request payload: ") + to_string(decoded.status));
       loop.counters.frames_out.fetch_add(1, std::memory_order_relaxed);
       conn.in.consume(frame_len);
       continue;
@@ -367,8 +364,7 @@ bool Server::dispatch(Loop& loop, Conn& conn) {
   loop.counters.batches.fetch_add(1, std::memory_order_relaxed);
   const host::ServedSnapshot pinned = service_->acquire();
   const auto& snap = pinned.snapshot();
-  const std::int32_t n = static_cast<std::int32_t>(snap.size());
-  const auto in_range = [n](std::int32_t id) { return id >= 0 && id < n; };
+  const auto n = static_cast<std::int32_t>(snap.size());
   // Answers land in the loop's scratch arena (errors discovered during
   // the scan above are already in conn.out, ahead of them — the same
   // ordering the single-buffer dispatch produced); the flush below
@@ -378,150 +374,125 @@ bool Server::dispatch(Loop& loop, Conn& conn) {
 
   for (const auto& pending : batch) {
     const std::uint64_t id = pending.id;
-    std::visit(
-        [&](const auto& req) {
-          using T = std::decay_t<decltype(req)>;
-          if constexpr (std::is_same_v<T, wire::PingRequest>) {
-            wire::PingResponse resp;
-            resp.node_count = static_cast<std::uint32_t>(snap.size());
-            resp.epoch = snap.epoch();
-            resp.publish_seq = pinned.publish_seq();
-            wire::encode_ping_response(out, id, resp);
-          } else if constexpr (std::is_same_v<T, wire::RouteRequest>) {
-            if (!in_range(req.src) || !in_range(req.dst)) {
-              loop.counters.error_responses.fetch_add(
-                  1, std::memory_order_relaxed);
-              wire::encode_error_response(
-                  out, id,
-                  {static_cast<std::uint16_t>(wire::ErrorCode::kOutOfRange),
-                   "node id out of range"});
-              return;
-            }
-            const auto answer = pinned.route(req.src, req.dst);
-            wire::RouteResponse resp;
-            resp.reachable = answer.reachable ? 1 : 0;
-            resp.next_hop = answer.next_hop;
-            resp.cost = answer.cost;
-            resp.epoch = answer.epoch;
-            resp.publish_seq = answer.publish_seq;
-            wire::encode_route_response(out, id, resp);
-          } else if constexpr (std::is_same_v<T, wire::BatchRouteRequest>) {
-            // All-or-nothing range check: a partial answer would misalign
-            // the packed entries with the request's pair order.
-            for (const auto& pair : req.pairs) {
-              if (!in_range(pair.src) || !in_range(pair.dst)) {
-                loop.counters.error_responses.fetch_add(
-                    1, std::memory_order_relaxed);
-                wire::encode_error_response(
-                    out, id,
-                    {static_cast<std::uint16_t>(wire::ErrorCode::kOutOfRange),
-                     "node id out of range in batch"});
-                return;
-              }
-            }
-            // The response must itself fit in a frame the peer will
-            // accept: 16 fixed bytes + 13 per entry against max_frame.
-            const std::uint64_t response_payload =
-                16 + std::uint64_t{req.pairs.size()} * 13;
-            if (response_payload > options_.max_frame) {
-              loop.counters.error_responses.fetch_add(
-                  1, std::memory_order_relaxed);
-              wire::encode_error_response(
-                  out, id,
-                  {static_cast<std::uint16_t>(wire::ErrorCode::kBadRequest),
-                   "batch response would exceed max frame"});
-              return;
-            }
-            wire::BatchRouteResponse resp;
-            resp.epoch = pinned.epoch();
-            resp.publish_seq = pinned.publish_seq();
-            resp.entries.reserve(req.pairs.size());
-            for (const auto& pair : req.pairs) {
-              const auto answer = pinned.route(pair.src, pair.dst);
-              wire::BatchRouteEntry entry;
-              entry.reachable = answer.reachable ? 1 : 0;
-              entry.next_hop = answer.next_hop;
-              entry.cost = answer.cost;
-              resp.entries.push_back(entry);
-            }
-            wire::encode_batch_route_response(out, id, resp);
-          } else if constexpr (std::is_same_v<T, wire::PathRequest>) {
-            if (!in_range(req.src) || !in_range(req.dst)) {
-              loop.counters.error_responses.fetch_add(
-                  1, std::memory_order_relaxed);
-              wire::encode_error_response(
-                  out, id,
-                  {static_cast<std::uint16_t>(wire::ErrorCode::kOutOfRange),
-                   "node id out of range"});
-              return;
-            }
-            const auto answer = pinned.path(req.src, req.dst);
-            wire::PathResponse resp;
-            resp.reachable = answer.reachable ? 1 : 0;
-            resp.cost = answer.cost;
-            resp.epoch = answer.epoch;
-            resp.publish_seq = answer.publish_seq;
-            resp.hops.assign(answer.nodes.begin(), answer.nodes.end());
-            wire::encode_path_response(out, id, resp);
-          } else if constexpr (std::is_same_v<T, wire::ScoreRequest>) {
-            if (!in_range(req.node)) {
-              loop.counters.error_responses.fetch_add(
-                  1, std::memory_order_relaxed);
-              wire::encode_error_response(
-                  out, id,
-                  {static_cast<std::uint16_t>(wire::ErrorCode::kOutOfRange),
-                   "node id out of range"});
-              return;
-            }
-            wire::ScoreResponse resp;
-            resp.score = pinned.score(req.node);
-            resp.epoch = pinned.epoch();
-            resp.publish_seq = pinned.publish_seq();
-            wire::encode_score_response(out, id, resp);
-          } else if constexpr (std::is_same_v<T, wire::StatsRequest>) {
-            const auto service = service_->stats();
-            const auto server = stats();
-            wire::StatsResponse resp;
-            resp.node_count = static_cast<std::uint32_t>(snap.size());
-            resp.published_epoch = service.published_epoch;
-            resp.publish_seq = pinned.publish_seq();
-            resp.queries_route = service.queries_route;
-            resp.queries_path = service.queries_path;
-            resp.queries_score = service.queries_score;
-            resp.stale_served = service.stale_served;
-            resp.rows_built = service.rows_built;
-            resp.rows_discarded = service.rows_discarded;
-            resp.uncached_queries = service.uncached_queries;
-            resp.seal_violations = service.seal_violations;
-            resp.retired_pending = service.retired_pending;
-            resp.connections_accepted = server.connections_accepted;
-            resp.connections_active = server.connections_active;
-            resp.frames_in = server.frames_in;
-            resp.frames_out = server.frames_out;
-            resp.decode_errors = server.decode_errors;
-            resp.error_responses = server.error_responses;
-            resp.idle_closed = server.idle_closed;
-            resp.bytes_in = server.bytes_in;
-            resp.bytes_out = server.bytes_out;
-            resp.batches = server.batches;
-            for (const auto& per : per_loop_stats()) {
-              wire::PerLoopStats wire_loop;
-              wire_loop.connections_accepted = per.connections_accepted;
-              wire_loop.connections_active = per.connections_active;
-              wire_loop.frames_in = per.frames_in;
-              wire_loop.frames_out = per.frames_out;
-              wire_loop.bytes_in = per.bytes_in;
-              wire_loop.bytes_out = per.bytes_out;
-              wire_loop.batches = per.batches;
-              resp.per_loop.push_back(wire_loop);
-            }
-            wire::encode_stats_response(out, id, resp);
-          }
-        },
-        pending.request);
+    if (const char* why = out_of_range(pending.request, n)) {
+      reply_error(loop, out, id, wire::ErrorCode::kOutOfRange, why);
+    } else {
+      answer(loop, pinned, id, pending.request, out);
+    }
     loop.counters.frames_out.fetch_add(1, std::memory_order_relaxed);
   }
   return flush_gather(loop, conn, loop.scratch);
+}
+
+void Server::reply_error(Loop& loop, std::vector<std::uint8_t>& out,
+                         std::uint64_t id, wire::ErrorCode code,
+                         std::string message) {
+  loop.counters.error_responses.fetch_add(1, std::memory_order_relaxed);
+  wire::encode_error_response(
+      out, id, {static_cast<std::uint16_t>(code), std::move(message)});
+}
+
+void Server::answer(Loop& loop, const host::ServedSnapshot& pinned,
+                    std::uint64_t id, const wire::Request& request,
+                    std::vector<std::uint8_t>& out) {
+  const auto& snap = pinned.snapshot();
+  std::visit(
+      [&](const auto& req) {
+        using T = std::decay_t<decltype(req)>;
+        if constexpr (std::is_same_v<T, wire::PingRequest>) {
+          wire::PingResponse resp;
+          resp.node_count = static_cast<std::uint32_t>(snap.size());
+          resp.epoch = snap.epoch();
+          resp.publish_seq = pinned.publish_seq();
+          wire::encode_ping_response(out, id, resp);
+        } else if constexpr (std::is_same_v<T, wire::RouteRequest>) {
+          const auto answer = pinned.route(req.src, req.dst);
+          wire::RouteResponse resp;
+          resp.reachable = answer.reachable ? 1 : 0;
+          resp.next_hop = answer.next_hop;
+          resp.cost = answer.cost;
+          resp.epoch = answer.epoch;
+          resp.publish_seq = answer.publish_seq;
+          wire::encode_route_response(out, id, resp);
+        } else if constexpr (std::is_same_v<T, wire::BatchRouteRequest>) {
+          // The response must itself fit in a frame the peer will
+          // accept: 16 fixed bytes + 13 per entry against max_frame.
+          const std::uint64_t response_payload =
+              16 + std::uint64_t{req.pairs.size()} * 13;
+          if (response_payload > options_.max_frame) {
+            reply_error(loop, out, id, wire::ErrorCode::kBadRequest,
+                        "batch response would exceed max frame");
+            return;
+          }
+          wire::BatchRouteResponse resp;
+          resp.epoch = pinned.epoch();
+          resp.publish_seq = pinned.publish_seq();
+          resp.entries.reserve(req.pairs.size());
+          for (const auto& pair : req.pairs) {
+            const auto answer = pinned.route(pair.src, pair.dst);
+            wire::BatchRouteEntry entry;
+            entry.reachable = answer.reachable ? 1 : 0;
+            entry.next_hop = answer.next_hop;
+            entry.cost = answer.cost;
+            resp.entries.push_back(entry);
+          }
+          wire::encode_batch_route_response(out, id, resp);
+        } else if constexpr (std::is_same_v<T, wire::PathRequest>) {
+          const auto answer = pinned.path(req.src, req.dst);
+          wire::PathResponse resp;
+          resp.reachable = answer.reachable ? 1 : 0;
+          resp.cost = answer.cost;
+          resp.epoch = answer.epoch;
+          resp.publish_seq = answer.publish_seq;
+          resp.hops.assign(answer.nodes.begin(), answer.nodes.end());
+          wire::encode_path_response(out, id, resp);
+        } else if constexpr (std::is_same_v<T, wire::ScoreRequest>) {
+          wire::ScoreResponse resp;
+          resp.score = pinned.score(req.node);
+          resp.epoch = pinned.epoch();
+          resp.publish_seq = pinned.publish_seq();
+          wire::encode_score_response(out, id, resp);
+        } else if constexpr (std::is_same_v<T, wire::StatsRequest>) {
+          const auto service = service_->stats();
+          const auto server = stats();
+          wire::StatsResponse resp;
+          resp.node_count = static_cast<std::uint32_t>(snap.size());
+          resp.published_epoch = service.published_epoch;
+          resp.publish_seq = pinned.publish_seq();
+          resp.queries_route = service.queries_route;
+          resp.queries_path = service.queries_path;
+          resp.queries_score = service.queries_score;
+          resp.stale_served = service.stale_served;
+          resp.rows_built = service.rows_built;
+          resp.rows_discarded = service.rows_discarded;
+          resp.uncached_queries = service.uncached_queries;
+          resp.seal_violations = service.seal_violations;
+          resp.retired_pending = service.retired_pending;
+          resp.connections_accepted = server.connections_accepted;
+          resp.connections_active = server.connections_active;
+          resp.frames_in = server.frames_in;
+          resp.frames_out = server.frames_out;
+          resp.decode_errors = server.decode_errors;
+          resp.error_responses = server.error_responses;
+          resp.idle_closed = server.idle_closed;
+          resp.bytes_in = server.bytes_in;
+          resp.bytes_out = server.bytes_out;
+          resp.batches = server.batches;
+          for (const auto& per : per_loop_stats()) {
+            wire::PerLoopStats wire_loop;
+            wire_loop.connections_accepted = per.connections_accepted;
+            wire_loop.connections_active = per.connections_active;
+            wire_loop.frames_in = per.frames_in;
+            wire_loop.frames_out = per.frames_out;
+            wire_loop.bytes_in = per.bytes_in;
+            wire_loop.bytes_out = per.bytes_out;
+            wire_loop.batches = per.batches;
+            resp.per_loop.push_back(wire_loop);
+          }
+          wire::encode_stats_response(out, id, resp);
+        }
+      },
+      request);
 }
 
 bool Server::flush_gather(Loop& loop, Conn& conn,
@@ -572,27 +543,6 @@ bool Server::flush_gather(Loop& loop, Conn& conn,
   }
 }
 
-bool Server::write_ready(Loop& loop, Conn& conn) {
-  while (!conn.out.empty()) {
-    const auto bytes = conn.out.readable();
-    // MSG_NOSIGNAL: a client that vanished mid-response must surface as
-    // EPIPE (we close the connection), not kill the daemon with SIGPIPE.
-    const ssize_t n =
-        ::send(conn.fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out.consume(static_cast<std::size_t>(n));
-      loop.counters.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
-                                        std::memory_order_relaxed);
-      conn.last_activity = std::chrono::steady_clock::now();
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 void Server::close_conn(Loop& loop, std::size_t index) {
   ::close(loop.conns[index].fd);
   loop.conns.erase(loop.conns.begin() + static_cast<std::ptrdiff_t>(index));
@@ -626,7 +576,8 @@ void Server::drain_and_close_all(Loop& loop) {
                              std::max(1, timeout_ms));
     if (ready < 0 && errno != EINTR) break;
     for (std::size_t i = loop.conns.size(); i-- > 0;) {
-      if (!loop.conns[i].out.empty() && !write_ready(loop, loop.conns[i])) {
+      if (!loop.conns[i].out.empty() &&
+          !flush_gather(loop, loop.conns[i], {})) {
         close_conn(loop, i);
       }
     }
@@ -641,15 +592,8 @@ void Server::loop_run(Loop& loop) {
   while (!stop_requested_.load(std::memory_order_acquire)) {
     fds.clear();
     fds.push_back({loop.wake_fds[0], POLLIN, 0});
-    std::size_t tcp_at = SIZE_MAX;
-    std::size_t uds_at = SIZE_MAX;
-    if (loop.tcp_listen_fd >= 0) {
-      tcp_at = fds.size();
-      fds.push_back({loop.tcp_listen_fd, POLLIN, 0});
-    }
-    if (loop.uds_listen_fd >= 0) {
-      uds_at = fds.size();
-      fds.push_back({loop.uds_listen_fd, POLLIN, 0});
+    if (loop.index == 0) {
+      for (const int fd : listen_fds_) fds.push_back({fd, POLLIN, 0});
     }
     const std::size_t conn_base = fds.size();
     for (const auto& conn : loop.conns) {
@@ -670,15 +614,12 @@ void Server::loop_run(Loop& loop) {
       char scratch[64];
       while (::read(loop.wake_fds[0], scratch, sizeof(scratch)) > 0) {
       }
-      // A wake is either stop() (checked at the top) or a UDS handoff
-      // from loop 0 — adopt whatever is parked in the inbox.
+      // A wake is either stop() (checked at the top) or a handoff from
+      // loop 0 — adopt whatever is parked in the inbox.
       drain_inbox(loop);
     }
-    if (tcp_at != SIZE_MAX && (fds[tcp_at].revents & POLLIN)) {
-      accept_ready(loop, loop.tcp_listen_fd);
-    }
-    if (uds_at != SIZE_MAX && (fds[uds_at].revents & POLLIN)) {
-      accept_ready(loop, loop.uds_listen_fd);
+    for (std::size_t i = 1; i < conn_base; ++i) {
+      if (fds[i].revents & POLLIN) accept_ready(loop, fds[i].fd);
     }
 
     const auto now = std::chrono::steady_clock::now();
@@ -699,7 +640,7 @@ void Server::loop_run(Loop& loop) {
           if (alive) alive = dispatch(loop, conn);
         }
         if (alive && !conn.out.empty()) {
-          alive = write_ready(loop, conn);
+          alive = flush_gather(loop, conn, {});
         }
         if (alive && conn.closing && conn.out.empty()) alive = false;
         if (alive && options_.idle_timeout_s > 0.0 &&
@@ -713,14 +654,7 @@ void Server::loop_run(Loop& loop) {
     }
   }
 
-  if (loop.tcp_listen_fd >= 0) {
-    ::close(loop.tcp_listen_fd);
-    loop.tcp_listen_fd = -1;
-  }
-  if (loop.uds_listen_fd >= 0) {
-    ::close(loop.uds_listen_fd);
-    loop.uds_listen_fd = -1;
-  }
+  if (loop.index == 0) close_listeners();
   drain_and_close_all(loop);
 }
 

@@ -3,11 +3,10 @@
 // N independent poll(2)-driven event loops (Options::loops) share one
 // host::RouteService. Each loop owns its thread, pollfd set, connection
 // table, and counters — loops never touch each other's connections, so
-// there is no cross-loop locking on the hot path. TCP scaling comes from
-// the kernel: every loop binds its own SO_REUSEPORT listener on the same
-// port and the kernel load-balances accepts across them. The single UDS
-// listener lives on loop 0, which round-robins accepted fds to the other
-// loops through a mutex-guarded inbox plus each loop's self-pipe wakeup.
+// there is no cross-loop locking on the hot path. There is one accept
+// path for both transports: loop 0 owns the TCP and the UDS listener and
+// round-robins every accepted fd over the loops, handing a peer's share
+// through a mutex-guarded inbox plus that loop's self-pipe wakeup.
 // RouteService::acquire()/route()/path()/score() are safe from any thread
 // by contract, so all loops serve concurrently with the host thread
 // driving epochs — exactly the deployment egoistd runs.
@@ -38,7 +37,7 @@
 // appended by wire v2.
 //
 // Shutdown is graceful: stop() (thread-safe, idempotent) wakes every
-// loop; each closes its listeners, keeps flushing already-queued
+// loop; loop 0 closes the listeners, each loop keeps flushing already-queued
 // responses until they drain or Options::drain_deadline expires, closes
 // its connections, and exits. egoistd follows with RouteService::drain()
 // to prove no snapshot leaked.
@@ -119,7 +118,6 @@ class Server {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// The bound TCP port (after construction), or -1 when TCP is disabled.
-  /// With loops > 1 every loop's SO_REUSEPORT listener shares this port.
   int tcp_port() const { return bound_tcp_port_; }
   const std::string& uds_path() const { return options_.uds_path; }
 
@@ -157,13 +155,11 @@ class Server {
   /// because they hold atomics, a mutex, and a thread.
   struct Loop {
     std::size_t index = 0;
-    int tcp_listen_fd = -1;  ///< own SO_REUSEPORT listener (or -1)
-    int uds_listen_fd = -1;  ///< loop 0 only; others receive via inbox
     int wake_fds[2] = {-1, -1};  ///< self-pipe: stop()/handoffs wake poll
     std::thread thread;
     std::vector<Conn> conns;
     std::mutex inbox_mutex;
-    std::vector<int> inbox;  ///< UDS fds handed off by loop 0
+    std::vector<int> inbox;  ///< accepted fds handed off by loop 0
     AtomicStats counters;
     std::vector<std::uint8_t> scratch;  ///< batch answers, sendmsg-gathered
   };
@@ -173,7 +169,10 @@ class Server {
   /// Takes ownership of a freshly-accepted fd on this loop (cap check,
   /// nonblocking + TCP_NODELAY, counter bump).
   void adopt_conn(Loop& loop, int fd);
+  /// Accepts everything pending on a listener and deals the fds out
+  /// round-robin over the loops (loop 0's thread only).
   void accept_ready(Loop& loop, int listen_fd);
+  void close_listeners();
   /// Moves fds parked in the inbox into this loop's connection table.
   void drain_inbox(Loop& loop);
   /// Reads everything available; returns false when the peer closed or a
@@ -183,22 +182,31 @@ class Server {
   /// pin), then flushes backlog + answers in one gathered sendmsg.
   /// Returns false on fatal write error.
   bool dispatch(Loop& loop, Conn& conn);
-  /// Writes conn.out, then `extra`, with one sendmsg per round; unsent
-  /// `extra` bytes are queued onto conn.out. False on fatal error.
+  /// Encodes an ERROR answer into `out` and counts it (error_responses).
+  void reply_error(Loop& loop, std::vector<std::uint8_t>& out,
+                   std::uint64_t id, wire::ErrorCode code,
+                   std::string message);
+  /// Encodes the answer to one in-range request into `out`.
+  void answer(Loop& loop, const host::ServedSnapshot& pinned,
+              std::uint64_t id, const wire::Request& request,
+              std::vector<std::uint8_t>& out);
+  /// The one write path: writes conn.out, then `extra`, with one sendmsg
+  /// per round, as far as the socket accepts; unsent `extra` bytes are
+  /// queued onto conn.out. False on fatal error.
   bool flush_gather(Loop& loop, Conn& conn,
                     std::span<const std::uint8_t> extra);
-  /// Writes as much of conn.out as the socket accepts; false on fatal
-  /// error.
-  bool write_ready(Loop& loop, Conn& conn);
   void close_conn(Loop& loop, std::size_t index);
   void drain_and_close_all(Loop& loop);
   std::size_t per_loop_conn_cap() const;
+  /// Adds one loop's counters into `into` (acquire loads).
+  static void accumulate(const AtomicStats& counters, ServerStats& into);
 
   host::RouteService* service_;
   ServerOptions options_;
   int bound_tcp_port_ = -1;
+  std::vector<int> listen_fds_;  ///< TCP and/or UDS; polled by loop 0
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::size_t uds_rr_ = 0;  ///< round-robin cursor; loop 0's thread only
+  std::size_t accept_rr_ = 0;  ///< round-robin cursor; loop 0's thread only
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   bool stopped_ = false;  ///< guarded by stop_mutex_

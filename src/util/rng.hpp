@@ -70,9 +70,12 @@ class Rng {
     return x_m / std::pow(u, 1.0 / alpha);
   }
 
-  /// Normal variate.
+  /// Normal variate. stddev may be 0 (a quiet measurement plane): the
+  /// draw is mean + stddev * z with z ~ N(0, 1), the same arithmetic and
+  /// the same engine draws as std::normal_distribution(mean, stddev),
+  /// which itself requires stddev > 0.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return mean + stddev * std::normal_distribution<double>()(engine_);
   }
 
   /// Log-normal variate parameterized by the underlying normal's mu/sigma.

@@ -1,106 +1,88 @@
 #include "wire/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cstring>
+#include <concepts>
+#include <type_traits>
+#include <utility>
 
 namespace egoist::wire {
 
 namespace {
 
-// Byte-at-a-time little-endian primitives: endian-independent, no
-// alignment or aliasing traps, and the compiler folds them into single
-// moves on LE targets.
+/// Constrains a field list to one payload type, const (encode) or not
+/// (decode).
+template <typename M, typename T>
+concept Of = std::same_as<std::remove_const_t<M>, T>;
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
+/// The unsigned integer as wide as T. Every field travels as the
+/// little-endian bytes of its bit pattern; doubles as their IEEE-754 bits,
+/// so NaN survives.
+template <typename T>
+using Bits = std::conditional_t<
+    sizeof(T) == 1, std::uint8_t,
+    std::conditional_t<sizeof(T) == 2, std::uint16_t,
+                       std::conditional_t<sizeof(T) == 4, std::uint32_t,
+                                          std::uint64_t>>>;
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+// Byte-at-a-time little-endian on both sides: endian-independent, no
+// alignment or aliasing traps, and the compiler folds the loops into
+// single moves on LE targets.
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+/// Appends fields to a frame. Encoders always emit kVersion, so every
+/// version-gated part of a field list is written.
+class Writer {
+ public:
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
+
+  std::uint8_t version() const { return kVersion; }
+
+  template <typename T>
+  bool operator()(const T& v) {
+    const auto bits = std::bit_cast<Bits<T>>(v);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out_->push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
+    return true;
   }
-}
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void bytes(std::span<const std::uint8_t> data) {
+    out_->insert(out_->end(), data.begin(), data.end());
   }
-}
 
-void put_i32(std::vector<std::uint8_t>& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
+ private:
+  std::vector<std::uint8_t>* out_;
+};
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked cursor over one frame's bytes. Every read_* returns
-/// false (and leaves the output untouched) instead of reading past the
-/// end, so a truncated payload can never over-read.
+/// Bounds-checked cursor over one frame's bytes. Every read returns false
+/// (and leaves the output untouched) instead of reading past the end, so a
+/// truncated payload can never over-read.
 class Reader {
  public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  explicit Reader(std::span<const std::uint8_t> bytes,
+                  std::uint8_t version = kVersion)
+      : bytes_(bytes), version_(version) {}
 
+  /// The version of the frame being read (gates v2+ appendices).
+  std::uint8_t version() const { return version_; }
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool exhausted() const { return pos_ == bytes_.size(); }
 
-  bool read_u8(std::uint8_t& v) {
-    if (remaining() < 1) return false;
-    v = bytes_[pos_++];
-    return true;
-  }
-
-  bool read_u16(std::uint16_t& v) {
-    if (remaining() < 2) return false;
-    v = static_cast<std::uint16_t>(bytes_[pos_] |
-                                   (std::uint16_t{bytes_[pos_ + 1]} << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool read_u32(std::uint32_t& v) {
-    if (remaining() < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t{bytes_[pos_ + static_cast<std::size_t>(i)]} << (8 * i);
+  template <typename T>
+  bool operator()(T& v) {
+    if (remaining() < sizeof(T)) return false;
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      bits |= std::uint64_t{bytes_[pos_ + i]} << (8 * i);
     }
-    pos_ += 4;
+    pos_ += sizeof(T);
+    v = std::bit_cast<T>(static_cast<Bits<T>>(bits));
     return true;
   }
 
-  bool read_u64(std::uint64_t& v) {
-    if (remaining() < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t{bytes_[pos_ + static_cast<std::size_t>(i)]} << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool read_i32(std::int32_t& v) {
-    std::uint32_t raw = 0;
-    if (!read_u32(raw)) return false;
-    v = static_cast<std::int32_t>(raw);
-    return true;
-  }
-
-  bool read_f64(double& v) {
-    std::uint64_t raw = 0;
-    if (!read_u64(raw)) return false;
-    v = std::bit_cast<double>(raw);
-    return true;
-  }
-
-  bool read_bytes(std::size_t len, std::span<const std::uint8_t>& out) {
+  bool bytes(std::size_t len, std::span<const std::uint8_t>& out) {
     if (remaining() < len) return false;
-    out = std::span<const std::uint8_t>(bytes_.data() + pos_, len);
+    out = bytes_.subspan(pos_, len);
     pos_ += len;
     return true;
   }
@@ -108,27 +90,174 @@ class Reader {
  private:
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
+  std::uint8_t version_;
 };
 
-void put_header(std::vector<std::uint8_t>& out, MsgType type, bool response,
-                std::uint64_t id, std::uint32_t payload_len) {
-  put_u32(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, static_cast<std::uint8_t>(type));
-  put_u16(out, response ? 1 : 0);
-  put_u64(out, id);
-  put_u32(out, payload_len);
+/// Counts the bytes a fixed-size field list covers: the stride of a list
+/// item, derived from the same field list that encodes and decodes it.
+struct Sizer {
+  std::size_t bytes = 0;
+  template <typename T>
+  constexpr bool operator()(const T&) {
+    bytes += sizeof(T);
+    return true;
+  }
+};
+
+// --- Field lists ----------------------------------------------------------
+// One function per payload type names its fields in wire order. Applied to
+// a Writer it encodes, applied to a Reader it decodes; list() and text()
+// carry the only variable-length parts.
+
+constexpr bool fields(auto& io, Of<BatchRoutePair> auto& m) {
+  return io(m.src) && io(m.dst);
+}
+
+constexpr bool fields(auto& io, Of<BatchRouteEntry> auto& m) {
+  return io(m.reachable) && io(m.next_hop) && io(m.cost);
+}
+
+constexpr bool fields(auto& io, Of<PerLoopStats> auto& m) {
+  return io(m.connections_accepted) && io(m.connections_active) &&
+         io(m.frames_in) && io(m.frames_out) && io(m.bytes_in) &&
+         io(m.bytes_out) && io(m.batches);
+}
+
+/// One list item: a number travels as itself, a struct as its field list.
+template <typename IO, typename T>
+constexpr bool item(IO& io, T& x) {
+  if constexpr (std::is_arithmetic_v<std::remove_const_t<T>>) {
+    return io(x);
+  } else {
+    return fields(io, x);
+  }
+}
+
+template <typename T>
+constexpr std::size_t wire_size() {
+  Sizer sizer;
+  T x{};
+  item(sizer, x);
+  return sizer.bytes;
+}
+
+/// Whether a list may carry zero items. Only BATCH_ROUTE rejects an empty
+/// list (both directions): an empty batch is always a framing bug.
+enum class Empty { kAllowed, kRejected };
+
+/// A u32 count, then `count` fixed-size items.
+template <typename T>
+bool list(Writer& w, const std::vector<T>& items, Empty) {
+  w(static_cast<std::uint32_t>(items.size()));
+  for (const auto& x : items) item(w, x);
+  return true;
+}
+
+/// The one hostile-count check. A list is always the last part of its
+/// payload, so its items must tile the rest of the payload exactly. The
+/// count is widened to u64 before the multiply, so a count near UINT32_MAX
+/// cannot wrap to a small product, and the exact tiling bounds the
+/// allocation by the (already size-capped) frame.
+template <typename T>
+bool list(Reader& r, std::vector<T>& items, Empty empty) {
+  std::uint32_t count = 0;
+  if (!r(count)) return false;
+  if (count == 0 && empty == Empty::kRejected) return false;
+  if (r.remaining() != std::uint64_t{count} * wire_size<T>()) return false;
+  items.resize(count);
+  for (auto& x : items) item(r, x);
+  return true;
+}
+
+/// The ERROR message: a u32 byte length, then the bytes.
+bool text(Writer& w, const std::string& s) {
+  w(static_cast<std::uint32_t>(s.size()));
+  w.bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  return true;
+}
+
+bool text(Reader& r, std::string& s) {
+  std::uint32_t len = 0;
+  std::span<const std::uint8_t> chars;
+  if (!r(len) || !r.bytes(len, chars)) return false;
+  s.assign(reinterpret_cast<const char*>(chars.data()), chars.size());
+  return true;
+}
+
+bool fields(auto&, Of<PingRequest> auto&) { return true; }
+
+bool fields(auto& io, Of<RouteRequest> auto& m) {
+  return io(m.src) && io(m.dst);
+}
+
+bool fields(auto& io, Of<PathRequest> auto& m) {
+  return io(m.src) && io(m.dst);
+}
+
+bool fields(auto& io, Of<ScoreRequest> auto& m) { return io(m.node); }
+
+bool fields(auto&, Of<StatsRequest> auto&) { return true; }
+
+bool fields(auto& io, Of<BatchRouteRequest> auto& m) {
+  return list(io, m.pairs, Empty::kRejected);
+}
+
+bool fields(auto& io, Of<PingResponse> auto& m) {
+  return io(m.node_count) && io(m.epoch) && io(m.publish_seq);
+}
+
+bool fields(auto& io, Of<RouteResponse> auto& m) {
+  return io(m.reachable) && io(m.next_hop) && io(m.cost) && io(m.epoch) &&
+         io(m.publish_seq);
+}
+
+bool fields(auto& io, Of<PathResponse> auto& m) {
+  return io(m.reachable) && io(m.cost) && io(m.epoch) &&
+         io(m.publish_seq) && list(io, m.hops, Empty::kAllowed);
+}
+
+bool fields(auto& io, Of<ScoreResponse> auto& m) {
+  return io(m.score) && io(m.epoch) && io(m.publish_seq);
+}
+
+bool fields(auto& io, Of<StatsResponse> auto& m) {
+  return io(m.node_count) && io(m.published_epoch) && io(m.publish_seq) &&
+         io(m.queries_route) && io(m.queries_path) && io(m.queries_score) &&
+         io(m.stale_served) && io(m.rows_built) && io(m.rows_discarded) &&
+         io(m.uncached_queries) && io(m.seal_violations) &&
+         io(m.retired_pending) && io(m.connections_accepted) &&
+         io(m.connections_active) && io(m.frames_in) && io(m.frames_out) &&
+         io(m.decode_errors) && io(m.error_responses) && io(m.idle_closed) &&
+         io(m.bytes_in) && io(m.bytes_out) && io(m.batches) &&
+         // v1 frames stop at the frozen 22-field prefix; v2 appends the
+         // per-loop breakdown.
+         (io.version() < 2 || list(io, m.per_loop, Empty::kAllowed));
+}
+
+bool fields(auto& io, Of<ErrorResponse> auto& m) {
+  return io(m.code) && text(io, m.message);
+}
+
+bool fields(auto& io, Of<BatchRouteResponse> auto& m) {
+  return io(m.epoch) && io(m.publish_seq) &&
+         list(io, m.entries, Empty::kRejected);
 }
 
 /// Appends header + payload; the payload length is patched in after the
-/// body writer ran, so encoders never pre-compute sizes.
-template <typename BodyFn>
+/// field list ran, so encoders never pre-compute sizes.
+template <typename M>
 void encode_frame(std::vector<std::uint8_t>& out, MsgType type, bool response,
-                  std::uint64_t id, BodyFn&& body) {
+                  std::uint64_t id, const M& msg) {
   const std::size_t header_at = out.size();
-  put_header(out, type, response, id, 0);
+  Writer w(out);
+  w(kMagic);
+  w(kVersion);
+  w(static_cast<std::uint8_t>(type));
+  w(static_cast<std::uint16_t>(response ? 1 : 0));
+  w(id);
+  w(std::uint32_t{0});
   const std::size_t payload_at = out.size();
-  body(out);
+  fields(w, msg);
   const std::uint32_t payload_len =
       static_cast<std::uint32_t>(out.size() - payload_at);
   // Patch payload_len (last 4 header bytes), little-endian.
@@ -136,6 +265,19 @@ void encode_frame(std::vector<std::uint8_t>& out, MsgType type, bool response,
     out[header_at + kHeaderSize - 4 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(payload_len >> (8 * i));
   }
+}
+
+/// Decodes `payload` as an `M` into `out`: kOk only when the field list
+/// reads it completely and exactly; `out` is untouched otherwise.
+template <typename M, typename Variant>
+DecodeStatus decode_payload(const FrameHeader& header,
+                            std::span<const std::uint8_t> payload,
+                            Variant& out) {
+  M msg;
+  Reader r(payload, header.version);
+  if (!fields(r, msg) || !r.exhausted()) return DecodeStatus::kBadPayload;
+  out = std::move(msg);
+  return DecodeStatus::kOk;
 }
 
 }  // namespace
@@ -162,151 +304,68 @@ const char* to_string(DecodeStatus status) {
 // --- Encoders -------------------------------------------------------------
 
 void encode_ping_request(std::vector<std::uint8_t>& out, std::uint64_t id) {
-  encode_frame(out, MsgType::kPing, false, id, [](auto&) {});
+  encode_frame(out, MsgType::kPing, false, id, PingRequest{});
 }
 
 void encode_route_request(std::vector<std::uint8_t>& out, std::uint64_t id,
                           const RouteRequest& req) {
-  encode_frame(out, MsgType::kRoute, false, id, [&](auto& o) {
-    put_i32(o, req.src);
-    put_i32(o, req.dst);
-  });
+  encode_frame(out, MsgType::kRoute, false, id, req);
 }
 
 void encode_path_request(std::vector<std::uint8_t>& out, std::uint64_t id,
                          const PathRequest& req) {
-  encode_frame(out, MsgType::kPath, false, id, [&](auto& o) {
-    put_i32(o, req.src);
-    put_i32(o, req.dst);
-  });
+  encode_frame(out, MsgType::kPath, false, id, req);
 }
 
 void encode_score_request(std::vector<std::uint8_t>& out, std::uint64_t id,
                           const ScoreRequest& req) {
-  encode_frame(out, MsgType::kScore, false, id,
-               [&](auto& o) { put_i32(o, req.node); });
+  encode_frame(out, MsgType::kScore, false, id, req);
 }
 
 void encode_stats_request(std::vector<std::uint8_t>& out, std::uint64_t id) {
-  encode_frame(out, MsgType::kStats, false, id, [](auto&) {});
+  encode_frame(out, MsgType::kStats, false, id, StatsRequest{});
 }
 
 void encode_batch_route_request(std::vector<std::uint8_t>& out,
                                 std::uint64_t id,
                                 const BatchRouteRequest& req) {
-  encode_frame(out, MsgType::kBatchRoute, false, id, [&](auto& o) {
-    put_u32(o, static_cast<std::uint32_t>(req.pairs.size()));
-    for (const auto& pair : req.pairs) {
-      put_i32(o, pair.src);
-      put_i32(o, pair.dst);
-    }
-  });
+  encode_frame(out, MsgType::kBatchRoute, false, id, req);
 }
 
 void encode_ping_response(std::vector<std::uint8_t>& out, std::uint64_t id,
                           const PingResponse& resp) {
-  encode_frame(out, MsgType::kPing, true, id, [&](auto& o) {
-    put_u32(o, resp.node_count);
-    put_i32(o, resp.epoch);
-    put_u64(o, resp.publish_seq);
-  });
+  encode_frame(out, MsgType::kPing, true, id, resp);
 }
 
 void encode_route_response(std::vector<std::uint8_t>& out, std::uint64_t id,
                            const RouteResponse& resp) {
-  encode_frame(out, MsgType::kRoute, true, id, [&](auto& o) {
-    put_u8(o, resp.reachable);
-    put_i32(o, resp.next_hop);
-    put_f64(o, resp.cost);
-    put_i32(o, resp.epoch);
-    put_u64(o, resp.publish_seq);
-  });
+  encode_frame(out, MsgType::kRoute, true, id, resp);
 }
 
 void encode_path_response(std::vector<std::uint8_t>& out, std::uint64_t id,
                           const PathResponse& resp) {
-  encode_frame(out, MsgType::kPath, true, id, [&](auto& o) {
-    put_u8(o, resp.reachable);
-    put_f64(o, resp.cost);
-    put_i32(o, resp.epoch);
-    put_u64(o, resp.publish_seq);
-    put_u32(o, static_cast<std::uint32_t>(resp.hops.size()));
-    for (const std::int32_t hop : resp.hops) put_i32(o, hop);
-  });
+  encode_frame(out, MsgType::kPath, true, id, resp);
 }
 
 void encode_score_response(std::vector<std::uint8_t>& out, std::uint64_t id,
                            const ScoreResponse& resp) {
-  encode_frame(out, MsgType::kScore, true, id, [&](auto& o) {
-    put_f64(o, resp.score);
-    put_i32(o, resp.epoch);
-    put_u64(o, resp.publish_seq);
-  });
+  encode_frame(out, MsgType::kScore, true, id, resp);
 }
 
 void encode_stats_response(std::vector<std::uint8_t>& out, std::uint64_t id,
                            const StatsResponse& resp) {
-  encode_frame(out, MsgType::kStats, true, id, [&](auto& o) {
-    put_u32(o, resp.node_count);
-    put_i32(o, resp.published_epoch);
-    put_u64(o, resp.publish_seq);
-    put_u64(o, resp.queries_route);
-    put_u64(o, resp.queries_path);
-    put_u64(o, resp.queries_score);
-    put_u64(o, resp.stale_served);
-    put_u64(o, resp.rows_built);
-    put_u64(o, resp.rows_discarded);
-    put_u64(o, resp.uncached_queries);
-    put_u64(o, resp.seal_violations);
-    put_u64(o, resp.retired_pending);
-    put_u64(o, resp.connections_accepted);
-    put_u64(o, resp.connections_active);
-    put_u64(o, resp.frames_in);
-    put_u64(o, resp.frames_out);
-    put_u64(o, resp.decode_errors);
-    put_u64(o, resp.error_responses);
-    put_u64(o, resp.idle_closed);
-    put_u64(o, resp.bytes_in);
-    put_u64(o, resp.bytes_out);
-    put_u64(o, resp.batches);
-    // v2 appendix: the per-loop breakdown after the frozen 22-field prefix.
-    put_u32(o, static_cast<std::uint32_t>(resp.per_loop.size()));
-    for (const auto& loop : resp.per_loop) {
-      put_u64(o, loop.connections_accepted);
-      put_u64(o, loop.connections_active);
-      put_u64(o, loop.frames_in);
-      put_u64(o, loop.frames_out);
-      put_u64(o, loop.bytes_in);
-      put_u64(o, loop.bytes_out);
-      put_u64(o, loop.batches);
-    }
-  });
+  encode_frame(out, MsgType::kStats, true, id, resp);
 }
 
 void encode_error_response(std::vector<std::uint8_t>& out, std::uint64_t id,
                            const ErrorResponse& resp) {
-  encode_frame(out, MsgType::kError, true, id, [&](auto& o) {
-    put_u16(o, resp.code);
-    put_u32(o, static_cast<std::uint32_t>(resp.message.size()));
-    for (const char c : resp.message) {
-      put_u8(o, static_cast<std::uint8_t>(c));
-    }
-  });
+  encode_frame(out, MsgType::kError, true, id, resp);
 }
 
 void encode_batch_route_response(std::vector<std::uint8_t>& out,
                                  std::uint64_t id,
                                  const BatchRouteResponse& resp) {
-  encode_frame(out, MsgType::kBatchRoute, true, id, [&](auto& o) {
-    put_i32(o, resp.epoch);
-    put_u64(o, resp.publish_seq);
-    put_u32(o, static_cast<std::uint32_t>(resp.entries.size()));
-    for (const auto& entry : resp.entries) {
-      put_u8(o, entry.reachable);
-      put_i32(o, entry.next_hop);
-      put_f64(o, entry.cost);
-    }
-  });
+  encode_frame(out, MsgType::kBatchRoute, true, id, resp);
 }
 
 // --- Decoders -------------------------------------------------------------
@@ -323,12 +382,12 @@ HeaderDecode decode_header(std::span<const std::uint8_t> bytes,
   std::uint8_t version = 0;
   std::uint8_t type = 0;
   std::uint16_t flags = 0;
-  r.read_u32(magic);
-  r.read_u8(version);
-  r.read_u8(type);
-  r.read_u16(flags);
-  r.read_u64(out.header.request_id);
-  r.read_u32(out.header.payload_len);
+  r(magic);
+  r(version);
+  r(type);
+  r(flags);
+  r(out.header.request_id);
+  r(out.header.payload_len);
   if (magic != kMagic) {
     out.status = DecodeStatus::kBadMagic;
     return out;
@@ -370,69 +429,30 @@ RequestDecode decode_request(const FrameHeader& header,
     out.status = DecodeStatus::kBadType;
     return out;
   }
-  if (payload.size() != header.payload_len) {
-    out.status = DecodeStatus::kBadPayload;
-    return out;
-  }
-  Reader r(payload);
+  if (payload.size() != header.payload_len) return out;
+  auto& req = out.request;
   switch (header.type) {
-    case MsgType::kPing: {
-      if (!r.exhausted()) return out;
-      out.request = PingRequest{};
+    case MsgType::kPing:
+      out.status = decode_payload<PingRequest>(header, payload, req);
       break;
-    }
-    case MsgType::kRoute: {
-      RouteRequest req;
-      if (!r.read_i32(req.src) || !r.read_i32(req.dst) || !r.exhausted()) {
-        return out;
-      }
-      out.request = req;
+    case MsgType::kRoute:
+      out.status = decode_payload<RouteRequest>(header, payload, req);
       break;
-    }
-    case MsgType::kPath: {
-      PathRequest req;
-      if (!r.read_i32(req.src) || !r.read_i32(req.dst) || !r.exhausted()) {
-        return out;
-      }
-      out.request = req;
+    case MsgType::kPath:
+      out.status = decode_payload<PathRequest>(header, payload, req);
       break;
-    }
-    case MsgType::kScore: {
-      ScoreRequest req;
-      if (!r.read_i32(req.node) || !r.exhausted()) return out;
-      out.request = req;
+    case MsgType::kScore:
+      out.status = decode_payload<ScoreRequest>(header, payload, req);
       break;
-    }
-    case MsgType::kStats: {
-      if (!r.exhausted()) return out;
-      out.request = StatsRequest{};
+    case MsgType::kStats:
+      out.status = decode_payload<StatsRequest>(header, payload, req);
       break;
-    }
-    case MsgType::kBatchRoute: {
-      BatchRouteRequest req;
-      std::uint32_t count = 0;
-      if (!r.read_u32(count)) return out;
-      // Reject empty batches and require the pair list to tile the
-      // remaining payload exactly. The count is widened to u64 before the
-      // multiply so a hostile count near UINT32_MAX cannot wrap to a small
-      // product; the remaining() equality also bounds the reserve by the
-      // (already size-capped) frame, mirroring the PATH hop-list proof.
-      if (count == 0) return out;
-      if (r.remaining() != std::uint64_t{count} * 8) return out;
-      req.pairs.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        BatchRoutePair pair;
-        if (!r.read_i32(pair.src) || !r.read_i32(pair.dst)) return out;
-        req.pairs.push_back(pair);
-      }
-      if (!r.exhausted()) return out;
-      out.request = std::move(req);
+    case MsgType::kBatchRoute:
+      out.status = decode_payload<BatchRouteRequest>(header, payload, req);
       break;
-    }
     case MsgType::kError:
-      return out;  // unreachable (rejected above)
+      break;  // unreachable (rejected above)
   }
-  out.status = DecodeStatus::kOk;
   return out;
 }
 
@@ -443,142 +463,31 @@ ResponseDecode decode_response(const FrameHeader& header,
     out.status = DecodeStatus::kBadType;
     return out;
   }
-  if (payload.size() != header.payload_len) {
-    out.status = DecodeStatus::kBadPayload;
-    return out;
-  }
-  Reader r(payload);
+  if (payload.size() != header.payload_len) return out;
+  auto& resp = out.response;
   switch (header.type) {
-    case MsgType::kPing: {
-      PingResponse resp;
-      if (!r.read_u32(resp.node_count) || !r.read_i32(resp.epoch) ||
-          !r.read_u64(resp.publish_seq) || !r.exhausted()) {
-        return out;
-      }
-      out.response = resp;
+    case MsgType::kPing:
+      out.status = decode_payload<PingResponse>(header, payload, resp);
       break;
-    }
-    case MsgType::kRoute: {
-      RouteResponse resp;
-      if (!r.read_u8(resp.reachable) || !r.read_i32(resp.next_hop) ||
-          !r.read_f64(resp.cost) || !r.read_i32(resp.epoch) ||
-          !r.read_u64(resp.publish_seq) || !r.exhausted()) {
-        return out;
-      }
-      out.response = resp;
+    case MsgType::kRoute:
+      out.status = decode_payload<RouteResponse>(header, payload, resp);
       break;
-    }
-    case MsgType::kPath: {
-      PathResponse resp;
-      std::uint32_t hop_count = 0;
-      if (!r.read_u8(resp.reachable) || !r.read_f64(resp.cost) ||
-          !r.read_i32(resp.epoch) || !r.read_u64(resp.publish_seq) ||
-          !r.read_u32(hop_count)) {
-        return out;
-      }
-      // Hop list length must tile the remaining payload exactly; the
-      // remaining() check also caps the reserve, so a hostile hop_count
-      // cannot force an allocation beyond the (already bounded) frame.
-      if (r.remaining() != std::size_t{hop_count} * 4) return out;
-      resp.hops.reserve(hop_count);
-      for (std::uint32_t i = 0; i < hop_count; ++i) {
-        std::int32_t hop = 0;
-        if (!r.read_i32(hop)) return out;
-        resp.hops.push_back(hop);
-      }
-      if (!r.exhausted()) return out;
-      out.response = std::move(resp);
+    case MsgType::kPath:
+      out.status = decode_payload<PathResponse>(header, payload, resp);
       break;
-    }
-    case MsgType::kScore: {
-      ScoreResponse resp;
-      if (!r.read_f64(resp.score) || !r.read_i32(resp.epoch) ||
-          !r.read_u64(resp.publish_seq) || !r.exhausted()) {
-        return out;
-      }
-      out.response = resp;
+    case MsgType::kScore:
+      out.status = decode_payload<ScoreResponse>(header, payload, resp);
       break;
-    }
-    case MsgType::kStats: {
-      StatsResponse resp;
-      if (!r.read_u32(resp.node_count) || !r.read_i32(resp.published_epoch) ||
-          !r.read_u64(resp.publish_seq) || !r.read_u64(resp.queries_route) ||
-          !r.read_u64(resp.queries_path) || !r.read_u64(resp.queries_score) ||
-          !r.read_u64(resp.stale_served) || !r.read_u64(resp.rows_built) ||
-          !r.read_u64(resp.rows_discarded) ||
-          !r.read_u64(resp.uncached_queries) ||
-          !r.read_u64(resp.seal_violations) ||
-          !r.read_u64(resp.retired_pending) ||
-          !r.read_u64(resp.connections_accepted) ||
-          !r.read_u64(resp.connections_active) ||
-          !r.read_u64(resp.frames_in) || !r.read_u64(resp.frames_out) ||
-          !r.read_u64(resp.decode_errors) ||
-          !r.read_u64(resp.error_responses) || !r.read_u64(resp.idle_closed) ||
-          !r.read_u64(resp.bytes_in) || !r.read_u64(resp.bytes_out) ||
-          !r.read_u64(resp.batches)) {
-        return out;
-      }
-      // v1 frames stop at the frozen 22-field prefix; v2 appends the
-      // per-loop breakdown (u32 loop count + 7 u64 per loop).
-      if (header.version >= 2) {
-        std::uint32_t loop_count = 0;
-        if (!r.read_u32(loop_count)) return out;
-        if (r.remaining() != std::uint64_t{loop_count} * 56) return out;
-        resp.per_loop.reserve(loop_count);
-        for (std::uint32_t i = 0; i < loop_count; ++i) {
-          PerLoopStats loop;
-          if (!r.read_u64(loop.connections_accepted) ||
-              !r.read_u64(loop.connections_active) ||
-              !r.read_u64(loop.frames_in) || !r.read_u64(loop.frames_out) ||
-              !r.read_u64(loop.bytes_in) || !r.read_u64(loop.bytes_out) ||
-              !r.read_u64(loop.batches)) {
-            return out;
-          }
-          resp.per_loop.push_back(loop);
-        }
-      }
-      if (!r.exhausted()) return out;
-      out.response = std::move(resp);
+    case MsgType::kStats:
+      out.status = decode_payload<StatsResponse>(header, payload, resp);
       break;
-    }
-    case MsgType::kError: {
-      ErrorResponse resp;
-      std::uint32_t len = 0;
-      if (!r.read_u16(resp.code) || !r.read_u32(len)) return out;
-      std::span<const std::uint8_t> text;
-      if (!r.read_bytes(len, text) || !r.exhausted()) return out;
-      resp.message.assign(reinterpret_cast<const char*>(text.data()),
-                          text.size());
-      out.response = std::move(resp);
+    case MsgType::kError:
+      out.status = decode_payload<ErrorResponse>(header, payload, resp);
       break;
-    }
-    case MsgType::kBatchRoute: {
-      BatchRouteResponse resp;
-      std::uint32_t count = 0;
-      if (!r.read_i32(resp.epoch) || !r.read_u64(resp.publish_seq) ||
-          !r.read_u32(count)) {
-        return out;
-      }
-      // Same hostile-count discipline as the request side: widen before
-      // multiplying (13-byte entries) and demand exact tiling so the
-      // reserve stays bounded by the frame size.
-      if (count == 0) return out;
-      if (r.remaining() != std::uint64_t{count} * 13) return out;
-      resp.entries.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        BatchRouteEntry entry;
-        if (!r.read_u8(entry.reachable) || !r.read_i32(entry.next_hop) ||
-            !r.read_f64(entry.cost)) {
-          return out;
-        }
-        resp.entries.push_back(entry);
-      }
-      if (!r.exhausted()) return out;
-      out.response = std::move(resp);
+    case MsgType::kBatchRoute:
+      out.status = decode_payload<BatchRouteResponse>(header, payload, resp);
       break;
-    }
   }
-  out.status = DecodeStatus::kOk;
   return out;
 }
 

@@ -25,6 +25,12 @@
 // exactly payload_len bytes is rejected (kBadPayload). kNeedMore is not an
 // error — it tells a streaming caller to buffer more bytes.
 //
+// Each payload layout is written once: protocol.cpp holds one field list
+// per payload type that drives both its encoder and its decoder, and one
+// list helper owns every count-prefixed list (u32 count, exact tiling of
+// the rest of the payload, u64 multiply). The encode_* functions and
+// decode_request/decode_response below are thin wrappers over them.
+//
 // Versioning rule: the header layout (magic through payload_len) is frozen
 // forever; bumping kVersion is reserved for payload-format changes. A
 // receiver speaks the half-open range [kMinVersion, kVersion]: frames

@@ -133,7 +133,6 @@ TEST(AuditTest, AuditsNeutralizeInflatedAnnouncements) {
     config.cheaters = {2};
     config.cheat_factor = 4.0;
     config.enable_audits = audits;
-    config.audit_tolerance = 1.5;
     EgoistNetwork net(env, config);
     for (int e = 0; e < 6; ++e) {
       env.advance(60.0);

@@ -294,9 +294,35 @@ TEST(RpcServer, MultiLoopServesBothTransportsAndAggregatesExactly) {
   for (std::size_t i = 0; i < per_loop.size(); ++i) {
     EXPECT_GE(per_loop[i].connections_accepted, 1u) << "loop " << i;
   }
+  // TCP takes the same round-robin as UDS, so the 9 connections of both
+  // transports deal out 3/2/2/2: no loop is left with fewer than 2.
+  for (std::size_t i = 0; i < per_loop.size(); ++i) {
+    EXPECT_GE(per_loop[i].connections_accepted, 2u) << "loop " << i;
+    EXPECT_LE(per_loop[i].connections_accepted, 3u) << "loop " << i;
+  }
   EXPECT_EQ(agg.decode_errors, 0u);
   EXPECT_EQ(agg.error_responses, 0u);
   EXPECT_TRUE(stack.service->drain(5.0));
+}
+
+TEST(RpcServer, TcpClientsLandOnePerLoop) {
+  // Loop 0 deals TCP accepts round-robin, exactly as it deals UDS ones:
+  // four sequential TCP clients on a four-loop server get one loop each.
+  ServerOptions options;
+  options.loops = 4;
+  Stack stack(16, options);
+  std::vector<Client> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(stack.tcp());
+    EXPECT_EQ(clients.back().ping().node_count, 16u);
+  }
+  stack.server->stop();
+  const auto per_loop = stack.server->per_loop_stats();
+  ASSERT_EQ(per_loop.size(), 4u);
+  for (std::size_t i = 0; i < per_loop.size(); ++i) {
+    EXPECT_EQ(per_loop[i].connections_accepted, 1u) << "loop " << i;
+    EXPECT_EQ(per_loop[i].frames_in, 1u) << "loop " << i;
+  }
 }
 
 TEST(RpcServer, MultiLoopShutdownDrainsEveryLoop) {
@@ -553,6 +579,31 @@ TEST(RpcServer, StopUnblocksInFlightPipelinedClientPromptly) {
   }
   stopper.join();
   EXPECT_TRUE(stack.service->drain(5.0));
+}
+
+TEST(RpcClient, SimpleCallWithPipelinedResponsesOutstandingThrows) {
+  Stack stack;
+  auto client = stack.uds();
+  client.post_route(0, 1);
+  client.post_score(2);
+  // Every simple call refuses before it queues anything, so the
+  // outstanding responses stay first in line.
+  EXPECT_THROW((void)client.ping(), RpcError);
+  EXPECT_THROW((void)client.route(0, 1), RpcError);
+  EXPECT_THROW((void)client.path(0, 1), RpcError);
+  EXPECT_THROW((void)client.score(2), RpcError);
+  EXPECT_THROW((void)client.stats(), RpcError);
+  EXPECT_THROW((void)client.route_batch({{0, 1}}), RpcError);
+  EXPECT_EQ(client.outstanding(), 2u);
+
+  const auto route = client.take_route();
+  EXPECT_EQ(route.next_hop, stack.service->route(0, 1).next_hop);
+  const auto score = client.take_score();
+  EXPECT_EQ(score.publish_seq, route.publish_seq);
+  EXPECT_EQ(client.outstanding(), 0u);
+  // Drained: simple calls work again on the same connection.
+  EXPECT_EQ(client.ping().node_count, 16u);
+  EXPECT_EQ(stack.server->stats().frames_in, 3u);
 }
 
 TEST(RpcServer, ServerRequiresAListener) {

@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 namespace egoist::wire {
@@ -483,6 +485,339 @@ TEST(WireCodec, EncodersAppendWithoutClobbering) {
       std::span<const std::uint8_t>(bytes).subspan(first_len));
   ASSERT_EQ(hd2.status, DecodeStatus::kOk);
   EXPECT_EQ(hd2.header.request_id, 2u);
+}
+
+// --- Golden frames --------------------------------------------------------
+// The exact bytes of one frame per request and response type, written out
+// field by field from the layout in wire/protocol.hpp (header: magic,
+// version, type, flags, request_id, payload_len). Round trips only prove
+// the codec agrees with itself; these pin what goes on the wire.
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> unhex(const std::string& text) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i + 1 < text.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(text.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+/// The 20 u64 counters of the frozen STATS prefix, in wire order (after
+/// node_count and published_epoch).
+constexpr std::uint64_t StatsResponse::*kStatsCounters[] = {
+    &StatsResponse::publish_seq,          &StatsResponse::queries_route,
+    &StatsResponse::queries_path,         &StatsResponse::queries_score,
+    &StatsResponse::stale_served,         &StatsResponse::rows_built,
+    &StatsResponse::rows_discarded,       &StatsResponse::uncached_queries,
+    &StatsResponse::seal_violations,      &StatsResponse::retired_pending,
+    &StatsResponse::connections_accepted, &StatsResponse::connections_active,
+    &StatsResponse::frames_in,            &StatsResponse::frames_out,
+    &StatsResponse::decode_errors,        &StatsResponse::error_responses,
+    &StatsResponse::idle_closed,          &StatsResponse::bytes_in,
+    &StatsResponse::bytes_out,            &StatsResponse::batches,
+};
+
+/// The 7 u64 counters of one v2 per-loop entry, in wire order.
+constexpr std::uint64_t PerLoopStats::*kLoopCounters[] = {
+    &PerLoopStats::connections_accepted, &PerLoopStats::connections_active,
+    &PerLoopStats::frames_in,            &PerLoopStats::frames_out,
+    &PerLoopStats::bytes_in,             &PerLoopStats::bytes_out,
+    &PerLoopStats::batches,
+};
+
+/// node_count 2000, published_epoch 11, prefix counters 101..120 and, for
+/// loop l, per-loop counters 201 + 100 l .. 207 + 100 l.
+StatsResponse golden_stats(std::size_t loops) {
+  StatsResponse s;
+  s.node_count = 2000;
+  s.published_epoch = 11;
+  for (std::size_t i = 0; i < std::size(kStatsCounters); ++i) {
+    s.*kStatsCounters[i] = 101 + i;
+  }
+  s.per_loop.resize(loops);
+  for (std::size_t l = 0; l < loops; ++l) {
+    for (std::size_t j = 0; j < std::size(kLoopCounters); ++j) {
+      s.per_loop[l].*kLoopCounters[j] = 201 + 100 * l + j;
+    }
+  }
+  return s;
+}
+
+void expect_golden_stats(const StatsResponse& out, std::size_t loops) {
+  const StatsResponse want = golden_stats(loops);
+  EXPECT_EQ(out.node_count, want.node_count);
+  EXPECT_EQ(out.published_epoch, want.published_epoch);
+  for (const auto counter : kStatsCounters) {
+    EXPECT_EQ(out.*counter, want.*counter);
+  }
+  ASSERT_EQ(out.per_loop.size(), loops);
+  for (std::size_t l = 0; l < loops; ++l) {
+    for (const auto counter : kLoopCounters) {
+      EXPECT_EQ(out.per_loop[l].*counter, want.per_loop[l].*counter);
+    }
+  }
+}
+
+constexpr char kStatsPrefixHex[] =
+    "d0070000" "0b000000"  // node_count 2000, published_epoch 11
+    "6500000000000000" "6600000000000000" "6700000000000000"
+    "6800000000000000" "6900000000000000" "6a00000000000000"
+    "6b00000000000000" "6c00000000000000" "6d00000000000000"
+    "6e00000000000000" "6f00000000000000" "7000000000000000"
+    "7100000000000000" "7200000000000000" "7300000000000000"
+    "7400000000000000" "7500000000000000" "7600000000000000"
+    "7700000000000000" "7800000000000000";
+
+TEST(WireGolden, PingFrames) {
+  const std::string request =
+      "45474f52" "02" "01" "0000" "0100000000000000" "00000000";
+  const std::string response =
+      "45474f52" "02" "01" "0100" "0100000000000000" "10000000"
+      "10270000" "2a000000" "6300000000000000";
+  std::vector<std::uint8_t> bytes;
+  encode_ping_request(bytes, 1);
+  EXPECT_EQ(hex(bytes), request);
+  bytes.clear();
+  encode_ping_response(bytes, 1, {10000, 42, 99});
+  EXPECT_EQ(hex(bytes), response);
+
+  const auto req_bytes = unhex(request);
+  const auto f = split(req_bytes);
+  const auto req = decode_request(f.header, f.payload);
+  ASSERT_EQ(req.status, DecodeStatus::kOk);
+  EXPECT_TRUE(std::holds_alternative<PingRequest>(req.request));
+  const auto resp_bytes = unhex(response);
+  const auto rf = split(resp_bytes);
+  const auto resp = decode_response(rf.header, rf.payload);
+  ASSERT_EQ(resp.status, DecodeStatus::kOk);
+  const auto& out = std::get<PingResponse>(resp.response);
+  EXPECT_EQ(out.node_count, 10000u);
+  EXPECT_EQ(out.epoch, 42);
+  EXPECT_EQ(out.publish_seq, 99u);
+}
+
+TEST(WireGolden, RouteFrames) {
+  const std::string request =
+      "45474f52" "02" "02" "0000" "0200000000000000" "08000000"
+      "7b000000" "ffffffff";
+  const std::string response =
+      "45474f52" "02" "02" "0100" "0200000000000000" "19000000"
+      "01" "11000000" "0000000000000a40" "feffffff" "0000000000010000";
+  std::vector<std::uint8_t> bytes;
+  encode_route_request(bytes, 2, {123, -1});
+  EXPECT_EQ(hex(bytes), request);
+  bytes.clear();
+  encode_route_response(bytes, 2, {1, 17, 3.25, -2, 1ull << 40});
+  EXPECT_EQ(hex(bytes), response);
+
+  const auto req_bytes = unhex(request);
+  const auto f = split(req_bytes);
+  const auto req = decode_request(f.header, f.payload);
+  ASSERT_EQ(req.status, DecodeStatus::kOk);
+  EXPECT_EQ(std::get<RouteRequest>(req.request).src, 123);
+  EXPECT_EQ(std::get<RouteRequest>(req.request).dst, -1);
+  const auto resp_bytes = unhex(response);
+  const auto rf = split(resp_bytes);
+  const auto resp = decode_response(rf.header, rf.payload);
+  ASSERT_EQ(resp.status, DecodeStatus::kOk);
+  const auto& out = std::get<RouteResponse>(resp.response);
+  EXPECT_EQ(out.reachable, 1);
+  EXPECT_EQ(out.next_hop, 17);
+  EXPECT_EQ(out.cost, 3.25);
+  EXPECT_EQ(out.epoch, -2);
+  EXPECT_EQ(out.publish_seq, 1ull << 40);
+}
+
+TEST(WireGolden, PathFramesWithAndWithoutHops) {
+  const std::string request =
+      "45474f52" "02" "03" "0000" "0300000000000000" "08000000"
+      "04000000" "09000000";
+  const std::string with_hops =
+      "45474f52" "02" "03" "0100" "0300000000000000" "29000000"
+      "01" "0000000000002940" "03000000" "0800000000000000"
+      "04000000" "04000000" "05000000" "02000000" "09000000";
+  const std::string without_hops =
+      "45474f52" "02" "03" "0100" "0400000000000000" "19000000"
+      "00" "000000000000f07f" "03000000" "0800000000000000" "00000000";
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::uint8_t> bytes;
+  encode_path_request(bytes, 3, {4, 9});
+  EXPECT_EQ(hex(bytes), request);
+  bytes.clear();
+  encode_path_response(bytes, 3, {1, 12.5, 3, 8, {4, 5, 2, 9}});
+  EXPECT_EQ(hex(bytes), with_hops);
+  bytes.clear();
+  encode_path_response(bytes, 4, {0, inf, 3, 8, {}});
+  EXPECT_EQ(hex(bytes), without_hops);
+
+  const auto req_bytes = unhex(request);
+  const auto f = split(req_bytes);
+  const auto req = decode_request(f.header, f.payload);
+  ASSERT_EQ(req.status, DecodeStatus::kOk);
+  EXPECT_EQ(std::get<PathRequest>(req.request).src, 4);
+  EXPECT_EQ(std::get<PathRequest>(req.request).dst, 9);
+  const auto hops_bytes = unhex(with_hops);
+  const auto hf = split(hops_bytes);
+  const auto hops = decode_response(hf.header, hf.payload);
+  ASSERT_EQ(hops.status, DecodeStatus::kOk);
+  const auto& reachable = std::get<PathResponse>(hops.response);
+  EXPECT_EQ(reachable.reachable, 1);
+  EXPECT_EQ(reachable.cost, 12.5);
+  EXPECT_EQ(reachable.epoch, 3);
+  EXPECT_EQ(reachable.publish_seq, 8u);
+  EXPECT_EQ(reachable.hops, (std::vector<std::int32_t>{4, 5, 2, 9}));
+  const auto none_bytes = unhex(without_hops);
+  const auto nf = split(none_bytes);
+  const auto none = decode_response(nf.header, nf.payload);
+  ASSERT_EQ(none.status, DecodeStatus::kOk);
+  const auto& unreachable = std::get<PathResponse>(none.response);
+  EXPECT_EQ(unreachable.reachable, 0);
+  EXPECT_EQ(unreachable.cost, inf);
+  EXPECT_TRUE(unreachable.hops.empty());
+}
+
+TEST(WireGolden, ScoreFrames) {
+  const std::string request =
+      "45474f52" "02" "04" "0000" "0500000000000000" "04000000"
+      "07000000";
+  const std::string response =
+      "45474f52" "02" "04" "0100" "0500000000000000" "14000000"
+      "000000000000f8bf" "06000000" "4d00000000000000";
+  std::vector<std::uint8_t> bytes;
+  encode_score_request(bytes, 5, {7});
+  EXPECT_EQ(hex(bytes), request);
+  bytes.clear();
+  encode_score_response(bytes, 5, {-1.5, 6, 77});
+  EXPECT_EQ(hex(bytes), response);
+
+  const auto req_bytes = unhex(request);
+  const auto f = split(req_bytes);
+  const auto req = decode_request(f.header, f.payload);
+  ASSERT_EQ(req.status, DecodeStatus::kOk);
+  EXPECT_EQ(std::get<ScoreRequest>(req.request).node, 7);
+  const auto resp_bytes = unhex(response);
+  const auto rf = split(resp_bytes);
+  const auto resp = decode_response(rf.header, rf.payload);
+  ASSERT_EQ(resp.status, DecodeStatus::kOk);
+  const auto& out = std::get<ScoreResponse>(resp.response);
+  EXPECT_EQ(out.score, -1.5);
+  EXPECT_EQ(out.epoch, 6);
+  EXPECT_EQ(out.publish_seq, 77u);
+}
+
+TEST(WireGolden, StatsFramesWithTwoLoops) {
+  const std::string request =
+      "45474f52" "02" "05" "0000" "0600000000000000" "00000000";
+  const std::string response =
+      std::string("45474f52" "02" "05" "0100" "0600000000000000" "1c010000") +
+      kStatsPrefixHex +
+      "02000000"  // loop count
+      "c900000000000000" "ca00000000000000" "cb00000000000000"
+      "cc00000000000000" "cd00000000000000" "ce00000000000000"
+      "cf00000000000000"
+      "2d01000000000000" "2e01000000000000" "2f01000000000000"
+      "3001000000000000" "3101000000000000" "3201000000000000"
+      "3301000000000000";
+  std::vector<std::uint8_t> bytes;
+  encode_stats_request(bytes, 6);
+  EXPECT_EQ(hex(bytes), request);
+  bytes.clear();
+  encode_stats_response(bytes, 6, golden_stats(2));
+  EXPECT_EQ(hex(bytes), response);
+
+  const auto req_bytes = unhex(request);
+  const auto f = split(req_bytes);
+  const auto req = decode_request(f.header, f.payload);
+  ASSERT_EQ(req.status, DecodeStatus::kOk);
+  EXPECT_TRUE(std::holds_alternative<StatsRequest>(req.request));
+  const auto resp_bytes = unhex(response);
+  const auto rf = split(resp_bytes);
+  const auto resp = decode_response(rf.header, rf.payload);
+  ASSERT_EQ(resp.status, DecodeStatus::kOk);
+  expect_golden_stats(std::get<StatsResponse>(resp.response), 2);
+}
+
+TEST(WireGolden, HandBuiltV1StatsFrameDecodesWithoutPerLoop) {
+  // What a version-1 peer sends: the 22-field prefix and nothing after it.
+  const auto bytes = unhex(
+      std::string("45474f52" "01" "05" "0100" "0900000000000000" "a8000000") +
+      kStatsPrefixHex);
+  const auto f = split(bytes);
+  EXPECT_EQ(f.header.version, 1);
+  const auto resp = decode_response(f.header, f.payload);
+  ASSERT_EQ(resp.status, DecodeStatus::kOk);
+  expect_golden_stats(std::get<StatsResponse>(resp.response), 0);
+}
+
+TEST(WireGolden, ErrorFrame) {
+  const std::string response =
+      "45474f52" "02" "06" "0100" "0700000000000000" "1a000000"
+      "0300" "14000000"
+      "6e6f6465206964206f7574206f662072616e6765";  // "node id out of range"
+  std::vector<std::uint8_t> bytes;
+  encode_error_response(bytes, 7, {3, "node id out of range"});
+  EXPECT_EQ(hex(bytes), response);
+
+  const auto resp_bytes = unhex(response);
+  const auto rf = split(resp_bytes);
+  const auto resp = decode_response(rf.header, rf.payload);
+  ASSERT_EQ(resp.status, DecodeStatus::kOk);
+  const auto& out = std::get<ErrorResponse>(resp.response);
+  EXPECT_EQ(out.code, 3);
+  EXPECT_EQ(out.message, "node id out of range");
+}
+
+TEST(WireGolden, BatchRouteFramesBothDirections) {
+  const std::string request =
+      "45474f52" "02" "07" "0000" "0800000000000000" "14000000"
+      "02000000" "01000000" "02000000" "03000000" "fcffffff";
+  const std::string response =
+      "45474f52" "02" "07" "0100" "0800000000000000" "2a000000"
+      "05000000" "0600000000000000" "02000000"
+      "01" "02000000" "000000000000d03f"
+      "00" "ffffffff" "000000000000f07f";
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::uint8_t> bytes;
+  encode_batch_route_request(bytes, 8, {{{1, 2}, {3, -4}}});
+  EXPECT_EQ(hex(bytes), request);
+  bytes.clear();
+  encode_batch_route_response(bytes, 8, {5, 6, {{1, 2, 0.25}, {0, -1, inf}}});
+  EXPECT_EQ(hex(bytes), response);
+
+  const auto req_bytes = unhex(request);
+  const auto f = split(req_bytes);
+  const auto req = decode_request(f.header, f.payload);
+  ASSERT_EQ(req.status, DecodeStatus::kOk);
+  const auto& pairs = std::get<BatchRouteRequest>(req.request).pairs;
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0].src, 1);
+  EXPECT_EQ(pairs[0].dst, 2);
+  EXPECT_EQ(pairs[1].src, 3);
+  EXPECT_EQ(pairs[1].dst, -4);
+  const auto resp_bytes = unhex(response);
+  const auto rf = split(resp_bytes);
+  const auto resp = decode_response(rf.header, rf.payload);
+  ASSERT_EQ(resp.status, DecodeStatus::kOk);
+  const auto& out = std::get<BatchRouteResponse>(resp.response);
+  EXPECT_EQ(out.epoch, 5);
+  EXPECT_EQ(out.publish_seq, 6u);
+  ASSERT_EQ(out.entries.size(), 2u);
+  EXPECT_EQ(out.entries[0].reachable, 1);
+  EXPECT_EQ(out.entries[0].next_hop, 2);
+  EXPECT_EQ(out.entries[0].cost, 0.25);
+  EXPECT_EQ(out.entries[1].reachable, 0);
+  EXPECT_EQ(out.entries[1].next_hop, -1);
+  EXPECT_EQ(out.entries[1].cost, inf);
 }
 
 }  // namespace
