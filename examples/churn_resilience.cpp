@@ -86,9 +86,10 @@ int main(int argc, char** argv) try {
 
   table.write_ascii(std::cout);
   std::cout << "\nHybridBR donates 2 of its " << k
-            << " links to a heartbeat-monitored backbone cycle; under heavy\n"
-               "churn those redundant routes keep efficiency up while plain "
-               "BR waits for\nits next wiring epoch to heal.\n";
+            << " links to a backbone cycle that is spliced the moment a\n"
+               "node leaves; under heavy churn those redundant routes keep "
+               "efficiency up\nwhile plain BR waits for its next wiring "
+               "epoch to heal.\n";
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';

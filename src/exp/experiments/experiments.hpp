@@ -20,7 +20,6 @@ void run_fig10_multipath_bw(const ParamReader& params, ResultSink& sink);
 void run_fig11_disjoint_paths(const ParamReader& params, ResultSink& sink);
 void run_overhead_accounting(const ParamReader& params, ResultSink& sink);
 void run_ablation_design_choices(const ParamReader& params, ResultSink& sink);
-void run_perf_epoch_scaling(const ParamReader& params, ResultSink& sink);
 void run_steady_state(const ParamReader& params, ResultSink& sink);
 void run_scale_frontier(const ParamReader& params, ResultSink& sink);
 void run_serve_remote(const ParamReader& params, ResultSink& sink);

@@ -1,39 +1,49 @@
-// scale_frontier: how far the substrate seam pushes n (§5 scale regime).
+// scale_frontier: what one wiring epoch costs as n grows (§4.2, §5).
 //
-// For each n in n-list, builds an OverlayHost on the chosen underlay
-// backend (procedural by default — O(n) substrate state, O(1) advance),
-// deploys one BR/HybridBR overlay in §5 scale mode (sampled candidates x
-// epoch-shared landmark destinations — no O(n^2) residual state), runs the
-// requested BR epochs, and reports wall time alongside the memory
-// telemetry that proves the O(n k + probed-pairs) claim: substrate bytes,
-// measurement-plane bytes, probed-pair count, and process peak RSS.
+// One row per (n, policy, workers, variant): each builds an OverlayHost on
+// the chosen underlay backend (procedural by default — O(n) substrate
+// state, O(1) advance), deploys one BR/HybridBR overlay, runs the
+// requested BR epochs, and reports run_epoch() wall time alongside the
+// memory telemetry that proves the O(n k + probed-pairs) claim: substrate
+// bytes, measurement-plane bytes, probed-pair count, and process peak RSS
+// with its growth during the row.
+//
+// `br-sample > 0` is §5 scale mode (sampled candidates x epoch-shared
+// landmark destinations — no O(n^2) residual state); `br-sample = 0` is
+// the exact dense residual objective, which scenarios/perf_epoch_scaling.scn
+// times at n <= 400 on the dense underlay. k is clamped to n - 1 per row.
 //
 // Quality is tracked by a sampled oracle: shortest-path routing cost over
 // the true-cost overlay graph from score-sources random online sources
 // (full all-pairs scoring would itself be O(n^2) and is exactly what this
 // experiment exists to avoid).
 //
-// `workers = N` (default 0) runs the BR epochs through the parallel epoch
-// pipeline with N workers (0 keeps the sequential epoch); `profile = true`
-// enables the in-process profiler around the timed epochs and emits
-// per-phase rows ("profile" panel; see docs/EXPERIMENTS.md).
+// `workers` is a comma list of OverlayConfig::epoch_workers values, one
+// row each: 0 is the sequential epoch, N >= 1 the parallel epoch pipeline.
+// The pipeline's trajectory is bit-identical at any N >= 1, so within one
+// (n, policy, variant) every workers >= 1 row must re-wire like the first
+// one; the run fails otherwise, naming both rows. `profile = true` enables
+// the in-process profiler around the timed epochs and emits per-phase rows
+// ("profile" panel; see docs/EXPERIMENTS.md).
 //
-// Long-horizon churn (ISSUE 7): `churn-horizon = N` (epochs, 0 = static
-// membership) synthesizes a §4.4 ON/OFF trace over the timed region and
-// replays it between epochs through the network escape hatch — membership
-// flips land outside the clock, the epochs they perturb inside it.
+// Long-horizon churn: `churn-horizon = N` (epochs, 0 = static membership)
+// synthesizes a §4.4 ON/OFF trace over the timed region and replays it
+// between epochs through the network escape hatch — membership flips land
+// outside the clock, the epochs they perturb inside it.
 // `incremental = true` runs the dirty-set epochs (tolerance mode,
 // `drift-threshold`, default 0.05) and the rows report evaluated /
 // skipped_evals / dirty_frac / dirty_nodes; `compare-full = true`
-// additionally runs the full-recompute variant of every n on the same
+// additionally runs the full-recompute variant of every row on the same
 // trace and reports speedup_vs_full on the incremental rows.
 #include <algorithm>
 #include <chrono>
 #include <iomanip>
 #include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "churn/churn.hpp"
 #include "exp/common.hpp"
@@ -46,9 +56,10 @@ namespace egoist::exp {
 namespace {
 
 struct FrontierRow {
+  std::string policy;
   std::size_t n = 0;
   std::string variant;         ///< "full" or "incremental"
-  std::string underlay;
+  int workers = 0;             ///< OverlayConfig::epoch_workers
   double build_ms = 0.0;       ///< host construction + deploy (bootstrap)
   double epoch_ms_mean = 0.0;
   double epoch_ms_min = 0.0;
@@ -64,7 +75,11 @@ struct FrontierRow {
   std::size_t substrate_bytes = 0;
   std::size_t plane_bytes = 0;
   std::size_t probed_pairs = 0;
+  /// Process-wide peak RSS when the row finished. It never decreases
+  /// within a run, so a later row repeats an earlier, larger row's peak;
+  /// rss_delta_bytes is the row's own growth.
   std::size_t peak_rss_bytes = 0;
+  std::size_t rss_delta_bytes = 0;
 };
 
 double ms_since(std::chrono::steady_clock::time_point start) {
@@ -73,20 +88,28 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+std::string fixed(double value, int digits) {
+  std::ostringstream out;
+  out << std::fixed << std::setprecision(digits) << value;
+  return out.str();
+}
+
 }  // namespace
 
 void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
-  std::vector<std::size_t> n_list;
-  for (const auto& item :
-       split_csv(params.get_string("n-list", "1000,2000,5000,10000,20000"))) {
-    const int v = std::stoi(item);
-    if (v < 8) throw std::invalid_argument("n must be >= 8");
-    n_list.push_back(static_cast<std::size_t>(v));
+  const auto n_list =
+      params.get_int_list("n-list", "1000,2000,5000,10000,20000");
+  for (const int n : n_list) {
+    if (n < 3) throw std::invalid_argument("n must be >= 3");
   }
-  if (n_list.empty()) throw std::invalid_argument("empty n-list");
+  const std::string policy_text = params.get_string("policy", "BR");
+  std::vector<overlay::Policy> policies;
+  for (const auto& name : split_csv(policy_text)) {
+    policies.push_back(overlay::parse_policy(name));
+  }
+  if (policies.empty()) throw std::invalid_argument("empty policy list");
 
   overlay::OverlayConfig config;
-  config.policy = overlay::parse_policy(params.get_string("policy", "BR"));
   config.metric =
       overlay::parse_metric(params.get_string("metric", "delay(ping)"));
   config.k = static_cast<std::size_t>(params.get_int("k", 10));
@@ -95,22 +118,18 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
       static_cast<std::size_t>(params.get_int("br-sample", 32));
   config.br_landmarks =
       static_cast<std::size_t>(params.get_int("br-landmarks", 64));
-  if (config.br_sample == 0) {
-    throw std::invalid_argument("scale_frontier requires br-sample > 0");
-  }
-  // 0 keeps the sequential epoch; >= 1 switches to the parallel pipeline
-  // (bit-identical trajectory at any positive count). Negatives are
-  // rejected by the overlay config validation.
-  config.epoch_workers = params.get_int("workers", 0);
+  // Negative worker counts are rejected by the overlay config validation.
+  const auto workers_list = params.get_int_list("workers", "0");
 
   auto env_config = parse_underlay(params);
-  // The whole point of this experiment is the scale regime; default to the
-  // procedural backend unless the scenario explicitly asks for dense.
+  // The scale regime is the default; run dense only when the scenario
+  // explicitly asks for it.
   if (params.spec().find("underlay") == nullptr) {
     env_config.underlay = net::UnderlayKind::kProcedural;
   }
   env_config.coord_warmup_rounds =
       params.get_int("coord-warmup", env_config.coord_warmup_rounds);
+  const std::string underlay = net::to_string(env_config.underlay);
 
   const int warmup = params.get_int("warmup", 0);
   const int epochs = params.get_int("epochs", 1);
@@ -130,53 +149,58 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
     throw std::invalid_argument("churn-horizon must be >= 0");
   }
   util::ProfileSession profile_session(profile);
+  const auto host_cpus = std::to_string(std::thread::hardware_concurrency());
 
   sink.section(
-      "scale frontier: " +
-          std::string(overlay::to_string(config.policy)) + " on " +
-          overlay::to_string(config.metric) + ", " +
-          net::to_string(env_config.underlay) + " underlay",
-      "One overlay in scale mode (sample=" +
-          std::to_string(config.br_sample) +
-          ", landmarks=" + std::to_string(config.br_landmarks) +
-          ", k=" + std::to_string(config.k) + "); " + std::to_string(epochs) +
-          " timed BR epoch(s) per n after " + std::to_string(warmup) +
+      "scale frontier: " + policy_text + " on " +
+          overlay::to_string(config.metric) + ", " + underlay + " underlay",
+      "One overlay per row (br-sample=" + std::to_string(config.br_sample) +
+          ", br-landmarks=" + std::to_string(config.br_landmarks) +
+          ", k=" + std::to_string(config.k) + "; br-sample 0 = dense residual "
+          "objective); " + std::to_string(epochs) +
+          " timed epoch(s) after " + std::to_string(warmup) +
           " warmup. Memory columns are the O(n k + probed-pairs) evidence.");
 
   const std::vector<std::string> kColumns{
-      "n",           "variant",         "underlay",    "workers",
-      "build_ms",    "epoch_ms_mean",   "epoch_ms_min", "rewirings",
-      "evaluated",   "skipped_evals",   "dirty_frac",  "dirty_nodes",
-      "speedup_vs_full", "mean_cost",   "unreachable", "churn_rate",
-      "substrate_bytes", "plane_bytes", "probed_pairs", "peak_rss_bytes"};
+      "policy",          "n",               "variant",       "underlay",
+      "workers",         "build_ms",        "epoch_ms_mean", "epoch_ms_min",
+      "rewirings",       "evaluated",       "skipped_evals", "dirty_frac",
+      "dirty_nodes",     "speedup_vs_full", "mean_cost",     "unreachable",
+      "churn_rate",      "substrate_bytes", "plane_bytes",   "probed_pairs",
+      "peak_rss_bytes",  "rss_delta_bytes", "host_cpus"};
   util::Table table(kColumns);
 
   // One measured deployment: builds the host, replays the (shared) churn
   // trace between timed epochs through the network escape hatch, and
-  // fills every telemetry column. `run_incremental` toggles the dirty-set
-  // epochs; the trace and every seed are identical across variants, so
-  // full vs incremental compare the same workload.
-  const auto run_variant = [&](std::size_t n, bool run_incremental,
-                               const std::optional<churn::ChurnTrace>& trace) {
-    overlay::OverlayConfig variant_config = config;
-    variant_config.incremental = run_incremental;
-    variant_config.drift_threshold = run_incremental ? drift_threshold : 0.0;
+  // fills every telemetry column. The trace and every seed are identical
+  // across the rows of one n, so they compare the same workload.
+  const auto run_row = [&](overlay::Policy policy, std::size_t n, int workers,
+                           bool run_incremental,
+                           const std::optional<churn::ChurnTrace>& trace) {
+    overlay::OverlayConfig row_config = config;
+    row_config.policy = policy;
+    row_config.k = std::min(config.k, n - 1);
+    row_config.epoch_workers = workers;
+    row_config.incremental = run_incremental;
+    row_config.drift_threshold = run_incremental ? drift_threshold : 0.0;
 
     FrontierRow row;
+    row.policy = overlay::to_string(policy);
     row.n = n;
     row.variant = run_incremental ? "incremental" : "full";
-    row.underlay = net::to_string(env_config.underlay);
+    row.workers = workers;
 
+    const std::size_t rss_before = util::peak_rss_bytes();
     const auto build_start = std::chrono::steady_clock::now();
-    host::OverlayHost deployment(n, variant_config.seed, env_config);
+    host::OverlayHost deployment(n, row_config.seed, env_config);
     const auto handle = deployment.deploy(
-        host::OverlaySpec(variant_config).epoch_period(epoch_s));
+        host::OverlaySpec(row_config).epoch_period(epoch_s));
     row.build_ms = ms_since(build_start);
 
     if (warmup > 0) deployment.run_epochs(handle, warmup);
 
-    // Time run_epoch() only, via the escape hatch (substrate advancement
-    // and event dispatch outside the clock), as perf_epoch_scaling does.
+    // Time run_epoch() only, via the escape hatch: substrate advancement
+    // and event dispatch stay outside the clock.
     auto& env = deployment.environment(handle);
     auto& net = deployment.network(handle);
     // Trace time 0 = start of the timed region: take nodes that begin OFF
@@ -223,13 +247,13 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
     row.dirty_nodes = net.dirty_count();
 
     if (profile) {
-      std::vector<std::string> columns{"n", "variant", "workers"};
+      std::vector<std::string> columns{"policy", "n", "variant", "workers"};
       const auto& phase_columns = util::profile_columns();
       columns.insert(columns.end(), phase_columns.begin(),
                      phase_columns.end());
       for (const auto& phase : util::Profiler::instance().report()) {
-        std::vector<std::string> cells{std::to_string(n), row.variant,
-                                       std::to_string(config.epoch_workers)};
+        std::vector<std::string> cells{row.policy, std::to_string(n),
+                                       row.variant, std::to_string(workers)};
         const auto phase_cells = util::phase_cells(phase);
         cells.insert(cells.end(), phase_cells.begin(), phase_cells.end());
         sink.row("profile", columns, cells);
@@ -267,48 +291,41 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
     row.plane_bytes = env.plane_memory_bytes();
     row.probed_pairs = env.probed_pairs();
     row.peak_rss_bytes = util::peak_rss_bytes();
+    row.rss_delta_bytes = row.peak_rss_bytes - rss_before;
     return row;
   };
 
   const auto add_row = [&](const FrontierRow& row) {
-    std::ostringstream build_ms, mean_ms, min_ms, dirty_frac, speedup, cost,
-        rate;
-    build_ms << std::fixed << std::setprecision(1) << row.build_ms;
-    mean_ms << std::fixed << std::setprecision(1) << row.epoch_ms_mean;
-    min_ms << std::fixed << std::setprecision(1) << row.epoch_ms_min;
-    dirty_frac << std::fixed << std::setprecision(3) << row.dirty_frac;
-    if (row.speedup_vs_full > 0.0) {
-      speedup << std::fixed << std::setprecision(3) << row.speedup_vs_full;
-    } else {
-      speedup << "-";
-    }
-    cost << std::fixed << std::setprecision(3) << row.mean_cost;
-    rate << std::fixed << std::setprecision(4) << row.churn_rate;
-    table.add_row({std::to_string(row.n),
+    table.add_row({row.policy,
+                   std::to_string(row.n),
                    row.variant,
-                   row.underlay,
-                   std::to_string(config.epoch_workers),
-                   build_ms.str(),
-                   mean_ms.str(),
-                   min_ms.str(),
+                   underlay,
+                   std::to_string(row.workers),
+                   fixed(row.build_ms, 1),
+                   fixed(row.epoch_ms_mean, 3),
+                   fixed(row.epoch_ms_min, 3),
                    std::to_string(row.rewirings),
                    std::to_string(row.evaluated),
                    std::to_string(row.skipped),
-                   dirty_frac.str(),
+                   fixed(row.dirty_frac, 3),
                    std::to_string(row.dirty_nodes),
-                   speedup.str(),
-                   cost.str(),
+                   row.speedup_vs_full > 0.0 ? fixed(row.speedup_vs_full, 3)
+                                             : "-",
+                   fixed(row.mean_cost, 3),
                    std::to_string(row.unreachable),
-                   rate.str(),
+                   fixed(row.churn_rate, 4),
                    std::to_string(row.substrate_bytes),
                    std::to_string(row.plane_bytes),
                    std::to_string(row.probed_pairs),
-                   std::to_string(row.peak_rss_bytes)});
+                   std::to_string(row.peak_rss_bytes),
+                   std::to_string(row.rss_delta_bytes),
+                   host_cpus});
   };
 
-  for (const std::size_t n : n_list) {
-    // One trace per n, shared verbatim by both variants: full vs
-    // incremental replay the same joins and leaves.
+  std::string mismatches;
+  for (const int n_value : n_list) {
+    const auto n = static_cast<std::size_t>(n_value);
+    // One trace per n, shared verbatim by every row of that n.
     std::optional<churn::ChurnTrace> trace;
     if (churn_horizon > 0) {
       churn::ChurnConfig churn_config;
@@ -317,22 +334,48 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
       trace.emplace(n, churn_horizon * epoch_s, config.seed ^ 0xC0FFEEull,
                     churn_config);
     }
-    if (incremental && compare_full) {
-      const FrontierRow full = run_variant(n, false, trace);
-      FrontierRow inc = run_variant(n, true, trace);
-      if (full.epoch_ms_mean > 0.0 && inc.epoch_ms_mean > 0.0) {
-        inc.speedup_vs_full = full.epoch_ms_mean / inc.epoch_ms_mean;
+    for (const auto policy : policies) {
+      // variant -> the first workers >= 1 row: the pipeline's trajectory
+      // reference for this (n, policy).
+      std::map<std::string, FrontierRow> pipeline_reference;
+      for (const int workers : workers_list) {
+        std::vector<FrontierRow> rows;
+        if (incremental && compare_full) {
+          rows.push_back(run_row(policy, n, workers, false, trace));
+          rows.push_back(run_row(policy, n, workers, true, trace));
+          if (rows[0].epoch_ms_mean > 0.0 && rows[1].epoch_ms_mean > 0.0) {
+            rows[1].speedup_vs_full =
+                rows[0].epoch_ms_mean / rows[1].epoch_ms_mean;
+          }
+        } else {
+          rows.push_back(run_row(policy, n, workers, incremental, trace));
+        }
+        for (const auto& row : rows) {
+          add_row(row);
+          if (workers < 1) continue;
+          const auto [it, first] = pipeline_reference.emplace(row.variant, row);
+          const FrontierRow& ref = it->second;
+          if (!first && row.rewirings != ref.rewirings) {
+            mismatches += row.policy + " n=" + std::to_string(n) + " " +
+                          row.variant + ": workers=" +
+                          std::to_string(row.workers) + " re-wired " +
+                          std::to_string(row.rewirings) + " times, workers=" +
+                          std::to_string(ref.workers) + " " +
+                          std::to_string(ref.rewirings) + "\n";
+          }
+        }
       }
-      add_row(full);
-      add_row(inc);
-    } else {
-      add_row(run_variant(n, incremental, trace));
     }
   }
 
   // One emission only: JsonLinesSink expands the table into one structured
-  // row per n.
+  // row per table row.
   sink.table("scale_frontier", table);
+  if (!mismatches.empty()) {
+    throw std::runtime_error(
+        "the epoch pipeline must re-wire identically at every worker count:\n" +
+        mismatches);
+  }
 }
 
 }  // namespace egoist::exp

@@ -353,20 +353,13 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
   if (mixes.empty() || (transports.empty() && !inproc)) {
     throw std::invalid_argument("empty mix or transports list");
   }
-  std::vector<int> loops_list;
-  for (const auto& text : split_csv(params.get_string("loops", "1"))) {
-    int value = 0;
-    try {
-      value = std::stoi(text);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad loops value: " + text);
-    }
+  const auto loops_list = params.get_int_list("loops", "1");
+  for (const int value : loops_list) {
     if (value < 0 || value > 64) {
-      throw std::invalid_argument("loops must be in [0, 64], got " + text);
+      throw std::invalid_argument("loops must be in [0, 64], got " +
+                                  std::to_string(value));
     }
-    loops_list.push_back(value);
   }
-  if (loops_list.empty()) throw std::invalid_argument("empty loops list");
   const bool batch = params.get_bool("batch", true);
   std::vector<std::string> modes{"pipeline"};
   if (batch) modes.push_back("batch");

@@ -9,6 +9,14 @@
 namespace egoist::exp {
 
 namespace {
+/// std::stoi over the whole string: "10k" and "" throw.
+int parse_whole_int(const std::string& text) {
+  std::size_t used = 0;
+  const int parsed = std::stoi(text, &used);
+  if (used != text.size()) throw std::invalid_argument("trailing characters");
+  return parsed;
+}
+
 void record(std::vector<std::pair<std::string, std::string>>& defaults,
             const std::string& key, const std::string& def) {
   for (const auto& [k, _] : defaults) {
@@ -37,14 +45,33 @@ int ParamReader::get_int(const std::string& key, int def) const {
   const auto* v = find_and_mark(key);
   if (!v) return def;
   try {
-    std::size_t used = 0;
-    const int parsed = std::stoi(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing characters");
-    return parsed;
+    return parse_whole_int(*v);
   } catch (const std::exception&) {
     throw std::invalid_argument("scenario knob '" + key +
                                 "' expects an integer, got '" + *v + "'");
   }
+}
+
+std::vector<int> ParamReader::get_int_list(const std::string& key,
+                                           const std::string& def) const {
+  record(defaults_, key, def);
+  const auto* v = find_and_mark(key);
+  const std::string& text = v ? *v : def;
+  const auto error = [&] {
+    return std::invalid_argument("scenario knob '" + key +
+                                 "' expects a comma list of integers, got '" +
+                                 text + "'");
+  };
+  std::vector<int> out;
+  for (const auto& item : split_csv(text)) {
+    try {
+      out.push_back(parse_whole_int(item));
+    } catch (const std::exception&) {
+      throw error();
+    }
+  }
+  if (out.empty()) throw error();
+  return out;
 }
 
 double ParamReader::get_double(const std::string& key, double def) const {

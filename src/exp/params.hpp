@@ -22,6 +22,10 @@ class ParamReader {
 
   std::string get_string(const std::string& key, const std::string& def) const;
   int get_int(const std::string& key, int def) const;
+  /// A non-empty comma list of integers ("50,100,200"); every item must
+  /// parse whole, as in get_int. `def` is the list as written.
+  std::vector<int> get_int_list(const std::string& key,
+                                const std::string& def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def = false) const;
   std::uint64_t get_seed(const std::string& key, std::uint64_t def) const;

@@ -53,18 +53,14 @@ const std::vector<Experiment>& experiments() {
        "ablations for the section 3.3-3.4 design choices: ring-cycle vs "
        "MST backbone, delayed vs immediate re-wiring, audits on/off",
        &run_ablation_design_choices},
-      {"perf_epoch_scaling",
-       "epoch wall-time scaling of BR/HybridBR on the legacy residual path "
-       "vs the CSR PathEngine, with machine-readable JSON output",
-       &run_perf_epoch_scaling},
       {"steady_state",
        "generic sweep cell: one policy on one metric at one (n, k, seed) "
        "point, reporting the tail-epoch score",
        &run_steady_state},
       {"scale_frontier",
-       "section 5 scale regime: BR epochs at n up to 20k on the procedural "
-       "underlay with sampled candidates, landmark objectives and memory "
-       "telemetry",
+       "epoch cost vs n: BR/HybridBR epoch wall time per epoch-worker "
+       "count, from the dense objective at a few hundred nodes to section 5 "
+       "scale mode at 20k on the procedural underlay, with memory telemetry",
        &run_scale_frontier},
       {"serve_remote",
        "route serving under churn: spawns the egoistd daemon and hammers it "

@@ -40,8 +40,8 @@ class ResultSink {
   /// One result table; `panel` is a stable id for structured consumers.
   virtual void table(const std::string& panel, const util::Table& t) = 0;
 
-  /// One structured row without console rendering (for experiments that
-  /// lay out their console output by hand, e.g. perf_epoch_scaling).
+  /// One structured row without console rendering (rows that belong to
+  /// no console table, e.g. scale_frontier's per-phase profile rows).
   virtual void row(const std::string& panel,
                    const std::vector<std::string>& columns,
                    const std::vector<std::string>& cells) = 0;

@@ -195,8 +195,9 @@ void EgoistNetwork::set_online(int node, bool online) {
       apply_wiring(node, {bootstrap}, direct);
     }
   }
-  // The donated backbone is monitored aggressively (heartbeats) and spliced
-  // immediately on membership changes; BR links wait for the wiring epoch.
+  // §3.3 monitors the donated backbone aggressively; failure detection is
+  // modelled as instant, so the backbone is spliced right here on every
+  // membership change, while BR links wait for the wiring epoch.
   if (config_.policy == Policy::kHybridBR) refresh_backbone();
   // Immediate re-wiring mode: nodes that lost a neighbor repair right away
   // instead of waiting for their epoch (§3.3's aggressive monitoring

@@ -1,8 +1,8 @@
 // Discrete-event simulation engine.
 //
 // Replaces wall-clock PlanetLab time: the overlay protocol stack (wiring
-// epochs, LSA floods, heartbeats, churn events) schedules callbacks on a
-// single virtual clock. Events at equal timestamps run in scheduling order
+// epochs, LSA floods, churn events) schedules callbacks on a single
+// virtual clock. Events at equal timestamps run in scheduling order
 // (FIFO), which keeps runs fully deterministic for a given seed.
 #pragma once
 

@@ -90,7 +90,10 @@ int Flags::get_int(const std::string& name, int def) const {
   const auto v = get(name);
   if (!v) return def;
   try {
-    return std::stoi(*v);
+    std::size_t used = 0;
+    const int parsed = std::stoi(*v, &used);
+    if (used != v->size()) throw std::invalid_argument("trailing characters");
+    return parsed;
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects an integer, got '" + *v + "'");
   }
@@ -105,7 +108,10 @@ double Flags::get_double(const std::string& name, double def) const {
   const auto v = get(name);
   if (!v) return def;
   try {
-    return std::stod(*v);
+    std::size_t used = 0;
+    const double parsed = std::stod(*v, &used);
+    if (used != v->size()) throw std::invalid_argument("trailing characters");
+    return parsed;
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" + *v + "'");
   }

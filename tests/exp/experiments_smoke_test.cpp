@@ -44,8 +44,6 @@ const std::map<std::string, Params>& smoke_overrides() {
        {{"n", "10"}, {"rounds", "2"}, {"k-min", "2"}, {"k-max", "2"}}},
       {"ablation_design_choices",
        {{"n", "8"}, {"warmup", "1"}, {"sample", "1"}, {"epochs", "6"}}},
-      {"perf_epoch_scaling",
-       {{"n-list", "8"}, {"epochs", "1"}, {"warmup", "0"}}},
       {"steady_state",
        {{"n", "10"}, {"warmup", "1"}, {"sample", "1"}, {"k", "2"}}},
       {"scale_frontier",
@@ -83,6 +81,64 @@ TEST(ExperimentsSmokeTest, EveryRegisteredExperimentRunsFromItsScenarioFile) {
     ASSERT_NO_THROW(run_scenario(spec, tee)) << experiment.name;
     EXPECT_NE(json_os.str().find("\"type\":\"row\""), std::string::npos)
         << experiment.name << " emitted no structured rows";
+  }
+}
+
+/// Keeps the tables a run emits, by panel.
+class TableCollector final : public ResultSink {
+ public:
+  void begin_scenario(const std::string&, const std::string&,
+                      const Params&) override {}
+  void section(const std::string&, const std::string&) override {}
+  void table(const std::string& panel, const util::Table& t) override {
+    tables.emplace(panel, t);
+  }
+  void row(const std::string&, const std::vector<std::string>&,
+           const std::vector<std::string>&) override {}
+  void text(const std::string&) override {}
+
+  std::map<std::string, util::Table> tables;
+};
+
+TEST(ExperimentsSmokeTest, ScaleFrontierRowPerPolicyAndWorkerCount) {
+  // The epoch-scaling scenario (dense objective, dense underlay), shrunk:
+  // list-valued policy and workers give one row each, and the pipeline
+  // rows of one policy re-wire identically at any worker count.
+  ScenarioSpec spec;
+  ASSERT_NO_THROW(spec = load_scenario_file(
+                      default_scenario_path("perf_epoch_scaling")));
+  EXPECT_EQ(spec.experiment, "scale_frontier");
+  for (const auto& [key, value] :
+       Params{{"n-list", "12"}, {"policy", "BR,HybridBR"}, {"br-sample", "0"},
+              {"underlay", "dense"}, {"workers", "0,1,2"}, {"epochs", "2"}}) {
+    spec.set(key, value);
+  }
+  TableCollector collector;
+  ASSERT_NO_THROW(run_scenario(spec, collector));
+  ASSERT_EQ(collector.tables.count("scale_frontier"), 1u);
+  const auto& table = collector.tables.at("scale_frontier");
+  ASSERT_EQ(table.rows(), 6u);
+
+  std::map<std::pair<std::string, std::string>,
+           std::map<std::string, std::string>>
+      rows;  // (policy, workers) -> column -> cell
+  for (const auto& cells : table.cell_rows()) {
+    std::map<std::string, std::string> row;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      row[table.column_names()[c]] = cells[c];
+    }
+    for (const char* column : {"policy", "workers", "host_cpus", "rss_delta_bytes"}) {
+      EXPECT_FALSE(row[column].empty()) << column;
+    }
+    rows[{row["policy"], row["workers"]}] = row;
+  }
+  for (const std::string policy : {"BR", "HybridBR"}) {
+    for (const std::string workers : {"0", "1", "2"}) {
+      EXPECT_EQ(rows.count({policy, workers}), 1u) << policy << " @" << workers;
+    }
+    const auto& one = rows[{policy, "1"}];
+    const auto& two = rows[{policy, "2"}];
+    EXPECT_EQ(one.at("rewirings"), two.at("rewirings")) << policy;
   }
 }
 

@@ -120,6 +120,40 @@ TEST(ParamReaderTest, RejectsBadValues) {
   EXPECT_THROW(params.get_bool("on"), std::invalid_argument);
 }
 
+TEST(ParamReaderTest, IntListReadsEveryItemOrTheDefault) {
+  ScenarioSpec spec;
+  spec.experiment = "x";
+  spec.set("n-list", "50, 100,200");
+  const ParamReader params(spec);
+  EXPECT_EQ(params.get_int_list("n-list", "8"), (std::vector<int>{50, 100, 200}));
+  EXPECT_EQ(params.get_int_list("workers", "0,1"), (std::vector<int>{0, 1}));
+  EXPECT_NO_THROW(params.finish());
+}
+
+/// The error get_int_list raises for `value`, or "" when it parses.
+std::string int_list_error(const std::string& value) {
+  ScenarioSpec spec;
+  spec.experiment = "x";
+  spec.set("n-list", value);
+  try {
+    ParamReader(spec).get_int_list("n-list", "8");
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParamReaderTest, IntListRejectsTrailingGarbageNamingTheKnob) {
+  // "1000,2000x" must not run n = 2000.
+  const auto error = int_list_error("1000,2000x");
+  EXPECT_NE(error.find("'n-list'"), std::string::npos) << error;
+}
+
+TEST(ParamReaderTest, IntListRejectsEmptyItemNamingTheKnob) {
+  const auto error = int_list_error("1000,,2000");
+  EXPECT_NE(error.find("'n-list'"), std::string::npos) << error;
+}
+
 TEST(SplitCsvTest, SplitsAndTrims) {
   EXPECT_EQ(split_csv("a, b ,c"), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(split_csv("50"), (std::vector<std::string>{"50"}));

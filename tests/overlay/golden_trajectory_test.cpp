@@ -12,6 +12,12 @@
 // the two still agreed; the engine-only build must keep reproducing them.
 // A digest that moves means the trajectory moved — a behaviour change,
 // not a refactor.
+//
+// The scale-mode digests (§5 sampled candidates x landmark destinations,
+// procedural underlay, churn; sequential and pipeline epochs, full
+// recompute and incremental exact / tolerance modes) pin that trajectory
+// family the same way: a faster candidate sampler or search must keep
+// reproducing them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -191,6 +197,79 @@ TEST(GoldenTrajectoryTest, HostSchedules) {
     expect_digest("host schedule / " + schedule, g.digest,
                   [&] { return egoist::testing::record_trajectory(c); });
   }
+}
+
+/// §5 scale mode under churn: n = 96, k = 4, each evaluation samples 8
+/// candidates and scores them against 8 landmark destinations, over 6
+/// synchronized epochs that replay an ON/OFF trace.
+egoist::testing::DeterminismCase scale_case(Policy policy,
+                                            net::UnderlayKind underlay) {
+  auto config = make_config(policy, Metric::kDelayPing);
+  config.k = 4;
+  config.br_sample = 8;
+  config.br_landmarks = 8;
+  churn::ChurnConfig churn_config;
+  churn_config.mean_on_s = 600.0;
+  churn_config.mean_off_s = 200.0;
+  churn_config.initial_on_fraction = 0.8;
+
+  egoist::testing::DeterminismCase c;
+  c.nodes = 96;
+  c.epochs = 6;
+  c.env.underlay = underlay;
+  c.env.coord_warmup_rounds = 10;
+  c.spec = host::OverlaySpec(config).churn(
+      churn::ChurnTrace(c.nodes, c.epochs * 60.0, 77, churn_config));
+  return c;
+}
+
+TEST(GoldenTrajectoryTest, ScaleModeOnProceduralUnderlay) {
+  struct Golden {
+    Policy policy;
+    int workers;       ///< 0 = sequential epoch, 2 = the pipeline
+    const char* mode;  ///< full | exact (drift 0) | tolerance (drift 0.05)
+    std::uint64_t digest;
+  };
+  // On this noisy plane exact mode marks every node each epoch, so its
+  // digests equal the full recompute's: the exact-mode contract.
+  const Golden kGolden[] = {
+      {Policy::kBestResponse, 0, "full", 0xdc13e7dc85b83660ull},
+      {Policy::kBestResponse, 0, "exact", 0xdc13e7dc85b83660ull},
+      {Policy::kBestResponse, 0, "tolerance", 0x1822f7538d23e40aull},
+      {Policy::kBestResponse, 2, "full", 0xa7dcc224109b2f47ull},
+      {Policy::kBestResponse, 2, "exact", 0xa7dcc224109b2f47ull},
+      {Policy::kBestResponse, 2, "tolerance", 0x9246e0137d51d0dull},
+      {Policy::kHybridBR, 0, "full", 0x896777aced9909a2ull},
+      {Policy::kHybridBR, 0, "exact", 0x896777aced9909a2ull},
+      {Policy::kHybridBR, 0, "tolerance", 0xda9159180748af48ull},
+      {Policy::kHybridBR, 2, "full", 0xbc6736f5ca21ef18ull},
+      {Policy::kHybridBR, 2, "exact", 0xbc6736f5ca21ef18ull},
+      {Policy::kHybridBR, 2, "tolerance", 0xbc6736f5ca21ef18ull},
+  };
+  for (const auto& g : kGolden) {
+    auto c = scale_case(g.policy, net::UnderlayKind::kProcedural);
+    c.spec.workers(g.workers);
+    const std::string mode = g.mode;
+    if (mode == "exact") c.spec.incremental(true, 0.0);
+    if (mode == "tolerance") c.spec.incremental(true, 0.05);
+    expect_digest(std::string("scale mode / ") + to_string(g.policy) +
+                      " / workers " + std::to_string(g.workers) + " / " + mode,
+                  g.digest,
+                  [&] { return egoist::testing::record_trajectory(c); });
+  }
+}
+
+TEST(GoldenTrajectoryTest, ScaleModeStaggeredAndDense) {
+  auto staggered = scale_case(Policy::kBestResponse,
+                              net::UnderlayKind::kProcedural);
+  staggered.spec.epoch_period(60.0).staggered(0xBDu);
+  expect_digest("scale mode / BR staggered", 0xc9c3540d085d3d0dull,
+                [&] { return egoist::testing::record_trajectory(staggered); });
+
+  const auto dense = scale_case(Policy::kBestResponse,
+                                net::UnderlayKind::kDense);
+  expect_digest("scale mode / BR dense underlay", 0x9bba3f490cf5cebeull,
+                [&] { return egoist::testing::record_trajectory(dense); });
 }
 
 }  // namespace

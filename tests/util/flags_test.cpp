@@ -124,6 +124,25 @@ TEST(FlagsTest, RejectsNonNumeric) {
   EXPECT_THROW(make({"--t=xy"}).get_double("t", 0.0), std::invalid_argument);
 }
 
+TEST(FlagsTest, IntegerWithTrailingGarbageIsRejected) {
+  // "2x" must not serve with 2 loops.
+  try {
+    make({"--loops", "2x"}).get_int("loops", 1);
+    FAIL() << "--loops 2x parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--loops"), std::string::npos) << e.what();
+  }
+}
+
+TEST(FlagsTest, NumberWithTrailingGarbageIsRejected) {
+  try {
+    make({"--factor", "1.5x"}).get_double("factor", 2.0);
+    FAIL() << "--factor 1.5x parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--factor"), std::string::npos) << e.what();
+  }
+}
+
 TEST(FlagsTest, UnqueriedFlagsReported) {
   const auto f = make({"--typo=1", "--n=5"});
   EXPECT_EQ(f.get_int("n", 0), 5);
