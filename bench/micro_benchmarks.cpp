@@ -64,11 +64,12 @@ void BM_PathEngineResidualAllPairs(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto g = make_overlay(n, 4, 7);
   graph::PathEngine engine(g);
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
   graph::DistanceMatrix out;
-  engine.all_shortest(graph::kNoExclude, out);  // build the base trees
   graph::NodeId exclude = 0;
   for (auto _ : state) {
-    engine.all_shortest(exclude, out);
+    engine.all_shortest(exclude, out, query);
     benchmark::DoNotOptimize(out.row(0).data());
     exclude = static_cast<graph::NodeId>((exclude + 1) % static_cast<int>(n));
   }
@@ -81,8 +82,7 @@ void BM_PathEngineRowUpdate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto g = make_overlay(n, 4, 7);
   graph::PathEngine engine(g);
-  graph::DistanceMatrix out;
-  engine.all_shortest(graph::kNoExclude, out);
+  engine.prepare_shortest();
   graph::NodeId u = 0;
   for (auto _ : state) {
     engine.update_out_edges(u, g);
@@ -108,7 +108,11 @@ void BM_BestResponseLocalSearch(benchmark::State& state) {
   std::vector<double> direct(n, 0.0);
   for (std::size_t v = 1; v < n; ++v) direct[v] = delays.delay(0, static_cast<int>(v));
   graph::PathEngine engine(g);
-  const auto objective = core::make_delay_objective(engine, 0, direct);
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
+  const auto objective = core::make_delay_objective(
+      engine, query, 0, direct, std::nullopt,
+      core::default_unreachable_penalty(g));
   core::BestResponseOptions options;
   options.exact_budget = 0;
   for (auto _ : state) {
@@ -134,8 +138,9 @@ void BM_BestResponseSampled(benchmark::State& state) {
   util::Rng rng(17);
   const auto sample = core::random_sample(candidates, m, rng);
   graph::PathEngine engine(g);
-  const auto objective =
-      core::make_sampled_delay_objective(engine, 0, direct, sample);
+  graph::PathEngine::QueryScratch query;
+  const auto objective = core::make_sampled_delay_objective(
+      engine, query, 0, direct, sample, core::default_unreachable_penalty(g));
   core::BestResponseOptions options;
   options.exact_budget = 0;
   for (auto _ : state) {

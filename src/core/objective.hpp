@@ -222,14 +222,15 @@ class BandwidthObjective final : public WiringObjective {
 /// approximation of the scale regime, not of the dense reference path.
 class LandmarkObjective final : public WiringObjective {
  public:
-  /// direct[v]: measured direct cost/value of the link self -> v.
+  /// direct[v]: measured direct cost/value of the link self -> v, indexed
+  ///   by id (n entries); borrowed, like the two below: it is the caller's
+  ///   measurement row and must outlive the objective.
   /// landmark_dist: n x |landmark_col range| matrix described above.
   /// landmark_col: node id -> column of landmark_dist (-1 = not a
-  ///   landmark); sized n. Both referenced objects must outlive the
-  ///   objective (they are the epoch-shared state).
+  ///   landmark); sized n. Both are the epoch-shared state.
   /// targets: the landmark ids this node scores against (self excluded).
   LandmarkObjective(NodeId self, std::vector<NodeId> candidates,
-                    std::vector<double> direct,
+                    std::span<const double> direct,
                     const graph::DistanceMatrix* landmark_dist,
                     const std::vector<std::int32_t>* landmark_col,
                     std::vector<NodeId> targets, bool maximize,
@@ -254,7 +255,7 @@ class LandmarkObjective final : public WiringObjective {
 
   NodeId self_;
   std::vector<NodeId> candidates_;
-  std::vector<double> direct_;
+  std::span<const double> direct_;
   const graph::DistanceMatrix* dist_;
   const std::vector<std::int32_t>* col_;
   std::vector<NodeId> targets_;

@@ -44,83 +44,20 @@ std::vector<double> resolve_preference(
   return pref;
 }
 
-/// Shared body of the delay builders; `fill` writes the residual matrix.
-template <typename Fill>
-DelayObjective delay_objective(const graph::CsrGraph& csr, NodeId self,
-                               const std::vector<double>& direct_cost,
-                               std::optional<std::vector<double>> preference,
-                               std::optional<double> unreachable_penalty,
-                               graph::DistanceMatrix* scratch, Fill fill) {
-  check_active_self(csr, self);
-  auto candidates = others(csr, self);
-  auto targets = candidates;
-  auto pref =
-      resolve_preference(std::move(preference), csr.node_count(), targets);
-  const double penalty =
-      unreachable_penalty.value_or(default_unreachable_penalty(csr));
-  if (scratch != nullptr) {
-    fill(*scratch);
-    return DelayObjective(self, std::move(candidates), direct_cost, scratch,
-                          std::move(pref), std::move(targets), penalty);
-  }
-  graph::DistanceMatrix dist;
-  fill(dist);
-  return DelayObjective(self, std::move(candidates), direct_cost,
-                        std::move(dist), std::move(pref), std::move(targets),
-                        penalty);
-}
-
-/// Shared body of the bandwidth builders; `fill` writes the residual matrix.
-template <typename Fill>
-BandwidthObjective bandwidth_objective(const graph::CsrGraph& csr, NodeId self,
-                                       const std::vector<double>& direct_bw,
-                                       graph::DistanceMatrix* scratch,
-                                       Fill fill) {
-  check_active_self(csr, self);
-  auto candidates = others(csr, self);
-  auto targets = candidates;
-  if (scratch != nullptr) {
-    fill(*scratch);
-    return BandwidthObjective(self, std::move(candidates), direct_bw, scratch,
-                              std::move(targets));
-  }
-  graph::DistanceMatrix bw;
-  fill(bw);
-  return BandwidthObjective(self, std::move(candidates), direct_bw,
-                            std::move(bw), std::move(targets));
-}
-
 }  // namespace
 
 double default_unreachable_penalty(const graph::Digraph& overlay) {
   // 1000x the largest finite edge weight (or 1e6 for empty overlays) keeps
   // connectivity dominant without destroying float precision.
-  double max_weight = 0.0;
+  double heaviest = 0.0;
   for (std::size_t u = 0; u < overlay.node_count(); ++u) {
     for (const auto& e : overlay.out_edges(static_cast<NodeId>(u))) {
-      max_weight = std::max(max_weight, e.weight);
+      heaviest = std::max(heaviest, e.weight);
     }
   }
-  const double scale = max_weight > 0.0 ? max_weight : 1.0;
+  const double scale = heaviest > 0.0 ? heaviest : 1.0;
   return 1000.0 * scale * static_cast<double>(std::max<std::size_t>(
                               overlay.node_count(), 1));
-}
-
-double default_unreachable_penalty(const graph::CsrGraph& overlay) {
-  const double scale = overlay.max_weight() > 0.0 ? overlay.max_weight() : 1.0;
-  return 1000.0 * scale * static_cast<double>(std::max<std::size_t>(
-                              overlay.node_count(), 1));
-}
-
-DelayObjective make_delay_objective(graph::PathEngine& engine, NodeId self,
-                                    const std::vector<double>& direct_cost,
-                                    std::optional<std::vector<double>> preference,
-                                    std::optional<double> unreachable_penalty,
-                                    graph::DistanceMatrix* scratch) {
-  return delay_objective(
-      engine.csr(), self, direct_cost, std::move(preference),
-      unreachable_penalty, scratch,
-      [&](graph::DistanceMatrix& out) { engine.all_shortest(self, out); });
 }
 
 DelayObjective make_delay_objective(const graph::PathEngine& engine,
@@ -128,38 +65,50 @@ DelayObjective make_delay_objective(const graph::PathEngine& engine,
                                     NodeId self,
                                     const std::vector<double>& direct_cost,
                                     std::optional<std::vector<double>> preference,
-                                    std::optional<double> unreachable_penalty,
+                                    double unreachable_penalty,
                                     graph::DistanceMatrix* scratch) {
-  return delay_objective(engine.csr(), self, direct_cost, std::move(preference),
-                         unreachable_penalty, scratch,
-                         [&](graph::DistanceMatrix& out) {
-                           engine.all_shortest(self, out, query);
-                         });
-}
-
-BandwidthObjective make_bandwidth_objective(graph::PathEngine& engine,
-                                            NodeId self,
-                                            const std::vector<double>& direct_bw,
-                                            graph::DistanceMatrix* scratch) {
-  return bandwidth_objective(
-      engine.csr(), self, direct_bw, scratch,
-      [&](graph::DistanceMatrix& out) { engine.all_widest(self, out); });
+  const auto& csr = engine.csr();
+  check_active_self(csr, self);
+  auto candidates = others(csr, self);
+  auto targets = candidates;
+  auto pref =
+      resolve_preference(std::move(preference), csr.node_count(), targets);
+  if (scratch != nullptr) {
+    engine.all_shortest(self, *scratch, query);
+    return DelayObjective(self, std::move(candidates), direct_cost, scratch,
+                          std::move(pref), std::move(targets),
+                          unreachable_penalty);
+  }
+  graph::DistanceMatrix dist;
+  engine.all_shortest(self, dist, query);
+  return DelayObjective(self, std::move(candidates), direct_cost,
+                        std::move(dist), std::move(pref), std::move(targets),
+                        unreachable_penalty);
 }
 
 BandwidthObjective make_bandwidth_objective(
     const graph::PathEngine& engine, graph::PathEngine::QueryScratch& query,
     NodeId self, const std::vector<double>& direct_bw,
     graph::DistanceMatrix* scratch) {
-  return bandwidth_objective(engine.csr(), self, direct_bw, scratch,
-                             [&](graph::DistanceMatrix& out) {
-                               engine.all_widest(self, out, query);
-                             });
+  const auto& csr = engine.csr();
+  check_active_self(csr, self);
+  auto candidates = others(csr, self);
+  auto targets = candidates;
+  if (scratch != nullptr) {
+    engine.all_widest(self, *scratch, query);
+    return BandwidthObjective(self, std::move(candidates), direct_bw, scratch,
+                              std::move(targets));
+  }
+  graph::DistanceMatrix bw;
+  engine.all_widest(self, bw, query);
+  return BandwidthObjective(self, std::move(candidates), direct_bw,
+                            std::move(bw), std::move(targets));
 }
 
 DelayObjective make_sampled_delay_objective(
-    graph::PathEngine& engine, NodeId self,
-    const std::vector<double>& direct_cost, const std::vector<NodeId>& sample,
-    std::optional<double> unreachable_penalty) {
+    const graph::PathEngine& engine, graph::PathEngine::QueryScratch& query,
+    NodeId self, const std::vector<double>& direct_cost,
+    const std::vector<NodeId>& sample, double unreachable_penalty) {
   const auto& csr = engine.csr();
   check_active_self(csr, self);
   for (NodeId v : sample) {
@@ -170,12 +119,11 @@ DelayObjective make_sampled_delay_objective(
   graph::DistanceMatrix dist(n, n, graph::kUnreachable);
   for (NodeId v : sample) {
     if (!csr.is_active(v)) continue;
-    engine.shortest_from(v, self, dist.row(static_cast<std::size_t>(v)));
+    engine.shortest_from(v, self, dist.row(static_cast<std::size_t>(v)), query);
   }
-  return DelayObjective(
-      self, sample, direct_cost, std::move(dist),
-      uniform_preference(n, sample), sample,
-      unreachable_penalty.value_or(default_unreachable_penalty(csr)));
+  return DelayObjective(self, sample, direct_cost, std::move(dist),
+                        uniform_preference(n, sample), sample,
+                        unreachable_penalty);
 }
 
 }  // namespace egoist::core

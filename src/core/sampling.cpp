@@ -5,17 +5,14 @@
 #include <queue>
 #include <stdexcept>
 
-#include "graph/metrics.hpp"
-
 namespace egoist::core {
 
 namespace {
 
-/// r-hop out-neighborhood of v (excluding v) over a CSR snapshot: same
-/// semantics as graph::r_hop_neighborhood on the source Digraph (activity
-/// is baked into the snapshot, so no per-edge flag checks remain).
-std::vector<NodeId> csr_r_hop_neighborhood(const graph::CsrGraph& g, NodeId v,
-                                           int r) {
+/// r-hop out-neighborhood of v (excluding v), ascending: a BFS over the
+/// snapshot, where activity is baked in (no per-edge flag checks).
+std::vector<NodeId> out_neighborhood(const graph::CsrGraph& g, NodeId v,
+                                     int r) {
   if (r < 0) throw std::invalid_argument("radius must be >= 0");
   g.check_node(v);
   std::vector<NodeId> out;
@@ -35,9 +32,8 @@ std::vector<NodeId> csr_r_hop_neighborhood(const graph::CsrGraph& g, NodeId v,
       frontier.push(w);
     }
   }
-  // Collect in ascending id order, exactly like the Digraph overload: the
-  // rank's denominator is a float sum, so summation order must match for
-  // the two paths to produce identical ranks.
+  // Ascending id order fixes the summation order of the rank's float
+  // denominator.
   for (std::size_t j = 0; j < hops.size(); ++j) {
     if (static_cast<NodeId>(j) == v) continue;
     if (hops[j] >= 0) out.push_back(static_cast<NodeId>(j));
@@ -60,12 +56,29 @@ double rank_over_neighborhood(const std::vector<NodeId>& hood, NodeId self,
   return static_cast<double>(hood.size()) / denom;
 }
 
-template <typename Graph>
-std::vector<NodeId> biased_sample_impl(const Graph& graph, NodeId self,
-                                       const std::vector<double>& direct_cost,
-                                       const std::vector<NodeId>& candidates,
-                                       std::size_t m, util::Rng& rng,
-                                       const BiasedSamplingOptions& options) {
+}  // namespace
+
+std::vector<NodeId> random_sample(const std::vector<NodeId>& candidates,
+                                  std::size_t m, util::Rng& rng) {
+  const std::size_t take = std::min(m, candidates.size());
+  auto sample = rng.sample_without_replacement(
+      std::span<const NodeId>(candidates), take);
+  std::sort(sample.begin(), sample.end());
+  return sample;
+}
+
+double biased_rank(const graph::CsrGraph& graph, NodeId self, NodeId candidate,
+                   const std::vector<double>& direct_cost, int radius) {
+  return rank_over_neighborhood(out_neighborhood(graph, candidate, radius),
+                                self, direct_cost);
+}
+
+std::vector<NodeId> topology_biased_sample(const graph::CsrGraph& graph,
+                                           NodeId self,
+                                           const std::vector<double>& direct_cost,
+                                           const std::vector<NodeId>& candidates,
+                                           std::size_t m, util::Rng& rng,
+                                           const BiasedSamplingOptions& options) {
   if (options.radius < 0) throw std::invalid_argument("radius must be >= 0");
   if (options.oversample < 1.0) {
     throw std::invalid_argument("oversample must be >= 1");
@@ -94,49 +107,6 @@ std::vector<NodeId> biased_sample_impl(const Graph& graph, NodeId self,
   }
   std::sort(sample.begin(), sample.end());
   return sample;
-}
-
-}  // namespace
-
-std::vector<NodeId> random_sample(const std::vector<NodeId>& candidates,
-                                  std::size_t m, util::Rng& rng) {
-  const std::size_t take = std::min(m, candidates.size());
-  auto sample = rng.sample_without_replacement(
-      std::span<const NodeId>(candidates), take);
-  std::sort(sample.begin(), sample.end());
-  return sample;
-}
-
-double biased_rank(const graph::Digraph& graph, NodeId self, NodeId candidate,
-                   const std::vector<double>& direct_cost, int radius) {
-  return rank_over_neighborhood(
-      graph::r_hop_neighborhood(graph, candidate, radius), self, direct_cost);
-}
-
-double biased_rank(const graph::CsrGraph& graph, NodeId self, NodeId candidate,
-                   const std::vector<double>& direct_cost, int radius) {
-  return rank_over_neighborhood(
-      csr_r_hop_neighborhood(graph, candidate, radius), self, direct_cost);
-}
-
-std::vector<NodeId> topology_biased_sample(const graph::Digraph& graph,
-                                           NodeId self,
-                                           const std::vector<double>& direct_cost,
-                                           const std::vector<NodeId>& candidates,
-                                           std::size_t m, util::Rng& rng,
-                                           const BiasedSamplingOptions& options) {
-  return biased_sample_impl(graph, self, direct_cost, candidates, m, rng,
-                            options);
-}
-
-std::vector<NodeId> topology_biased_sample(const graph::CsrGraph& graph,
-                                           NodeId self,
-                                           const std::vector<double>& direct_cost,
-                                           const std::vector<NodeId>& candidates,
-                                           std::size_t m, util::Rng& rng,
-                                           const BiasedSamplingOptions& options) {
-  return biased_sample_impl(graph, self, direct_cost, candidates, m, rng,
-                            options);
 }
 
 }  // namespace egoist::core

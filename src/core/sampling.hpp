@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/digraph.hpp"
 #include "graph/path_engine.hpp"
 #include "util/rng.hpp"
 
@@ -35,20 +34,10 @@ struct BiasedSamplingOptions {
 
 /// Topology-biased sample of size m for newcomer `self`.
 ///
-/// graph:       residual overlay (self's edges need not be present).
+/// graph:       CSR snapshot of the residual overlay (self's edges need not
+///              be present); the r-hop BFS runs over its flat arrays.
 /// direct_cost: measured distance from self to every node (indexed by id) —
 ///              d(v_i, u) in the ranking function.
-std::vector<NodeId> topology_biased_sample(const graph::Digraph& graph,
-                                           NodeId self,
-                                           const std::vector<double>& direct_cost,
-                                           const std::vector<NodeId>& candidates,
-                                           std::size_t m, util::Rng& rng,
-                                           const BiasedSamplingOptions& options = {});
-
-/// CSR-snapshot variant of the topology-biased sampler: the r-hop BFS runs
-/// over the PathEngine's flat snapshot instead of the adjacency-list
-/// Digraph. Ranks (and therefore samples) are identical to the Digraph
-/// overload on a snapshot of the same graph.
 std::vector<NodeId> topology_biased_sample(const graph::CsrGraph& graph,
                                            NodeId self,
                                            const std::vector<double>& direct_cost,
@@ -57,11 +46,9 @@ std::vector<NodeId> topology_biased_sample(const graph::CsrGraph& graph,
                                            const BiasedSamplingOptions& options = {});
 
 /// The ranking function b_ij (exposed for tests): higher is better.
-/// Returns 0 when F(v_j) is empty.
-double biased_rank(const graph::Digraph& graph, NodeId self, NodeId candidate,
-                   const std::vector<double>& direct_cost, int radius);
-
-/// CSR-snapshot variant of the ranking function.
+/// F(v_j) holds the nodes (v_j excluded) reachable from v_j in at most
+/// `radius` hops over active nodes, whatever the edge weights. Returns 0
+/// when F(v_j) is empty; throws std::invalid_argument on a negative radius.
 double biased_rank(const graph::CsrGraph& graph, NodeId self, NodeId candidate,
                    const std::vector<double>& direct_cost, int radius);
 

@@ -85,12 +85,16 @@ graph::Digraph build_base(Base base, const SamplingSetup& setup,
         g.set_active(static_cast<NodeId>(v), false);
       }
       graph::PathEngine engine;  // re-snapshotted per joiner, buffers reused
+      graph::PathEngine::QueryScratch query;
       for (std::size_t j = 1; j < base_nodes; ++j) {
         const auto self = static_cast<NodeId>(j);
         g.set_active(self, true);
         engine.rebuild(g);
+        engine.prepare_shortest();
         const auto direct = direct_delays(delays, self, base_nodes + 1);
-        const auto objective = core::make_delay_objective(engine, self, direct);
+        const auto objective = core::make_delay_objective(
+            engine, query, self, direct, std::nullopt,
+            core::default_unreachable_penalty(g));
         core::BestResponseOptions options;
         options.exact_budget = 0;
         const auto br = core::best_response(objective, setup.degree, options);
@@ -139,18 +143,27 @@ graph::Digraph build_base(Base base, const SamplingSetup& setup,
   return g;
 }
 
+/// The base overlay as the newcomer sees it. The newcomer is active but
+/// has no out-edges yet, so its residual view equals the base: one engine
+/// snapshot with prepared base trees serves every query, `residual`
+/// carries the borrowed residual matrix across calls, and `penalty` is the
+/// base graph's fold penalty.
+struct BaseView {
+  graph::PathEngine engine;
+  graph::PathEngine::QueryScratch query;
+  graph::DistanceMatrix residual;
+  double penalty = 0.0;
+};
+
 /// The newcomer's realized cost: mean distance to all base nodes over the
-/// base graph + the chosen wiring (full-information evaluation). The
-/// engine holds the base snapshot, so each evaluation reuses the shared
-/// base trees instead of re-running an all-pairs computation; `scratch`
-/// carries the borrowed residual matrix across calls.
-double newcomer_cost(graph::PathEngine& engine, std::size_t base_nodes,
+/// base graph + the chosen wiring (full-information evaluation).
+double newcomer_cost(BaseView& base, std::size_t base_nodes,
                      const std::vector<double>& direct,
-                     const std::vector<NodeId>& wiring,
-                     graph::DistanceMatrix& scratch) {
+                     const std::vector<NodeId>& wiring) {
   const auto self = static_cast<NodeId>(base_nodes);
-  const auto objective = core::make_delay_objective(
-      engine, self, direct, std::nullopt, std::nullopt, &scratch);
+  const auto objective =
+      core::make_delay_objective(base.engine, base.query, self, direct,
+                                 std::nullopt, base.penalty, &base.residual);
   return objective.cost(wiring);
 }
 
@@ -163,9 +176,9 @@ struct SampledCosts {
 };
 
 /// One trial of all sampled strategies at sample size m.
-SampledCosts sampled_trial(graph::PathEngine& engine, const SamplingSetup& setup,
+SampledCosts sampled_trial(BaseView& base, const SamplingSetup& setup,
                            const std::vector<double>& direct, std::size_t m,
-                           util::Rng& rng, graph::DistanceMatrix& scratch) {
+                           util::Rng& rng) {
   const auto self = static_cast<NodeId>(setup.base_nodes);
   std::vector<NodeId> candidates(setup.base_nodes);
   std::iota(candidates.begin(), candidates.end(), 0);
@@ -174,8 +187,8 @@ SampledCosts sampled_trial(graph::PathEngine& engine, const SamplingSetup& setup
   SampledCosts costs;
   // k-Random within the sample.
   costs.k_random =
-      newcomer_cost(engine, setup.base_nodes, direct,
-                    core::select_k_random(sample, setup.degree, rng), scratch);
+      newcomer_cost(base, setup.base_nodes, direct,
+                    core::select_k_random(sample, setup.degree, rng));
   // k-Regular within the sample: regular index offsets in the sorted sample.
   {
     std::vector<NodeId> wiring;
@@ -185,34 +198,32 @@ SampledCosts sampled_trial(graph::PathEngine& engine, const SamplingSetup& setup
     }
     std::sort(wiring.begin(), wiring.end());
     wiring.erase(std::unique(wiring.begin(), wiring.end()), wiring.end());
-    costs.k_regular =
-        newcomer_cost(engine, setup.base_nodes, direct, wiring, scratch);
+    costs.k_regular = newcomer_cost(base, setup.base_nodes, direct, wiring);
   }
   // k-Closest within the sample.
-  costs.k_closest = newcomer_cost(
-      engine, setup.base_nodes, direct,
-      core::select_k_closest(sample, direct, setup.degree), scratch);
+  costs.k_closest =
+      newcomer_cost(base, setup.base_nodes, direct,
+                    core::select_k_closest(sample, direct, setup.degree));
   // BR restricted to the sample (search on the sampled objective; evaluate
   // on the full one).
   core::BestResponseOptions options;
   options.exact_budget = 0;
   {
-    const auto objective =
-        core::make_sampled_delay_objective(engine, self, direct, sample);
+    const auto objective = core::make_sampled_delay_objective(
+        base.engine, base.query, self, direct, sample, base.penalty);
     const auto br = core::best_response(objective, setup.degree, options);
-    costs.br = newcomer_cost(engine, setup.base_nodes, direct, br.wiring, scratch);
+    costs.br = newcomer_cost(base, setup.base_nodes, direct, br.wiring);
   }
   // BRtp: topology-biased sample over the CSR snapshot, then BR on it.
   {
     core::BiasedSamplingOptions bias;
     bias.radius = setup.radius;
-    const auto biased = core::topology_biased_sample(engine.csr(), self, direct,
-                                                     candidates, m, rng, bias);
-    const auto objective =
-        core::make_sampled_delay_objective(engine, self, direct, biased);
+    const auto biased = core::topology_biased_sample(
+        base.engine.csr(), self, direct, candidates, m, rng, bias);
+    const auto objective = core::make_sampled_delay_objective(
+        base.engine, base.query, self, direct, biased, base.penalty);
     const auto br = core::best_response(objective, setup.degree, options);
-    costs.brtp =
-        newcomer_cost(engine, setup.base_nodes, direct, br.wiring, scratch);
+    costs.brtp = newcomer_cost(base, setup.base_nodes, direct, br.wiring);
   }
   return costs;
 }
@@ -228,17 +239,17 @@ void run_figure(Base base, int figure_number, const SamplingSetup& setup,
   base_graph.set_active(self, true);
   const auto direct = direct_delays(delays, self, setup.base_nodes + 1);
 
-  // One shared snapshot of the base overlay: the newcomer has no out-edges
-  // yet, so its residual view equals the base and every query below reuses
-  // the engine's base trees.
-  graph::PathEngine engine(base_graph);
-  graph::DistanceMatrix scratch;
+  BaseView view;
+  view.engine.rebuild(base_graph);
+  view.engine.prepare_shortest();
+  view.penalty = core::default_unreachable_penalty(base_graph);
 
   // BR with no sampling: the normalization baseline.
   double baseline;
   {
     const auto objective = core::make_delay_objective(
-        engine, self, direct, std::nullopt, std::nullopt, &scratch);
+        view.engine, view.query, self, direct, std::nullopt, view.penalty,
+        &view.residual);
     core::BestResponseOptions options;
     options.exact_budget = 0;
     baseline = core::best_response(objective, setup.degree, options).cost;
@@ -255,7 +266,7 @@ void run_figure(Base base, int figure_number, const SamplingSetup& setup,
   for (std::size_t m = setup.m_min; m <= setup.m_max; m += setup.m_step) {
     SampledCosts mean;
     for (int t = 0; t < trials; ++t) {
-      const auto c = sampled_trial(engine, setup, direct, m, rng, scratch);
+      const auto c = sampled_trial(view, setup, direct, m, rng);
       mean.k_random += c.k_random;
       mean.k_regular += c.k_regular;
       mean.k_closest += c.k_closest;

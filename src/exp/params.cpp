@@ -109,10 +109,7 @@ std::uint64_t ParamReader::get_seed(const std::string& key,
   const auto* v = find_and_mark(key);
   if (!v) return def;
   try {
-    std::size_t used = 0;
-    const std::uint64_t parsed = std::stoull(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing characters");
-    return parsed;
+    return util::parse_seed(*v);
   } catch (const std::exception&) {
     throw std::invalid_argument("scenario knob '" + key +
                                 "' expects a seed, got '" + *v + "'");

@@ -48,19 +48,4 @@ double node_efficiency(const std::vector<double>& dist, NodeId src,
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
 }
 
-std::vector<NodeId> r_hop_neighborhood(const Digraph& g, NodeId v, int r) {
-  if (r < 0) throw std::invalid_argument("radius must be >= 0");
-  const auto hops = hop_distances(g, v);
-  std::vector<NodeId> out;
-  for (std::size_t j = 0; j < hops.size(); ++j) {
-    if (static_cast<NodeId>(j) == v) continue;
-    if (hops[j] >= 0 && hops[j] <= r) out.push_back(static_cast<NodeId>(j));
-  }
-  return out;
-}
-
-std::size_t r_hop_neighborhood_size(const Digraph& g, NodeId v, int r) {
-  return r_hop_neighborhood(g, v, r).size();
-}
-
 }  // namespace egoist::graph

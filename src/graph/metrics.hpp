@@ -3,7 +3,6 @@
 // - Routing cost C_i(S) = sum_j p_ij * d_S(v_i, v_j)      (§2.1)
 // - Efficiency  eps_i  = 1/(n-1) * sum_{j != i} 1/d_ij    (§4.4; 0 when
 //   disconnected — the churn experiments' replacement for raw distance)
-// - r-hop neighborhood size |F(v_j)|                       (§5 sampling bias)
 #pragma once
 
 #include <vector>
@@ -30,12 +29,5 @@ double uniform_routing_cost(const std::vector<double>& dist, NodeId src,
 /// [0, mean(1/d_min)]; higher is better.
 double node_efficiency(const std::vector<double>& dist, NodeId src,
                        const std::vector<NodeId>& targets);
-
-/// Size of the r-hop out-neighborhood of v: number of distinct nodes
-/// (excluding v) reachable within at most r hops.
-std::size_t r_hop_neighborhood_size(const Digraph& g, NodeId v, int r);
-
-/// Nodes in the r-hop out-neighborhood of v (excluding v).
-std::vector<NodeId> r_hop_neighborhood(const Digraph& g, NodeId v, int r);
 
 }  // namespace egoist::graph

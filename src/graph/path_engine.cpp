@@ -16,16 +16,6 @@ void CsrGraph::rebuild(const Digraph& g) {
     if (g.is_active(static_cast<NodeId>(u))) active_[u] = 1;
   }
 
-  // The max weight scans *every* stored edge, including those dropped for
-  // inactivity below: the default unreachable penalty is derived from it
-  // and must match the Digraph overload's scan, which never looks at activity.
-  max_weight_ = 0.0;
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const Edge& e : g.out_edges(static_cast<NodeId>(u))) {
-      max_weight_ = std::max(max_weight_, e.weight);
-    }
-  }
-
   offset_.assign(n + 1, 0);
   target_.clear();
   weight_.clear();
@@ -585,26 +575,6 @@ void PathEngine::all_shortest(NodeId exclude, DistanceMatrix& out,
 void PathEngine::all_widest(NodeId exclude, DistanceMatrix& out,
                             QueryScratch& qs) const {
   all_rows<true>(qs, exclude, out);
-}
-
-void PathEngine::shortest_from(NodeId src, NodeId exclude,
-                               std::span<double> dist_out) {
-  shortest_from(src, exclude, dist_out, scratch_);
-}
-
-void PathEngine::widest_from(NodeId src, NodeId exclude,
-                             std::span<double> bottleneck_out) {
-  widest_from(src, exclude, bottleneck_out, scratch_);
-}
-
-void PathEngine::all_shortest(NodeId exclude, DistanceMatrix& out) {
-  prepare_shortest();
-  all_rows<false>(scratch_, exclude, out);
-}
-
-void PathEngine::all_widest(NodeId exclude, DistanceMatrix& out) {
-  prepare_widest();
-  all_rows<true>(scratch_, exclude, out);
 }
 
 }  // namespace egoist::graph

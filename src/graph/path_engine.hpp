@@ -15,9 +15,9 @@
 //   source whose edge range is skipped, so G_{-i} costs O(1) instead of an
 //   O(n + m) graph copy. Paths *through* the excluded node are unaffected
 //   (its in-edges remain), exactly as in a residual copy of the graph.
-// - Shared base trees: the first all-pairs query against a snapshot
-//   computes one SSSP tree per source (dist row + parent links), shared by
-//   every later query on the snapshot. A query excluding node i differs
+// - Shared base trees: prepare_shortest() / prepare_widest() compute one
+//   SSSP tree per source (dist row + parent links), shared by every later
+//   query on the snapshot. A query excluding node i differs
 //   from a base row only at the *proper descendants of i in that source's
 //   tree*: every other destination's tree path avoids i's out-edges, so
 //   its base distance is provably the residual distance, bit for bit. The
@@ -41,9 +41,10 @@
 // of this against graph::all_pairs_* on residual Digraph copies, which
 // stay as the test reference.
 //
-// Steady-state queries allocate nothing: the workspace (4-ary heap, stamp
-// marks, scratch lists) and the base-tree arenas are reused across
-// rebuild() calls.
+// Every query is const and writes only a caller-owned QueryScratch (4-ary
+// heap, stamp marks, scratch lists), so steady-state queries allocate
+// nothing and any number of threads may query one prepared engine. The
+// base-tree arenas are reused across rebuild() calls.
 #pragma once
 
 #include <cstdint>
@@ -100,12 +101,6 @@ class CsrGraph {
     return {in_weight_.data() + in_offset_[i], in_offset_[i + 1] - in_offset_[i]};
   }
 
-  /// Largest edge weight of the snapshotted Digraph (0 for an edgeless
-  /// graph). Unlike the adjacency arrays this includes edges dropped for
-  /// inactivity: core::default_unreachable_penalty derives from it and
-  /// must agree with its Digraph overload, which ignores activity.
-  double max_weight() const { return max_weight_; }
-
   /// Active node ids, ascending.
   std::vector<NodeId> active_nodes() const;
 
@@ -124,17 +119,15 @@ class CsrGraph {
   std::vector<double> in_weight_;
   std::vector<std::uint8_t> active_;    ///< bitmap, avoids vector<bool> reads
   std::vector<std::size_t> build_cursor_;  ///< rebuild() scratch
-  double max_weight_ = 0.0;
 };
 
 /// Reusable residual-path solver over a CsrGraph snapshot.
 ///
-/// Thread model: every mutation (rebuild, update_out_edges, prepare_*, the
-/// non-scratch query overloads, which may build base trees lazily)
-/// requires exclusive access. The QueryScratch overloads are const and
-/// touch only caller-owned scratch, so once the base trees are prepared —
-/// or with no base trees at all (they fall back to direct SSSP) — any
-/// number of threads may query concurrently, one QueryScratch per thread.
+/// Thread model: every mutation (rebuild, update_out_edges, prepare_*)
+/// requires exclusive access. Queries are const and touch only the
+/// caller-owned QueryScratch, so once the base trees are prepared — or
+/// with no base trees at all (they fall back to direct SSSP) — any number
+/// of threads may query concurrently, one QueryScratch per thread.
 class PathEngine {
   struct HeapItem {
     double key;
@@ -142,7 +135,7 @@ class PathEngine {
   };
 
  public:
-  /// Caller-owned mutable state for the const query overloads: the 4-ary
+  /// Caller-owned mutable state for the queries: the 4-ary
   /// heap plus the descendant-repair scratch (epoch-stamped membership
   /// marks, collected-descendant lists). One per querying thread; reusable
   /// across queries, snapshots, and engines (stale marks can never collide
@@ -164,8 +157,7 @@ class PathEngine {
   explicit PathEngine(const Digraph& g) { rebuild(g); }
 
   /// Takes a fresh snapshot of `g`, reusing all internal buffers, and
-  /// invalidates the shared base trees (rebuilt lazily on the next
-  /// all-pairs query).
+  /// invalidates the shared base trees (until the next prepare_*).
   void rebuild(const Digraph& g);
 
   /// Re-snapshots `g` after a change confined to `u`'s out-edges (the
@@ -195,10 +187,10 @@ class PathEngine {
   const CsrGraph& csr() const { return csr_; }
   std::size_t node_count() const { return csr_.node_count(); }
 
-  /// Builds the shared base trees for one semiring now instead of lazily
-  /// on the first all-pairs query. The parallel epoch engine calls this in
-  /// its snapshot phase, after which the const query overloads below are
-  /// safe to fan out across worker threads.
+  /// Builds the shared base trees for one semiring (a no-op while they are
+  /// valid). Queries are bit-identical with or without them; prepared,
+  /// each residual row is a base row plus a descendant repair instead of
+  /// a full SSSP.
   void prepare_shortest();
   void prepare_widest();
   bool shortest_prepared() const { return shortest_base_.valid; }
@@ -208,9 +200,9 @@ class PathEngine {
   /// skipped (kNoExclude = none). Writes the full row: kUnreachable for
   /// unreached nodes, and the whole row when src is inactive (mirroring
   /// all_pairs_shortest_paths, which leaves inactive rows unreachable).
-  /// Served from the shared base trees when prepared (or previously built
-  /// by a lazy all-pairs query); runs a direct SSSP otherwise. The results
-  /// are bit-identical either way. dist_out.size() must be node_count().
+  /// Served from the shared base trees when prepared; runs a direct SSSP
+  /// otherwise. The results are bit-identical either way.
+  /// dist_out.size() must be node_count().
   void shortest_from(NodeId src, NodeId exclude_out_edges_of,
                      std::span<double> dist_out, QueryScratch& scratch) const;
 
@@ -227,27 +219,6 @@ class PathEngine {
                     QueryScratch& scratch) const;
   void all_widest(NodeId exclude_out_edges_of, DistanceMatrix& out,
                   QueryScratch& scratch) const;
-
-  /// Single-caller conveniences over the scratch overloads: use the
-  /// engine-owned scratch, and build the base trees lazily on the first
-  /// all-pairs query (hence non-const).
-  void shortest_from(NodeId src, NodeId exclude_out_edges_of,
-                     std::span<double> dist_out);
-  void widest_from(NodeId src, NodeId exclude_out_edges_of,
-                   std::span<double> bottleneck_out);
-  void all_shortest(NodeId exclude_out_edges_of, DistanceMatrix& out);
-  void all_widest(NodeId exclude_out_edges_of, DistanceMatrix& out);
-
-  DistanceMatrix all_shortest(NodeId exclude_out_edges_of) {
-    DistanceMatrix out;
-    all_shortest(exclude_out_edges_of, out);
-    return out;
-  }
-  DistanceMatrix all_widest(NodeId exclude_out_edges_of) {
-    DistanceMatrix out;
-    all_widest(exclude_out_edges_of, out);
-    return out;
-  }
 
  private:
   /// Shared per-snapshot base trees for one semiring (shortest or widest):
@@ -301,8 +272,8 @@ class PathEngine {
   void all_rows(QueryScratch& qs, NodeId exclude, DistanceMatrix& out) const;
 
   CsrGraph csr_;
-  /// Engine-owned scratch behind the non-scratch overloads, the base-tree
-  /// build, and the in-place tree updates.
+  /// Engine-owned scratch behind the base-tree build and the in-place tree
+  /// updates.
   QueryScratch scratch_;
   BaseTrees shortest_base_;
   BaseTrees widest_base_;

@@ -65,24 +65,4 @@ std::vector<NodeId> extract_path(const ShortestPathTree& tree, NodeId src, NodeI
   return path;
 }
 
-std::vector<int> hop_distances(const Digraph& g, NodeId src) {
-  g.check_node(src);
-  std::vector<int> hops(g.node_count(), -1);
-  if (!g.is_active(src)) return hops;
-  std::queue<NodeId> frontier;
-  hops[static_cast<std::size_t>(src)] = 0;
-  frontier.push(src);
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop();
-    for (const Edge& e : g.out_edges(u)) {
-      if (!g.is_active(e.to)) continue;
-      if (hops[static_cast<std::size_t>(e.to)] != -1) continue;
-      hops[static_cast<std::size_t>(e.to)] = hops[static_cast<std::size_t>(u)] + 1;
-      frontier.push(e.to);
-    }
-  }
-  return hops;
-}
-
 }  // namespace egoist::graph

@@ -35,8 +35,4 @@ std::vector<std::vector<double>> all_pairs_shortest_paths(const Digraph& g);
 /// Returns an empty vector when dst is unreachable.
 std::vector<NodeId> extract_path(const ShortestPathTree& tree, NodeId src, NodeId dst);
 
-/// BFS hop distances from `src` (every edge counts 1), honoring active
-/// flags; unreachable nodes get -1. Used by the r-hop neighborhood ranking.
-std::vector<int> hop_distances(const Digraph& g, NodeId src);
-
 }  // namespace egoist::graph

@@ -84,11 +84,11 @@ bool DirtyTracker::drift_exceeded(std::size_t v,
   if (exact()) return false;
   const auto& bl = base_links_[v];
   const auto& bv = base_values_[v];
-  for (const auto link : links) {
-    const auto it = std::find(bl.begin(), bl.end(), link);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const auto it = std::find(bl.begin(), bl.end(), links[i]);
     if (it == bl.end()) return true;  // link gained since last evaluation
     const double base = bv[static_cast<std::size_t>(it - bl.begin())];
-    if (cost_moved(base, fresh[static_cast<std::size_t>(link)])) return true;
+    if (cost_moved(base, fresh[i])) return true;
   }
   return false;
 }

@@ -105,8 +105,8 @@ class DirtyTracker {
   /// baseline rather than the previous epoch gives hysteresis: slow drift
   /// accumulates until it crosses the threshold once, the node re-evaluates
   /// and re-baselines, and sub-threshold wander never triggers. Links
-  /// without a recorded baseline count as exceeded. `fresh` is indexed by
-  /// node id.
+  /// without a recorded baseline count as exceeded. `fresh[i]` is the
+  /// probed value of `links[i]` (the probe measures only the links).
   bool drift_exceeded(std::size_t v, std::span<const graph::NodeId> links,
                       std::span<const double> fresh) const;
 

@@ -23,11 +23,14 @@
 //
 // EpochEngine owns the reusable worker pool and one workspace per worker
 // (path-query scratch, best-response scratch, residual matrix, a
-// measurement row buffer), so steady-state epochs allocate nothing new.
+// node-indexed measurement row), so steady-state epochs allocate nothing
+// new. The sequential schedules evaluate through one more workspace of
+// their own.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/policies.hpp"
@@ -36,22 +39,44 @@
 
 namespace egoist::overlay {
 
-/// Per-worker mutable state for the evaluate phase. Workers never share
-/// one: index w belongs to pool worker w.
+/// Mutable state for one node evaluation at a time: one per pipeline
+/// worker (index w belongs to pool worker w), plus the sequential paths'
+/// own.
 struct EpochWorkspace {
   graph::PathEngine::QueryScratch query;
   core::BestResponseScratch br;
   graph::DistanceMatrix residual;
-  /// Full-size direct-measurement buffer: filled from a node's pool
-  /// before evaluation, restored to defaults after, so each evaluation
-  /// costs O(pool), not O(n).
+  /// The node-indexed form of the measurement row under evaluation (n
+  /// entries): what the objectives and the announce path index by id.
   std::vector<double> direct;
+  /// The ids the last expand() wrote, cleared by the next one.
+  std::vector<graph::NodeId> written;
+
+  /// Makes a pool-order measurement row node-indexed in `direct`: value
+  /// i lands at pool[i], every other entry holds `unmeasured`. Only the
+  /// first call (or a size change) fills n entries; later calls reset the
+  /// previous row's ids, so an expansion costs O(pool).
+  const std::vector<double>& expand(std::span<const graph::NodeId> pool,
+                                    std::span<const double> values,
+                                    std::size_t nodes, double unmeasured) {
+    if (direct.size() != nodes) {
+      direct.assign(nodes, unmeasured);
+    } else {
+      for (graph::NodeId id : written) {
+        direct[static_cast<std::size_t>(id)] = unmeasured;
+      }
+    }
+    written.assign(pool.begin(), pool.end());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      direct[static_cast<std::size_t>(pool[i])] = values[i];
+    }
+    return direct;
+  }
 };
 
 class EpochEngine {
  public:
-  /// `workers` >= 1 (resolve 0 = auto with util::WorkerPool::resolve
-  /// before constructing).
+  /// `workers` >= 1.
   explicit EpochEngine(int workers) : pool_(workers) {
     workspaces_.resize(static_cast<std::size_t>(pool_.size()));
   }

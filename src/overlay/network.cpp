@@ -190,9 +190,9 @@ void EgoistNetwork::set_online(int node, bool online) {
     if (!others.empty()) {
       const NodeId bootstrap = others[static_cast<std::size_t>(
           rng_.uniform_int(0, static_cast<std::int64_t>(others.size()) - 1))];
-      const auto direct = measure_pool(
+      const auto row = measure(
           node, scale_mode() ? std::vector<NodeId>{bootstrap} : online_nodes());
-      apply_wiring(node, {bootstrap}, direct);
+      apply_wiring(node, {bootstrap}, expand(workspace_, row.pool, row.values));
     }
   }
   // §3.3 monitors the donated backbone aggressively; failure detection is
@@ -235,31 +235,40 @@ std::span<const NodeId> EgoistNetwork::donated(int node) const {
   return store_.donated(static_cast<std::size_t>(node));
 }
 
-std::vector<double> EgoistNetwork::measure_pool(int node,
-                                                const std::vector<NodeId>& pool) {
-  const std::size_t n = store_.size();
-  std::vector<double> direct(
-      n, config_.metric == Metric::kBandwidth ? 0.0 : graph::kUnreachable);
-  for (NodeId v : pool) {
+double EgoistNetwork::unmeasured() const {
+  return config_.metric == Metric::kBandwidth ? 0.0 : graph::kUnreachable;
+}
+
+EgoistNetwork::Measurement EgoistNetwork::measure(int node,
+                                                  std::vector<NodeId> pool) {
+  std::vector<double> values(pool.size(), unmeasured());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const NodeId v = pool[i];
     if (!store_.is_online(static_cast<std::size_t>(v)) || v == node) continue;
     switch (config_.metric) {
       case Metric::kDelayPing:
-        direct[static_cast<std::size_t>(v)] = env_.measure_delay_ping(node, v);
+        values[i] = env_.measure_delay_ping(node, v);
         break;
       case Metric::kDelayCoords:
-        direct[static_cast<std::size_t>(v)] = env_.measure_delay_coords(node, v);
+        values[i] = env_.measure_delay_coords(node, v);
         break;
       case Metric::kNodeLoad:
         // All outgoing links of a node carry the node's own measured load
         // (§4.1), so the direct cost does not depend on the target.
-        direct[static_cast<std::size_t>(v)] = env_.measure_load(node);
+        values[i] = env_.measure_load(node);
         break;
       case Metric::kBandwidth:
-        direct[static_cast<std::size_t>(v)] = env_.measure_avail_bw(node, v);
+        values[i] = env_.measure_avail_bw(node, v);
         break;
     }
   }
-  return direct;
+  return {std::move(pool), std::move(values)};
+}
+
+const std::vector<double>& EgoistNetwork::expand(
+    EpochWorkspace& ws, std::span<const NodeId> pool,
+    std::span<const double> values) const {
+  return ws.expand(pool, values, store_.size(), unmeasured());
 }
 
 std::vector<NodeId> EgoistNetwork::sample_pool(int node) {
@@ -337,45 +346,6 @@ void EgoistNetwork::refresh_landmarks() {
   }
   landmark_state_.valid = true;
   landmark_state_.evals_left = online_count();
-}
-
-bool EgoistNetwork::evaluate_node_sampled(int node) {
-  // The landmark state serves one epoch-equivalent of evaluations (see
-  // LandmarkState): inside run_epoch it was refreshed at the boundary;
-  // on the staggered/run_node path it refreshes here once the budget of
-  // online_count() evaluations is spent.
-  if (!landmark_state_.valid || landmark_state_.evals_left == 0) {
-    refresh_landmarks();
-  }
-  if (landmark_state_.evals_left > 0) --landmark_state_.evals_left;
-
-  const auto pool = sample_pool(node);
-  const auto direct = measure_pool(node, pool);
-  const auto current = store_.wiring_vec(static_cast<std::size_t>(node));
-  const double penalty = config_.metric == Metric::kBandwidth
-                             ? 0.0
-                             : unreachable_penalty(announced_);
-  const auto objective = landmark_objective(node, pool, direct, penalty);
-  // Both the kept and the proposed wiring are subsets of the measured pool
-  // (fixed links included), so `direct` covers every announced cost.
-  return commit(node, current,
-                propose(node, objective, current, degree_budget(), br_scratch_),
-                direct);
-}
-
-core::LandmarkObjective EgoistNetwork::landmark_objective(
-    NodeId node, std::vector<NodeId> pool, std::vector<double> direct,
-    double penalty) const {
-  std::vector<NodeId> targets;
-  targets.reserve(landmark_state_.landmarks.size());
-  for (NodeId l : landmark_state_.landmarks) {
-    if (l != node) targets.push_back(l);
-  }
-  const bool maximize = config_.metric == Metric::kBandwidth;
-  return core::LandmarkObjective(
-      node, std::move(pool), std::move(direct), &landmark_state_.dist,
-      &landmark_state_.column, std::move(targets), maximize,
-      maximize ? 0.0 : penalty);
 }
 
 double EgoistNetwork::announced_cost(int node, double measured) const {
@@ -516,9 +486,9 @@ bool EgoistNetwork::node_needs_evaluation(int node) {
   // actually routes over) and compare against its last-evaluation baseline.
   const auto links = store_.wiring(static_cast<std::size_t>(node));
   if (links.empty()) return false;
-  drift_links_scratch_.assign(links.begin(), links.end());
-  const auto fresh = measure_pool(node, drift_links_scratch_);
-  return dirty_.drift_exceeded(static_cast<std::size_t>(node), links, fresh);
+  const auto probe = measure(node, {links.begin(), links.end()});
+  return dirty_.drift_exceeded(static_cast<std::size_t>(node), probe.pool,
+                               probe.values);
 }
 
 std::vector<NodeId> EgoistNetwork::backbone_links(int node) const {
@@ -579,9 +549,9 @@ void EgoistNetwork::refresh_backbone() {
         combined.push_back(w);
       }
     }
-    const auto direct =
-        measure_pool(v, scale_mode() ? combined : online_nodes());
-    apply_wiring(v, std::move(combined), direct);
+    const auto row = measure(v, scale_mode() ? combined : online_nodes());
+    apply_wiring(v, std::move(combined),
+                 expand(workspace_, row.pool, row.values));
   }
 }
 
@@ -654,9 +624,11 @@ std::vector<NodeId> EgoistNetwork::choose_wiring(int node,
     case Policy::kBestResponse:
     case Policy::kHybridBR: {
       // A joiner has no wiring to keep: no BR(eps) decision, no seed.
-      const auto options = search_options(node, br_scratch_);
-      const auto br = core::best_response(*dense_objective(node, direct),
-                                          free_budget(k, options), options);
+      const double penalty = prepare_decision();
+      const auto options = search_options(node, workspace_.br);
+      const auto br = core::best_response(
+          *objective(node, candidates, direct, penalty, workspace_),
+          free_budget(k, options), options);
       auto combined = options.fixed_links;
       combined.insert(combined.end(), br.wiring.begin(), br.wiring.end());
       return combined;
@@ -665,34 +637,47 @@ std::vector<NodeId> EgoistNetwork::choose_wiring(int node,
   return {};
 }
 
-std::unique_ptr<core::WiringObjective> EgoistNetwork::dense_objective(
-    int node, const std::vector<double>& direct) {
+double EgoistNetwork::prepare_decision() {
   const graph::Digraph& decision = decision_graph();
-  // Inside a synchronized epoch the engine already mirrors the decision
-  // graph (snapshotted at the boundary, patched after each re-announce);
-  // otherwise it re-snapshots per call, reusing its buffers.
-  if (!engine_synced_) engine_.rebuild(decision);
-  if (config_.metric == Metric::kBandwidth) {
-    engine_.prepare_widest();
-    return residual_objective(node, direct, 0.0, query_scratch_,
-                              residual_scratch_);
+  const bool maximize = config_.metric == Metric::kBandwidth;
+  if (!scale_mode()) {
+    // Inside a synchronized epoch the engine already mirrors the decision
+    // graph (snapshotted at the boundary, patched after each re-announce);
+    // otherwise it re-snapshots here, reusing its buffers.
+    if (!engine_synced_) engine_.rebuild(decision);
+    if (maximize) {
+      engine_.prepare_widest();
+    } else {
+      engine_.prepare_shortest();
+    }
   }
-  engine_.prepare_shortest();
-  return residual_objective(node, direct, unreachable_penalty(decision),
-                            query_scratch_, residual_scratch_);
+  return maximize ? 0.0 : unreachable_penalty(decision);
 }
 
-std::unique_ptr<core::WiringObjective> EgoistNetwork::residual_objective(
-    NodeId node, const std::vector<double>& direct, double penalty,
-    graph::PathEngine::QueryScratch& query,
-    graph::DistanceMatrix& residual) const {
-  const graph::PathEngine& engine = engine_;  // const: scratch-based queries
-  if (config_.metric == Metric::kBandwidth) {
+std::unique_ptr<core::WiringObjective> EgoistNetwork::objective(
+    NodeId node, std::span<const NodeId> pool,
+    const std::vector<double>& direct, double penalty,
+    EpochWorkspace& ws) const {
+  const bool maximize = config_.metric == Metric::kBandwidth;
+  if (scale_mode()) {
+    std::vector<NodeId> targets;
+    targets.reserve(landmark_state_.landmarks.size());
+    for (NodeId l : landmark_state_.landmarks) {
+      if (l != node) targets.push_back(l);
+    }
+    return std::make_unique<core::LandmarkObjective>(
+        node, std::vector<NodeId>(pool.begin(), pool.end()), direct,
+        &landmark_state_.dist, &landmark_state_.column, std::move(targets),
+        maximize, penalty);
+  }
+  if (maximize) {
     return std::make_unique<core::BandwidthObjective>(
-        core::make_bandwidth_objective(engine, query, node, direct, &residual));
+        core::make_bandwidth_objective(engine_, ws.query, node, direct,
+                                       &ws.residual));
   }
   return std::make_unique<core::DelayObjective>(core::make_delay_objective(
-      engine, query, node, direct, preference_of(node), penalty, &residual));
+      engine_, ws.query, node, direct, preference_of(node), penalty,
+      &ws.residual));
 }
 
 core::BestResponseOptions EgoistNetwork::search_options(
@@ -763,8 +748,9 @@ void EgoistNetwork::join(int node) {
   }
   // One measurement over the node's pool: a joiner in scale mode cannot
   // measure everyone, so it probes a fresh sample; otherwise everyone.
-  const auto pool = scale_mode() ? sample_pool(node) : online_nodes();
-  const auto direct = measure_pool(node, pool);
+  const auto row =
+      measure(node, scale_mode() ? sample_pool(node) : online_nodes());
+  const auto& direct = expand(workspace_, row.pool, row.values);
   if (!scale_mode()) {
     apply_wiring(node, choose_wiring(node, direct), direct);
     return;
@@ -774,7 +760,7 @@ void EgoistNetwork::join(int node) {
   // there.
   const auto donated = store_.donated_vec(static_cast<std::size_t>(node));
   std::vector<NodeId> free_pool;
-  for (NodeId v : pool) {
+  for (NodeId v : row.pool) {
     if (std::find(donated.begin(), donated.end(), v) == donated.end()) {
       free_pool.push_back(v);
     }
@@ -791,8 +777,19 @@ void EgoistNetwork::join(int node) {
 }
 
 bool EgoistNetwork::evaluate_node(int node) {
-  if (scale_mode()) return evaluate_node_sampled(node);
-  const auto direct = measure_pool(node, online_nodes());
+  if (scale_mode()) {
+    // The landmark state serves one epoch-equivalent of evaluations (see
+    // LandmarkState): inside run_epoch it was refreshed at the boundary;
+    // on the staggered/run_node path it refreshes here once the budget of
+    // online_count() evaluations is spent.
+    if (!landmark_state_.valid || landmark_state_.evals_left == 0) {
+      refresh_landmarks();
+    }
+    if (landmark_state_.evals_left > 0) --landmark_state_.evals_left;
+  }
+  const auto row =
+      measure(node, scale_mode() ? sample_pool(node) : online_nodes());
+  const auto& direct = expand(workspace_, row.pool, row.values);
   const auto current = store_.wiring_vec(static_cast<std::size_t>(node));
   if (!best_response_policy()) {
     // Same set: costs may have drifted; refresh without re-wiring.
@@ -800,11 +797,15 @@ bool EgoistNetwork::evaluate_node(int node) {
     const bool adopt = !same_set(current, proposed);
     return commit(node, current, {std::move(proposed), adopt}, direct);
   }
-  // BR path: the residual objective under the same fresh measurements
-  // scores both the current wiring and the search's proposal.
+  // BR: one objective under the same fresh measurements scores both the
+  // current wiring and the search's proposal. Both are subsets of the
+  // measured pool (fixed links included), so `direct` covers every
+  // announced cost.
+  const double penalty = prepare_decision();
   return commit(node, current,
-                propose(node, *dense_objective(node, direct), current,
-                        degree_budget(), br_scratch_),
+                propose(node,
+                        *objective(node, row.pool, direct, penalty, workspace_),
+                        current, degree_budget(), workspace_.br),
                 direct);
 }
 
@@ -846,44 +847,10 @@ EpochEngine& EgoistNetwork::epoch_engine() {
   return *epoch_engine_;
 }
 
-void EgoistNetwork::evaluate_proposal(NodeId v, EpochWorkspace& ws,
-                                      double penalty, std::size_t budget) {
-  const auto node = static_cast<std::size_t>(v);
-  const std::size_t n = store_.size();
-  const std::vector<NodeId> current = store_.wiring_vec(node);
-  const auto ids = epoch_store_.pool_ids(node);
-  const auto values = epoch_store_.pool_values(node);
-  // Rebuild the node's measurement row in the full-size workspace buffer,
-  // restore after the search: O(pool) per node.
-  const double unmeasured =
-      config_.metric == Metric::kBandwidth ? 0.0 : graph::kUnreachable;
-  if (ws.direct.size() != n) ws.direct.assign(n, unmeasured);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    ws.direct[static_cast<std::size_t>(ids[i])] = values[i];
-  }
-  Proposal proposal =
-      scale_mode()
-          ? propose(v,
-                    landmark_objective(v, {ids.begin(), ids.end()},
-                                       ws.direct, penalty),
-                    current, budget, ws.br)
-          : propose(v,
-                    *residual_objective(v, ws.direct, penalty, ws.query,
-                                        ws.residual),
-                    current, budget, ws.br);
-  for (NodeId id : ids) {
-    ws.direct[static_cast<std::size_t>(id)] = unmeasured;
-  }
-  std::sort(proposal.wiring.begin(), proposal.wiring.end());
-  epoch_store_.set_proposal(node, proposal.wiring, proposal.adopt);
-}
-
 int EgoistNetwork::run_epoch_pipeline() {
   EGOIST_PROFILE_SCOPE("epoch");
   ++epochs_;
-  const std::size_t n = store_.size();
   const auto online = store_.online_nodes();  // ascending: the merge order
-  const bool maximize = config_.metric == Metric::kBandwidth;
   EpochEngine& engine = epoch_engine();
 
   // Incremental mode: freeze the dirty set into this epoch's active list
@@ -908,56 +875,48 @@ int EgoistNetwork::run_epoch_pipeline() {
   total_evaluations_ += active.size();
 
   // --- Snapshot (sequential, ascending node order) ---
-  // Everything stateful lives here: RNG draws (sample pools, landmarks) and
+  // Everything stateful lives here: RNG draws (landmarks, sample pools) and
   // measurement streams (ping EWMAs, noise) advance exactly once, in a
-  // worker-count-independent order. The decision graph is frozen at the
-  // boundary — in audit mode it is audited once here, not once per node.
+  // worker-count-independent order. The decision graph is frozen after
+  // them — in audit mode it is audited once here, not once per node.
   // With nothing active, the epoch planes, landmark refresh, and engine
   // snapshot are all skipped — an all-clean epoch costs O(n).
-  const graph::Digraph* decision = nullptr;
+  double penalty = 0.0;
   {
     EGOIST_PROFILE_SCOPE("snapshot");
-    decision = &decision_graph();
-    if (!maximize) {
-      epoch_penalty_ = core::default_unreachable_penalty(*decision);
-    }
     if (!active.empty()) {
       if (scale_mode()) refresh_landmarks();
       // One measurement plane: each active node's pool and the values
       // measured over it — a fresh sample in scale mode, the online set
       // otherwise.
-      epoch_store_.begin(n, store_.wiring_capacity());
-      std::vector<double> values;
+      epoch_store_.begin(store_.size(), store_.wiring_capacity());
       for (NodeId v : active) {
-        const auto pool = scale_mode() ? sample_pool(v) : online;
-        const auto direct = measure_pool(v, pool);
-        values.clear();
-        for (NodeId p : pool) {
-          values.push_back(direct[static_cast<std::size_t>(p)]);
-        }
-        epoch_store_.add_pool(static_cast<std::size_t>(v), pool, values);
+        const auto row = measure(v, scale_mode() ? sample_pool(v) : online);
+        epoch_store_.add_pool(static_cast<std::size_t>(v), row.pool,
+                              row.values);
       }
-      if (!scale_mode()) {
-        // One shared snapshot + eager base trees; the evaluate phase only
-        // issues const scratch-based queries against it.
-        engine_.rebuild(*decision);
-        if (maximize) {
-          engine_.prepare_widest();
-        } else {
-          engine_.prepare_shortest();
-        }
-      }
+      // The frozen decision state (in dense mode one engine snapshot with
+      // eager base trees, which the evaluate phase only queries).
+      penalty = prepare_decision();
     }
   }
 
   // --- Evaluate (parallel, pure per-node) ---
-  const std::size_t budget =
-      online.empty() ? 0 : std::min(config_.k, online.size() - 1);
-  const double penalty = maximize ? 0.0 : *epoch_penalty_;
+  // A task reads only frozen state and its own workspace, and writes only
+  // its node's disjoint EpochStore slot.
+  const std::size_t budget = degree_budget();
   {
     EGOIST_PROFILE_SCOPE("evaluate");
     engine.run(active.size(), [&](std::size_t i, EpochWorkspace& ws) {
-      evaluate_proposal(active[i], ws, penalty, budget);
+      const NodeId v = active[i];
+      const auto node = static_cast<std::size_t>(v);
+      const auto pool = epoch_store_.pool_ids(node);
+      const auto& direct = expand(ws, pool, epoch_store_.pool_values(node));
+      Proposal proposal =
+          propose(v, *objective(v, pool, direct, penalty, ws),
+                  store_.wiring_vec(node), budget, ws.br);
+      std::sort(proposal.wiring.begin(), proposal.wiring.end());
+      epoch_store_.set_proposal(node, proposal.wiring, proposal.adopt);
     });
   }
 
@@ -965,18 +924,12 @@ int EgoistNetwork::run_epoch_pipeline() {
   int rewired = 0;
   {
     EGOIST_PROFILE_SCOPE("merge");
-    const double unmeasured = maximize ? 0.0 : graph::kUnreachable;
-    std::vector<double> direct;
     for (NodeId v : active) {
       const auto node = static_cast<std::size_t>(v);
-      // Reconstruct the measurement row; every announced link is a pool
-      // member (kept and proposed wirings are pool subsets).
-      direct.assign(n, unmeasured);
-      const auto ids = epoch_store_.pool_ids(node);
-      const auto values = epoch_store_.pool_values(node);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        direct[static_cast<std::size_t>(ids[i])] = values[i];
-      }
+      // Every announced link is a pool member (kept and proposed wirings
+      // are pool subsets), so the snapshot's row covers the announce.
+      const auto& direct = expand(workspace_, epoch_store_.pool_ids(node),
+                                  epoch_store_.pool_values(node));
       const auto proposal = epoch_store_.proposal(node);
       if (commit(v, store_.wiring_vec(node),
                  {{proposal.begin(), proposal.end()}, epoch_store_.adopted(node)},
@@ -986,7 +939,6 @@ int EgoistNetwork::run_epoch_pipeline() {
     }
   }
 
-  epoch_penalty_.reset();
   landmark_state_.valid = false;
   total_rewirings_ += static_cast<std::uint64_t>(rewired);
   return rewired;
@@ -1051,14 +1003,15 @@ int EgoistNetwork::run_epoch() {
         const NodeId next = ring[(i + 1) % ring.size()];
         if (u == next || announced_.has_edge(u, next)) continue;
         auto wiring = store_.wiring_vec(static_cast<std::size_t>(u));
-        const auto direct = measure_pool(u, ring);
+        // The ring is the pool, so `next`'s value sits at its ring index.
+        const auto row = measure(u, ring);
         if (wiring.size() >= config_.k && !wiring.empty()) {
           announced_.remove_edge(u, wiring.back());
           wiring.pop_back();
         }
         wiring.push_back(next);
-        announced_.set_edge(u, next,
-                            announced_cost(u, direct[static_cast<std::size_t>(next)]));
+        announced_.set_edge(
+            u, next, announced_cost(u, row.values[(i + 1) % ring.size()]));
         std::sort(wiring.begin(), wiring.end());
         store_.set_wiring(static_cast<std::size_t>(u), wiring);
       }

@@ -29,15 +29,13 @@
 #include "overlay/config.hpp"
 #include "overlay/dirty_tracker.hpp"
 #include "overlay/environment.hpp"
+#include "overlay/epoch_engine.hpp"
 #include "overlay/node_store.hpp"
 #include "util/rng.hpp"
 
 namespace egoist::overlay {
 
 using graph::NodeId;
-
-class EpochEngine;
-struct EpochWorkspace;
 
 /// Observation hooks the hosting layer installs to mirror engine activity
 /// as typed events (host::OverlayHost's subscription API). Both optional;
@@ -155,7 +153,9 @@ class EgoistNetwork {
   /// the sample).
   void join(int node);
 
-  /// Re-evaluates one node's wiring; returns true when it re-wired.
+  /// One node's turn, the step every sequential schedule runs (run_epoch,
+  /// run_node, immediate repairs): measure the node's pool, choose the
+  /// objective, propose, commit. Returns true when the node re-wired.
   bool evaluate_node(int node);
 
   /// evaluate_node plus the evaluation / re-wiring counters: the one
@@ -191,7 +191,8 @@ class EgoistNetwork {
   /// rescanning every edge once per node), a fresh scan otherwise.
   double unreachable_penalty(const graph::Digraph& decision) const;
 
-  /// Per-policy choice of new wiring. `direct` measures every online node.
+  /// Per-policy choice of new wiring. `direct` is the node's measurement
+  /// of every online node, indexed by id.
   std::vector<NodeId> choose_wiring(int node, const std::vector<double>& direct);
 
   /// --- §5 scale mode (config_.br_sample > 0) ---
@@ -201,24 +202,37 @@ class EgoistNetwork {
   /// and donated links plus a fresh random sample of br_sample others.
   std::vector<NodeId> sample_pool(int node);
 
-  /// Measures the direct metric cost/value (ping / coords / own load /
-  /// bandwidth probe) from `node` to each online member of `pool`, probing
-  /// in pool order; the result is indexed by node id. The pool is every
-  /// online node in dense mode and a sample in scale mode (what keeps the
-  /// scale-mode measurement plane at O(probed pairs)).
-  std::vector<double> measure_pool(int node, const std::vector<NodeId>& pool);
+  /// One measurement row: `values[i]` is the direct metric cost/value
+  /// (ping / coords / own load / bandwidth probe) from the node to
+  /// `pool[i]`.
+  struct Measurement {
+    std::vector<NodeId> pool;
+    std::vector<double> values;
+  };
+
+  /// Measures `node`'s links to `pool`, probing in pool order. The node
+  /// itself and offline members are not probed and hold the metric's
+  /// unmeasured value. The pool is every online node in dense mode and a
+  /// sample in scale mode (what keeps the scale-mode measurement plane at
+  /// O(probed pairs)).
+  Measurement measure(int node, std::vector<NodeId> pool);
+
+  /// The value of a link nobody measured: kUnreachable, or 0 for
+  /// bandwidth.
+  double unmeasured() const;
+
+  /// The measurement made node-indexed in `ws` (see
+  /// EpochWorkspace::expand).
+  const std::vector<double>& expand(EpochWorkspace& ws,
+                                    std::span<const NodeId> pool,
+                                    std::span<const double> values) const;
 
   /// (Re)computes the epoch-shared landmark state: samples br_landmarks
   /// online destinations and runs one reverse traversal of the announced
   /// graph per landmark (shortest for delay/load, widest for bandwidth).
   void refresh_landmarks();
 
-  /// Scale-mode node evaluation (sampled candidates x landmark targets);
-  /// same BR(eps) adoption rule and hooks as the dense path.
-  bool evaluate_node_sampled(int node);
-
-  /// --- The BR decision, shared by the dense, scale-mode and pipeline
-  /// evaluations ---
+  /// --- The BR decision, shared by every schedule ---
   /// One evaluation's outcome: the proposed wiring (fixed links first)
   /// and whether the BR(eps) rule adopts it.
   struct Proposal {
@@ -236,6 +250,24 @@ class EgoistNetwork {
   /// k, capped at the number of other online nodes.
   std::size_t degree_budget() const;
 
+  /// Readies the decision state the objectives read and returns the fold
+  /// penalty (0 for bandwidth): in dense mode the engine mirrors the
+  /// decision graph (re-snapshotted unless an epoch keeps it synchronized)
+  /// with the metric's base trees prepared; scale mode reads the landmark
+  /// state, which its schedules refresh themselves.
+  double prepare_decision();
+
+  /// The node's objective over its expanded measurement row `direct`:
+  /// the metric's residual objective from the prepared engine in dense
+  /// mode, or the `pool` candidates scored against the landmarks in scale
+  /// mode (borrowing `direct`, as the residual objectives borrow
+  /// ws.residual). Writes only `ws`, so the pipeline's workers call it
+  /// concurrently.
+  std::unique_ptr<core::WiringObjective> objective(
+      NodeId node, std::span<const NodeId> pool,
+      const std::vector<double>& direct, double penalty,
+      EpochWorkspace& ws) const;
+
   /// Runs the sticky BR search (seeded with `current`) over `objective`
   /// and applies the BR(eps) adoption rule (§4.3) against the current
   /// wiring's cost under the same objective. Pure: safe to run
@@ -249,26 +281,6 @@ class EgoistNetwork {
   /// Returns proposal.adopt.
   bool commit(int node, const std::vector<NodeId>& current, Proposal proposal,
               std::span<const double> direct);
-
-  /// The dense residual objective over the decision graph for the
-  /// sequential paths: re-snapshots the shared engine unless an epoch
-  /// keeps it synchronized, and prepares the metric's base trees.
-  std::unique_ptr<core::WiringObjective> dense_objective(
-      int node, const std::vector<double>& direct);
-
-  /// The metric's residual objective from the prepared engine, using only
-  /// caller-owned scratch (the pipeline's workers call this concurrently).
-  std::unique_ptr<core::WiringObjective> residual_objective(
-      NodeId node, const std::vector<double>& direct, double penalty,
-      graph::PathEngine::QueryScratch& query,
-      graph::DistanceMatrix& residual) const;
-
-  /// The scale-mode objective: `pool` candidates scored against the
-  /// epoch-shared landmarks (penalty ignored for bandwidth).
-  core::LandmarkObjective landmark_objective(NodeId node,
-                                             std::vector<NodeId> pool,
-                                             std::vector<double> direct,
-                                             double penalty) const;
 
   bool is_cheater(int node) const;
 
@@ -284,13 +296,6 @@ class EgoistNetwork {
   /// The lazily built worker pool + per-worker workspaces (rebuilt when the
   /// knob changes).
   EpochEngine& epoch_engine();
-
-  /// Evaluate-phase body: computes node v's best response against the epoch
-  /// snapshot and writes its proposal slot. Runs concurrently for distinct
-  /// nodes — reads only frozen state and `ws`, writes only v's disjoint
-  /// EpochStore slot.
-  void evaluate_proposal(NodeId v, EpochWorkspace& ws, double penalty,
-                         std::size_t budget);
 
   /// --- Incremental dirty-set epochs (config_.incremental) ---
   /// The epoch-turn skip decision: the node's dirty bit, or — tolerance
@@ -334,14 +339,10 @@ class EgoistNetwork {
   /// over the snapshot instead of a graph copy.
   graph::PathEngine engine_;
 
-  /// Engine query scratch and residual matrix for the sequential paths
-  /// (the objective borrows the matrix for one evaluation) so the epoch
-  /// loop performs no n^2 allocations.
-  graph::PathEngine::QueryScratch query_scratch_;
-  graph::DistanceMatrix residual_scratch_;
-
-  /// Link-value scratch reused by every best_response() search.
-  core::BestResponseScratch br_scratch_;
+  /// The sequential paths' workspace (every measurement row outside the
+  /// pipeline's evaluate phase is expanded here), so no evaluation
+  /// allocates or fills n entries of scratch.
+  EpochWorkspace workspace_;
 
   /// Audited decision graph buffer (only populated when audits are on).
   graph::Digraph audited_;
@@ -382,7 +383,6 @@ class EgoistNetwork {
   DirtyTracker dirty_;
   std::vector<graph::Edge> old_row_scratch_;  ///< apply_wiring announce delta
   std::vector<NodeId> holder_scratch_;        ///< tolerance-mode marking
-  std::vector<NodeId> drift_links_scratch_;   ///< drift-probe link list
 
   int epochs_ = 0;
   std::uint64_t total_rewirings_ = 0;

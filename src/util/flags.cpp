@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -131,10 +132,21 @@ std::uint64_t Flags::get_seed(const std::string& name, std::uint64_t def) const 
   const auto v = get(name);
   if (!v) return def;
   try {
-    return std::stoull(*v);
+    return parse_seed(*v);
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects a seed, got '" + *v + "'");
   }
+}
+
+std::uint64_t parse_seed(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    throw std::invalid_argument("expected an unsigned decimal seed, got '" +
+                                text + "'");
+  }
+  return value;
 }
 
 double parse_duration_seconds(const std::string& text) {

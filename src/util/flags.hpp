@@ -5,6 +5,7 @@
 // fail loudly instead of silently running the default configuration.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -78,6 +79,13 @@ std::optional<std::string> closest_name(const std::string& name,
 /// "2m" -> 120, "1.5h" -> 5400, "10us" -> 1e-5; a bare number is seconds.
 /// Throws std::invalid_argument on anything else (including negatives).
 double parse_duration_seconds(const std::string& text);
+
+/// Parses a seed: the whole string must be unsigned decimal digits that
+/// fit in 64 bits — no sign, no base prefix, no trailing characters (so
+/// "-1" is not 2^64 - 1 and "42x" is not 42). Throws
+/// std::invalid_argument otherwise. Both the flag and the scenario-knob
+/// readers parse seeds here, each naming its flag or knob in the error.
+std::uint64_t parse_seed(const std::string& text);
 
 /// Parses a human size into bytes with binary (1024) suffixes:
 /// "64K" -> 65536, "8M", "1G", optional trailing 'B' ("64KB"), case

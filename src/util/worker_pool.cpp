@@ -4,13 +4,6 @@
 
 namespace egoist::util {
 
-int WorkerPool::resolve(int requested) {
-  if (requested < 0) throw std::invalid_argument("workers must be >= 0");
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(hw == 0 ? 1 : hw);
-}
-
 WorkerPool::WorkerPool(int threads) {
   if (threads < 1) throw std::invalid_argument("pool needs >= 1 worker");
   helpers_.reserve(static_cast<std::size_t>(threads - 1));

@@ -6,8 +6,7 @@
 // dynamic load balancing (an atomic cursor): tasks whose outputs go to
 // disjoint, per-task slots produce bit-identical results at any pool size
 // and any scheduling, which is the contract every parallel caller in this
-// codebase relies on (the epoch engine's per-node evaluations, the path
-// engine's per-source tree builds).
+// codebase relies on (the epoch engine's per-node evaluations).
 //
 // Exceptions thrown by tasks are captured; after the batch drains, the one
 // thrown by the lowest task index is rethrown on the calling thread, so
@@ -27,8 +26,7 @@ namespace egoist::util {
 
 class WorkerPool {
  public:
-  /// A pool of exactly `threads` workers (>= 1; throws otherwise). Use
-  /// resolve() to turn a 0 = auto knob into a concrete count first.
+  /// A pool of exactly `threads` workers (>= 1; throws otherwise).
   explicit WorkerPool(int threads);
   ~WorkerPool();
 
@@ -45,10 +43,6 @@ class WorkerPool {
   /// workers via an atomic cursor, and returns when all have finished.
   /// Not reentrant: run() must not be called from inside a task.
   void run(std::size_t tasks, const Task& fn);
-
-  /// 0 = auto (one worker per hardware thread, at least 1); any positive
-  /// value is taken literally. Negative counts throw.
-  static int resolve(int requested);
 
  private:
   void worker_loop(std::size_t worker);

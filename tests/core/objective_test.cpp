@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "graph/shortest_path.hpp"
 
 namespace egoist::core {
@@ -182,6 +186,156 @@ TEST(BandwidthObjectiveTest, BulkFillMatchesLinkValue) {
       EXPECT_EQ(bulk[s * 2 + t], obj.link_value(sources[s], targets[t]));
     }
   }
+}
+
+// Landmark fixture (§5 scale mode): self = 0 in a 5-node overlay; nodes 3
+// and 4 are the landmarks (columns 0 and 1 of the n x L matrix). Row v
+// holds v's distance (or bottleneck) to each landmark. Landmark 3's own
+// entry is deliberately nonzero, to show a link straight to a landmark
+// never adds it.
+struct LandmarkFixture {
+  graph::DistanceMatrix dist = graph::DistanceMatrix(5, 2, graph::kUnreachable);
+  std::vector<std::int32_t> column{-1, -1, -1, 0, 1};
+  std::vector<double> direct;
+
+  LandmarkObjective objective(bool maximize, double penalty = 1000.0) const {
+    return LandmarkObjective(0, {1, 2, 3, 4}, direct, &dist, &column, {3, 4},
+                             maximize, penalty);
+  }
+};
+
+/// Delay: direct 0->1 = 1, 0->2 = 10, 0->3 = 4, 0->4 unmeasured; landmark
+/// distances 1 -> {2, 5}, 2 -> {inf, 1}, 3 -> {100, 4}, 4 -> {3, 0}.
+LandmarkFixture delay_landmarks() {
+  const double inf = graph::kUnreachable;
+  LandmarkFixture f;
+  f.direct = {inf, 1.0, 10.0, 4.0, inf};
+  const double rows[5][2] = {{inf, inf}, {2, 5}, {inf, 1}, {100, 4}, {3, 0}};
+  for (std::size_t v = 0; v < 5; ++v) {
+    for (std::size_t c = 0; c < 2; ++c) f.dist(v, c) = rows[v][c];
+  }
+  return f;
+}
+
+TEST(LandmarkObjectiveTest, LinkValueIsDirectPlusLandmarkDistance) {
+  const auto f = delay_landmarks();
+  const auto obj = f.objective(false);
+  EXPECT_DOUBLE_EQ(obj.link_value(1, 3), 1.0 + 2.0);
+  EXPECT_DOUBLE_EQ(obj.link_value(1, 4), 1.0 + 5.0);
+  EXPECT_DOUBLE_EQ(obj.link_value(2, 4), 10.0 + 1.0);
+  EXPECT_DOUBLE_EQ(obj.link_value(3, 4), 4.0 + 4.0);
+}
+
+TEST(LandmarkObjectiveTest, UnreachableWhenEitherLegIs) {
+  const auto f = delay_landmarks();
+  const auto obj = f.objective(false);
+  EXPECT_EQ(obj.link_value(2, 3), graph::kUnreachable);  // landmark leg
+  EXPECT_EQ(obj.link_value(4, 3), graph::kUnreachable);  // direct leg
+}
+
+TEST(LandmarkObjectiveTest, LinkToTheLandmarkIsTheDirectLegAlone) {
+  const auto f = delay_landmarks();
+  const auto obj = f.objective(false);
+  EXPECT_DOUBLE_EQ(obj.link_value(3, 3), 4.0);
+  EXPECT_EQ(obj.link_value(4, 4), graph::kUnreachable);
+}
+
+TEST(LandmarkObjectiveTest, BandwidthTakesMinOfDirectAndBottleneck) {
+  const double inf = graph::kUnreachable;
+  LandmarkFixture f;
+  f.direct = {0.0, 10.0, 3.0, 8.0, 0.0};
+  const double rows[5][2] = {{0, 0}, {6, 20}, {0, 5}, {1, 2}, {7, inf}};
+  for (std::size_t v = 0; v < 5; ++v) {
+    for (std::size_t c = 0; c < 2; ++c) f.dist(v, c) = rows[v][c];
+  }
+  const auto obj = f.objective(true);
+  EXPECT_TRUE(obj.maximize_link_value());
+  EXPECT_DOUBLE_EQ(obj.link_value(1, 3), 6.0);
+  EXPECT_DOUBLE_EQ(obj.link_value(1, 4), 10.0);
+  EXPECT_DOUBLE_EQ(obj.link_value(2, 3), 0.0);
+  EXPECT_DOUBLE_EQ(obj.link_value(3, 3), 8.0);   // direct alone
+  EXPECT_DOUBLE_EQ(obj.link_value(4, 3), 0.0);   // unmeasured direct
+  // Score of {1, 3}: best per landmark max(6, 8) + max(10, 2) = 18.
+  EXPECT_DOUBLE_EQ(obj.cost(std::vector<NodeId>{1, 3}), -18.0);
+}
+
+TEST(LandmarkObjectiveTest, FoldAppliesPenaltyOrNegation) {
+  const auto f = delay_landmarks();
+  const auto delay = f.objective(false, 500.0);
+  EXPECT_DOUBLE_EQ(delay.fold(graph::kUnreachable), 500.0);
+  EXPECT_DOUBLE_EQ(delay.fold(7.0), 7.0);
+  EXPECT_DOUBLE_EQ(delay.fold_penalty(), 500.0);
+  // Wiring {2}: landmark 3 unreachable (penalty), landmark 4 at 11.
+  EXPECT_DOUBLE_EQ(delay.cost(std::vector<NodeId>{2}), 500.0 + 11.0);
+  const auto bandwidth = f.objective(true, 500.0);
+  EXPECT_DOUBLE_EQ(bandwidth.fold(7.0), -7.0);
+  EXPECT_DOUBLE_EQ(bandwidth.fold_penalty(), 0.0);
+}
+
+TEST(LandmarkObjectiveTest, BulkFillMatchesLinkValue) {
+  const auto f = delay_landmarks();
+  for (const bool maximize : {false, true}) {
+    const auto obj = f.objective(maximize);
+    const std::vector<NodeId> sources{1, 2, 3, 4};
+    const std::vector<NodeId> targets{3, 4};
+    std::vector<double> bulk(sources.size() * targets.size());
+    obj.fill_link_values(sources, targets, bulk);
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      for (std::size_t t = 0; t < targets.size(); ++t) {
+        EXPECT_EQ(bulk[s * targets.size() + t],
+                  obj.link_value(sources[s], targets[t]));
+      }
+    }
+    std::vector<double> wrong(3);
+    EXPECT_THROW(obj.fill_link_values(sources, targets, wrong),
+                 std::invalid_argument);
+  }
+}
+
+TEST(LandmarkObjectiveTest, ValidationErrors) {
+  const auto f = delay_landmarks();
+  const std::vector<NodeId> candidates{1, 2};
+  const std::vector<NodeId> targets{3, 4};
+  EXPECT_THROW(LandmarkObjective(0, candidates, f.direct, nullptr, &f.column,
+                                 targets, false, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(LandmarkObjective(0, candidates, f.direct, &f.dist, nullptr,
+                                 targets, false, 1.0),
+               std::invalid_argument);
+  const std::vector<double> short_direct(4, 1.0);
+  EXPECT_THROW(LandmarkObjective(0, candidates, short_direct, &f.dist,
+                                 &f.column, targets, false, 1.0),
+               std::invalid_argument);
+  const std::vector<std::int32_t> short_column{-1, -1, -1, 0};
+  EXPECT_THROW(LandmarkObjective(0, candidates, f.direct, &f.dist,
+                                 &short_column, targets, false, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(LandmarkObjective(5, candidates, f.direct, &f.dist, &f.column,
+                                 targets, false, 1.0),
+               std::out_of_range);
+  EXPECT_THROW(LandmarkObjective(0, {0, 1}, f.direct, &f.dist, &f.column,
+                                 targets, false, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(LandmarkObjective(0, {1, 7}, f.direct, &f.dist, &f.column,
+                                 targets, false, 1.0),
+               std::out_of_range);
+  EXPECT_THROW(LandmarkObjective(0, candidates, f.direct, &f.dist, &f.column,
+                                 {2}, false, 1.0),
+               std::invalid_argument);  // 2 is not a landmark
+  EXPECT_THROW(LandmarkObjective(0, candidates, f.direct, &f.dist, &f.column,
+                                 targets, false, -1.0),
+               std::invalid_argument);
+}
+
+TEST(LandmarkObjectiveTest, BorrowsTheMeasurementRow) {
+  auto f = delay_landmarks();
+  const auto obj = f.objective(false);
+  EXPECT_DOUBLE_EQ(obj.link_value(1, 3), 3.0);
+  // The objective reads the caller's row, not a copy of it.
+  f.direct[1] = 2.5;
+  EXPECT_DOUBLE_EQ(obj.link_value(1, 3), 2.5 + 2.0);
+  f.dist(1, 0) = 7.0;
+  EXPECT_DOUBLE_EQ(obj.link_value(1, 3), 2.5 + 7.0);
 }
 
 }  // namespace

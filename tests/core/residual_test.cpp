@@ -25,7 +25,10 @@ TEST(ResidualTest, SelfOutEdgesAreIgnored) {
 
   const std::vector<double> direct{0.0, 1.0, 100.0};
   graph::PathEngine engine(overlay);
-  const auto obj = make_delay_objective(engine, 0, direct);
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
+  const auto obj = make_delay_objective(engine, query, 0, direct, std::nullopt,
+                                        default_unreachable_penalty(overlay));
   // With wiring {1}: d(0,2) must be 1 + 5 (through residual), never
   // 1 + (1->0->2) which would use 0's own edges.
   const std::vector<NodeId> w{1};
@@ -39,7 +42,10 @@ TEST(ResidualTest, UniformPreferenceAveragesTargets) {
   overlay.set_edge(3, 1, 1.0);
   const std::vector<double> direct{0.0, 2.0, 2.0, 2.0};
   graph::PathEngine engine(overlay);
-  const auto obj = make_delay_objective(engine, 0, direct);
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
+  const auto obj = make_delay_objective(engine, query, 0, direct, std::nullopt,
+                                        default_unreachable_penalty(overlay));
   // Wiring {1}: d=2, 3, 4 to targets 1,2,3 -> mean 3.
   const std::vector<NodeId> w{1};
   EXPECT_NEAR(obj.cost(w), 3.0, 1e-12);
@@ -52,7 +58,10 @@ TEST(ResidualTest, ExplicitPreferenceUsed) {
   const std::vector<double> direct{0.0, 1.0, 7.0};
   std::vector<double> pref{0.0, 1.0, 0.0};  // only node 1 matters
   graph::PathEngine engine(overlay);
-  const auto obj = make_delay_objective(engine, 0, direct, pref);
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
+  const auto obj = make_delay_objective(engine, query, 0, direct, pref,
+                                        default_unreachable_penalty(overlay));
   const std::vector<NodeId> w1{1};
   const std::vector<NodeId> w2{2};
   EXPECT_NEAR(obj.cost(w1), 1.0, 1e-12);
@@ -66,7 +75,10 @@ TEST(ResidualTest, InactiveNodesExcludedFromCandidatesAndTargets) {
   overlay.set_active(3, false);
   const std::vector<double> direct{0.0, 1.0, 1.0, 1.0};
   graph::PathEngine engine(overlay);
-  const auto obj = make_delay_objective(engine, 0, direct);
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
+  const auto obj = make_delay_objective(engine, query, 0, direct, std::nullopt,
+                                        default_unreachable_penalty(overlay));
   EXPECT_EQ(obj.candidates(), (std::vector<NodeId>{1, 2}));
 }
 
@@ -75,7 +87,10 @@ TEST(ResidualTest, InactiveSelfRejected) {
   overlay.set_active(0, false);
   const std::vector<double> direct{0.0, 1.0, 1.0};
   graph::PathEngine engine(overlay);
-  EXPECT_THROW(make_delay_objective(engine, 0, direct), std::invalid_argument);
+  graph::PathEngine::QueryScratch query;
+  EXPECT_THROW(make_delay_objective(engine, query, 0, direct, std::nullopt,
+                                    default_unreachable_penalty(overlay)),
+               std::invalid_argument);
 }
 
 TEST(ResidualTest, DefaultPenaltyDominatesPathCosts) {
@@ -91,7 +106,9 @@ TEST(ResidualBandwidthTest, UsesWidestPathResiduals) {
   overlay.set_edge(2, 1, 2.0);
   const std::vector<double> direct_bw{0.0, 10.0, 3.0};
   graph::PathEngine engine(overlay);
-  const auto obj = make_bandwidth_objective(engine, 0, direct_bw);
+  engine.prepare_widest();
+  graph::PathEngine::QueryScratch query;
+  const auto obj = make_bandwidth_objective(engine, query, 0, direct_bw);
   const std::vector<NodeId> w{1};
   // bw(0,1) = 10 direct; bw(0,2) = min(10, 8) = 8 -> score 18.
   EXPECT_NEAR(obj.score(w), 18.0, 1e-12);
@@ -103,7 +120,9 @@ TEST(ResidualBandwidthTest, SelfEdgesIgnoredInResidual) {
   overlay.set_edge(1, 0, 50.0);
   const std::vector<double> direct_bw{0.0, 10.0, 1.0};
   graph::PathEngine engine(overlay);
-  const auto obj = make_bandwidth_objective(engine, 0, direct_bw);
+  engine.prepare_widest();
+  graph::PathEngine::QueryScratch query;
+  const auto obj = make_bandwidth_objective(engine, query, 0, direct_bw);
   const std::vector<NodeId> w{1};
   // 1 can reach 0 (bw 50) but NOT 2, because 0->2 is self's edge.
   EXPECT_NEAR(obj.bandwidth_to(w, 2), 0.0, 1e-12);
@@ -119,7 +138,9 @@ TEST(SampledObjectiveTest, RestrictsToSample) {
   const std::vector<double> direct{0.0, 1.0, 2.0, 3.0, 4.0};
   const std::vector<NodeId> sample{1, 3};
   graph::PathEngine engine(overlay);
-  const auto obj = make_sampled_delay_objective(engine, 0, direct, sample);
+  graph::PathEngine::QueryScratch query;
+  const auto obj = make_sampled_delay_objective(
+      engine, query, 0, direct, sample, default_unreachable_penalty(overlay));
   EXPECT_EQ(obj.candidates(), sample);
   // Cost over sample targets only: wiring {1} -> d(0,1)=1, d(0,3)=1+1=2.
   const std::vector<NodeId> w{1};
@@ -130,8 +151,11 @@ TEST(SampledObjectiveTest, SampleMayNotContainSelf) {
   graph::Digraph overlay(3);
   const std::vector<double> direct{0.0, 1.0, 1.0};
   graph::PathEngine engine(overlay);
-  EXPECT_THROW(make_sampled_delay_objective(engine, 0, direct, {0, 1}),
-               std::invalid_argument);
+  graph::PathEngine::QueryScratch query;
+  EXPECT_THROW(
+      make_sampled_delay_objective(engine, query, 0, direct, {0, 1},
+                                   default_unreachable_penalty(overlay)),
+      std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -146,8 +170,11 @@ TEST(EngineBuilderTest, DelayObjectiveMatchesLegacy) {
   overlay.set_edge(3, 1, 4.0);
   const std::vector<double> direct{0.0, 1.0, 9.0, 2.5};
   graph::PathEngine engine(overlay);
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
   const auto reference = reference_delay_objective(overlay, 0, direct);
-  const auto hot = make_delay_objective(engine, 0, direct);
+  const auto hot = make_delay_objective(engine, query, 0, direct, std::nullopt,
+                                        default_unreachable_penalty(overlay));
   EXPECT_EQ(hot.candidates(), reference.candidates());
   EXPECT_EQ(hot.targets(), reference.targets());
   for (const std::vector<NodeId>& w :
@@ -169,8 +196,10 @@ TEST(EngineBuilderTest, BandwidthObjectiveMatchesLegacy) {
   overlay.set_edge(0, 3, 100.0);  // self's edge: must not help candidates
   const std::vector<double> direct_bw{0.0, 10.0, 3.0, 1.0};
   graph::PathEngine engine(overlay);
+  engine.prepare_widest();
+  graph::PathEngine::QueryScratch query;
   const auto reference = reference_bandwidth_objective(overlay, 0, direct_bw);
-  const auto hot = make_bandwidth_objective(engine, 0, direct_bw);
+  const auto hot = make_bandwidth_objective(engine, query, 0, direct_bw);
   for (const std::vector<NodeId>& w :
        {std::vector<NodeId>{1}, {2}, {1, 3}, {1, 2, 3}}) {
     EXPECT_EQ(hot.score(w), reference.score(w));
@@ -186,33 +215,38 @@ TEST(EngineBuilderTest, SampledObjectiveMatchesLegacy) {
   const std::vector<double> direct{0.0, 1.0, 2.0, 3.0, 4.0, 5.0};
   const std::vector<NodeId> sample{1, 3, 4};
   graph::PathEngine engine(overlay);
+  graph::PathEngine::QueryScratch query;
   const auto reference =
       reference_sampled_delay_objective(overlay, 0, direct, sample);
-  const auto hot = make_sampled_delay_objective(engine, 0, direct, sample);
+  const auto hot = make_sampled_delay_objective(
+      engine, query, 0, direct, sample, default_unreachable_penalty(overlay));
   EXPECT_EQ(hot.candidates(), reference.candidates());
   for (const std::vector<NodeId>& w : {std::vector<NodeId>{1}, {3}, {1, 3}}) {
     EXPECT_EQ(hot.cost(w), reference.cost(w));
   }
-  EXPECT_THROW(make_sampled_delay_objective(engine, 0, direct, {0, 1}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      make_sampled_delay_objective(engine, query, 0, direct, {0, 1},
+                                   default_unreachable_penalty(overlay)),
+      std::invalid_argument);
 }
 
 TEST(EngineBuilderTest, DefaultPenaltyMatchesLegacyUnderChurn) {
-  // Regression: a churned node holding the heaviest edge must not make the
-  // CSR snapshot default to a different "M >> n" penalty than the Digraph
-  // scan (which the decision graph uses) — otherwise unreachable targets
-  // fold to different costs than the reference objective.
+  // Regression: a churned node holding the heaviest edge still sets the
+  // "M >> n" penalty of the decision graph; the builder must fold
+  // unreachable targets with the penalty it is given, exactly like the
+  // reference objective.
   graph::Digraph overlay(4);
   overlay.set_edge(1, 2, 2.0);
   overlay.set_edge(2, 3, 1.0);
   overlay.set_edge(3, 1, 50.0);
   overlay.set_active(3, false);
   graph::PathEngine engine(overlay);
-  EXPECT_EQ(default_unreachable_penalty(engine.csr()),
-            default_unreachable_penalty(overlay));
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
   const std::vector<double> direct{0.0, 1.0, 9.0, 3.0};
   const auto reference = reference_delay_objective(overlay, 0, direct);
-  const auto hot = make_delay_objective(engine, 0, direct);
+  const auto hot = make_delay_objective(engine, query, 0, direct, std::nullopt,
+                                        default_unreachable_penalty(overlay));
   // Node 2 cannot reach node 1 (its only outgoing edge led to churned 3),
   // so wiring {2} pays the penalty on target 1 — it must match exactly.
   const std::vector<NodeId> w{2};
@@ -223,9 +257,12 @@ TEST(EngineBuilderTest, InactiveSelfRejected) {
   graph::Digraph overlay(3);
   overlay.set_active(0, false);
   graph::PathEngine engine(overlay);
+  graph::PathEngine::QueryScratch query;
   const std::vector<double> direct{0.0, 1.0, 1.0};
-  EXPECT_THROW(make_delay_objective(engine, 0, direct), std::invalid_argument);
-  EXPECT_THROW(make_bandwidth_objective(engine, 0, direct),
+  EXPECT_THROW(make_delay_objective(engine, query, 0, direct, std::nullopt,
+                                    default_unreachable_penalty(overlay)),
+               std::invalid_argument);
+  EXPECT_THROW(make_bandwidth_objective(engine, query, 0, direct),
                std::invalid_argument);
 }
 
@@ -248,7 +285,10 @@ TEST(ResidualIntegrationTest, BrImprovesOverArbitraryWiring) {
     direct[static_cast<std::size_t>(v)] = delays.delay(0, v);
   }
   graph::PathEngine engine(overlay);
-  const auto obj = make_delay_objective(engine, 0, direct);
+  engine.prepare_shortest();
+  graph::PathEngine::QueryScratch query;
+  const auto obj = make_delay_objective(engine, query, 0, direct, std::nullopt,
+                                        default_unreachable_penalty(overlay));
   const auto br = best_response(obj, 3);
   // BR must be at least as good as node 0's current (random) wiring.
   std::vector<NodeId> current;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 namespace egoist::core {
@@ -24,13 +25,15 @@ TEST(RandomSampleTest, CappedAtPoolSize) {
 }
 
 // Star fixture: node 1 has a big 1-hop neighborhood, node 2 a small one.
-graph::Digraph star_fixture() {
+graph::Digraph star_graph() {
   graph::Digraph g(8);
   // 1 -> {3,4,5,6}; 2 -> {7}.
   for (NodeId v : {3, 4, 5, 6}) g.set_edge(1, v, 1.0);
   g.set_edge(2, 7, 1.0);
   return g;
 }
+
+graph::CsrGraph star_fixture() { return graph::CsrGraph(star_graph()); }
 
 TEST(BiasedRankTest, LargerNeighborhoodRanksHigher) {
   const auto g = star_fixture();
@@ -60,9 +63,10 @@ TEST(BiasedRankTest, EmptyNeighborhoodRanksZero) {
 }
 
 TEST(BiasedRankTest, RadiusExpandsNeighborhood) {
-  graph::Digraph g(4);
-  g.set_edge(1, 2, 1.0);
-  g.set_edge(2, 3, 1.0);
+  graph::Digraph chain(4);
+  chain.set_edge(1, 2, 1.0);
+  chain.set_edge(2, 3, 1.0);
+  const graph::CsrGraph g(chain);
   const std::vector<double> direct(4, 2.0);
   // radius 1: F(1) = {2}; radius 2: F(1) = {2, 3}.
   EXPECT_DOUBLE_EQ(biased_rank(g, 0, 1, direct, 1), 1.0 / 2.0);
@@ -95,30 +99,6 @@ TEST(TopologyBiasedSampleTest, ReturnsRequestedSize) {
   EXPECT_EQ(unique.size(), 4u);
 }
 
-TEST(TopologyBiasedSampleTest, CsrOverloadMatchesDigraph) {
-  // Same graph, same rng seed: the CSR-snapshot sampler must rank and pick
-  // identically to the adjacency-list reference, including churned nodes.
-  const auto g = star_fixture();
-  graph::Digraph churned = g;
-  churned.set_active(6, false);
-  const graph::CsrGraph csr(churned);
-  std::vector<double> direct(8, 1.0);
-  direct[3] = 0.25;
-  const std::vector<NodeId> candidates{1, 2, 3, 4, 5, 7};
-  for (NodeId v : candidates) {
-    EXPECT_EQ(biased_rank(csr, 0, v, direct, 2),
-              biased_rank(churned, 0, v, direct, 2))
-        << "rank of " << v;
-  }
-  util::Rng rng_a(17);
-  util::Rng rng_b(17);
-  const auto via_digraph =
-      topology_biased_sample(churned, 0, direct, candidates, 3, rng_a);
-  const auto via_csr =
-      topology_biased_sample(csr, 0, direct, candidates, 3, rng_b);
-  EXPECT_EQ(via_csr, via_digraph);
-}
-
 TEST(TopologyBiasedSampleTest, Rejections) {
   const auto g = star_fixture();
   const std::vector<double> direct(8, 1.0);
@@ -133,6 +113,96 @@ TEST(TopologyBiasedSampleTest, Rejections) {
   EXPECT_THROW(
       topology_biased_sample(g, 0, direct, {1, 2}, 1, rng, bad_oversample),
       std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// F(v_j), the r-hop out-neighborhood behind the rank. With direct cost 2^u
+// to node u, distinct neighborhoods rank differently, so comparing a rank
+// against hood_rank(expected members) pins F exactly. The newcomer (self)
+// is an extra isolated node, never a member.
+
+std::vector<double> power_of_two_costs(std::size_t n) {
+  std::vector<double> direct(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    direct[u] = std::ldexp(1.0, static_cast<int>(u));
+  }
+  return direct;
+}
+
+double hood_rank(std::initializer_list<NodeId> members) {
+  double denom = 0.0;
+  for (NodeId u : members) denom += std::ldexp(1.0, u);
+  return members.size() == 0 ? 0.0
+                             : static_cast<double>(members.size()) / denom;
+}
+
+TEST(NeighborhoodTest, CountsWithinRadius) {
+  // Chain 0->1->2->3; node 4 is the newcomer.
+  graph::Digraph chain(5);
+  chain.set_edge(0, 1, 1.0);
+  chain.set_edge(1, 2, 1.0);
+  chain.set_edge(2, 3, 1.0);
+  const graph::CsrGraph g(chain);
+  const auto direct = power_of_two_costs(5);
+  EXPECT_DOUBLE_EQ(biased_rank(g, 4, 0, direct, 1), hood_rank({1}));
+  EXPECT_DOUBLE_EQ(biased_rank(g, 4, 0, direct, 2), hood_rank({1, 2}));
+  EXPECT_DOUBLE_EQ(biased_rank(g, 4, 0, direct, 3), hood_rank({1, 2, 3}));
+  EXPECT_DOUBLE_EQ(biased_rank(g, 4, 0, direct, 0), hood_rank({}));
+}
+
+TEST(NeighborhoodTest, ExcludesSelfEvenOnCycle) {
+  // Cycle 0->1->2->0: a radius past the cycle length must not count 0.
+  graph::Digraph cycle(4);
+  cycle.set_edge(0, 1, 1.0);
+  cycle.set_edge(1, 2, 1.0);
+  cycle.set_edge(2, 0, 1.0);
+  const graph::CsrGraph g(cycle);
+  EXPECT_DOUBLE_EQ(biased_rank(g, 3, 0, power_of_two_costs(4), 10),
+                   hood_rank({1, 2}));
+}
+
+TEST(NeighborhoodTest, MembersAreCorrect) {
+  graph::Digraph path(4);
+  path.set_edge(0, 2, 1.0);
+  path.set_edge(2, 3, 1.0);
+  const graph::CsrGraph g(path);
+  const auto direct = power_of_two_costs(4);
+  EXPECT_DOUBLE_EQ(biased_rank(g, 1, 0, direct, 1), hood_rank({2}));
+  EXPECT_DOUBLE_EQ(biased_rank(g, 1, 0, direct, 2), hood_rank({2, 3}));
+}
+
+TEST(NeighborhoodTest, NegativeRadiusRejected) {
+  const graph::CsrGraph g(graph::Digraph(2));
+  EXPECT_THROW(biased_rank(g, 1, 0, power_of_two_costs(2), -1),
+               std::invalid_argument);
+}
+
+TEST(HopDistanceTest, CountsHopsNotWeights) {
+  // Diamond 0->{1,2}->3 whose direct 0->2 edge is heavier than the detour
+  // through 1: 2 is still one hop away, 3 two.
+  graph::Digraph diamond(5);
+  diamond.set_edge(0, 1, 1.0);
+  diamond.set_edge(0, 2, 4.0);
+  diamond.set_edge(1, 2, 2.0);
+  diamond.set_edge(2, 3, 1.0);
+  diamond.set_edge(1, 3, 5.0);
+  const graph::CsrGraph g(diamond);
+  const auto direct = power_of_two_costs(5);
+  EXPECT_DOUBLE_EQ(biased_rank(g, 4, 0, direct, 1), hood_rank({1, 2}));
+  EXPECT_DOUBLE_EQ(biased_rank(g, 4, 0, direct, 2), hood_rank({1, 2, 3}));
+}
+
+TEST(HopDistanceTest, UnreachableIsMinusOne) {
+  // Node 2 has no path from 0 (and node 3 is churned out): at any radius
+  // only the reachable, active nodes are members.
+  graph::Digraph g(5);
+  g.set_edge(0, 1, 1.0);
+  g.set_edge(0, 3, 1.0);
+  g.set_edge(2, 0, 1.0);
+  g.set_active(3, false);
+  EXPECT_DOUBLE_EQ(
+      biased_rank(graph::CsrGraph(g), 4, 0, power_of_two_costs(5), 10),
+      hood_rank({1}));
 }
 
 }  // namespace

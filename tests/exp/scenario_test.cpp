@@ -120,6 +120,21 @@ TEST(ParamReaderTest, RejectsBadValues) {
   EXPECT_THROW(params.get_bool("on"), std::invalid_argument);
 }
 
+TEST(ParamReaderTest, NegativeSeedIsRejected) {
+  // A scenario "seed = -1" must not run with seed 2^64 - 1.
+  ScenarioSpec spec;
+  spec.experiment = "x";
+  spec.set("seed", "-1");
+  const ParamReader params(spec);
+  try {
+    params.get_seed("seed", 1);
+    FAIL() << "seed = -1 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ParamReaderTest, IntListReadsEveryItemOrTheDefault) {
   ScenarioSpec spec;
   spec.experiment = "x";

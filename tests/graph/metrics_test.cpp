@@ -55,38 +55,5 @@ TEST(EfficiencyTest, FartherIsLess) {
   EXPECT_GT(node_efficiency(near, 0, {0, 1}), node_efficiency(far, 0, {0, 1}));
 }
 
-TEST(NeighborhoodTest, CountsWithinRadius) {
-  // Chain 0->1->2->3.
-  Digraph g(4);
-  g.set_edge(0, 1, 1.0);
-  g.set_edge(1, 2, 1.0);
-  g.set_edge(2, 3, 1.0);
-  EXPECT_EQ(r_hop_neighborhood_size(g, 0, 1), 1u);
-  EXPECT_EQ(r_hop_neighborhood_size(g, 0, 2), 2u);
-  EXPECT_EQ(r_hop_neighborhood_size(g, 0, 3), 3u);
-  EXPECT_EQ(r_hop_neighborhood_size(g, 0, 0), 0u);
-}
-
-TEST(NeighborhoodTest, ExcludesSelfEvenOnCycle) {
-  Digraph g(3);
-  g.set_edge(0, 1, 1.0);
-  g.set_edge(1, 2, 1.0);
-  g.set_edge(2, 0, 1.0);
-  EXPECT_EQ(r_hop_neighborhood_size(g, 0, 10), 2u);
-}
-
-TEST(NeighborhoodTest, MembersAreCorrect) {
-  Digraph g(4);
-  g.set_edge(0, 2, 1.0);
-  g.set_edge(2, 3, 1.0);
-  EXPECT_EQ(r_hop_neighborhood(g, 0, 1), (std::vector<NodeId>{2}));
-  EXPECT_EQ(r_hop_neighborhood(g, 0, 2), (std::vector<NodeId>{2, 3}));
-}
-
-TEST(NeighborhoodTest, NegativeRadiusRejected) {
-  Digraph g(2);
-  EXPECT_THROW(r_hop_neighborhood_size(g, 0, -1), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace egoist::graph

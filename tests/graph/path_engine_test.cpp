@@ -60,9 +60,6 @@ TEST(CsrGraphTest, SnapshotsEdgesAndActivity) {
   EXPECT_FALSE(csr.is_active(3));
   EXPECT_EQ(csr.out_targets(0).size(), 2u);
   EXPECT_EQ(csr.out_targets(2).size(), 0u);
-  // The dropped edge to the inactive node still counts toward max_weight:
-  // the default unreachable penalty must match the Digraph scan.
-  EXPECT_DOUBLE_EQ(csr.max_weight(), 9.0);
   EXPECT_EQ(csr.active_nodes(), (std::vector<NodeId>{0, 1, 2}));
 }
 
@@ -124,8 +121,9 @@ TEST(PathEngineTest, ShortestMatchesDijkstraOnHandBuiltGraph) {
   g.set_edge(2, 3, 1.0);
   // node 4 is unreachable
   PathEngine engine(g);
+  PathEngine::QueryScratch scratch;
   std::vector<double> row(5);
-  engine.shortest_from(0, kNoExclude, row);
+  engine.shortest_from(0, kNoExclude, row, scratch);
   const auto reference = dijkstra(g, 0).dist;
   for (std::size_t j = 0; j < 5; ++j) EXPECT_EQ(row[j], reference[j]) << j;
 }
@@ -139,8 +137,9 @@ TEST(PathEngineTest, ExclusionMatchesResidualCopy) {
   g.set_edge(1, 2, 5.0);
   g.set_edge(2, 0, 4.0);
   PathEngine engine(g);
+  PathEngine::QueryScratch scratch;
   std::vector<double> row(3);
-  engine.shortest_from(1, 0, row);
+  engine.shortest_from(1, 0, row, scratch);
   const auto reference = dijkstra(residual_copy(g, 0), 1).dist;
   for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(row[j], reference[j]) << j;
   // Paths *through* the excluded node still work: 1 -> 2 -> 0.
@@ -152,10 +151,11 @@ TEST(PathEngineTest, InactiveSourceRowStaysUnreachable) {
   g.set_edge(0, 1, 1.0);
   g.set_active(2, false);
   PathEngine engine(g);
+  PathEngine::QueryScratch scratch;
   std::vector<double> row(3, 0.0);
-  engine.shortest_from(2, kNoExclude, row);
+  engine.shortest_from(2, kNoExclude, row, scratch);
   for (double d : row) EXPECT_EQ(d, kUnreachable);
-  engine.widest_from(2, kNoExclude, row);
+  engine.widest_from(2, kNoExclude, row, scratch);
   for (double d : row) EXPECT_EQ(d, 0.0);
 }
 
@@ -166,8 +166,9 @@ TEST(PathEngineTest, WidestMatchesReferenceOnHandBuiltGraph) {
   g.set_edge(0, 2, 5.0);
   g.set_edge(2, 3, 12.0);
   PathEngine engine(g);
+  PathEngine::QueryScratch scratch;
   std::vector<double> row(4);
-  engine.widest_from(0, kNoExclude, row);
+  engine.widest_from(0, kNoExclude, row, scratch);
   const auto reference = widest_paths(g, 0).bottleneck;
   for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(row[j], reference[j]) << j;
   EXPECT_EQ(row[0], std::numeric_limits<double>::infinity());
@@ -177,8 +178,9 @@ TEST(PathEngineTest, WidestMatchesReferenceOnHandBuiltGraph) {
 TEST(PathEngineTest, RowSizeValidated) {
   Digraph g(3);
   PathEngine engine(g);
+  PathEngine::QueryScratch scratch;
   std::vector<double> wrong(2);
-  EXPECT_THROW(engine.shortest_from(0, kNoExclude, wrong),
+  EXPECT_THROW(engine.shortest_from(0, kNoExclude, wrong, scratch),
                std::invalid_argument);
 }
 
@@ -191,13 +193,18 @@ TEST(PathEngineEquivalenceTest, RandomGraphsAllExclusionsBitIdentical) {
     const std::size_t n = 6 + static_cast<std::size_t>(rng.uniform_int(0, 18));
     const auto g = random_overlay(rng, n, 3, trial % 3 == 0 ? 0.25 : 0.0);
     PathEngine engine(g);
+    engine.prepare_shortest();
+    engine.prepare_widest();
+    PathEngine::QueryScratch scratch;
+    DistanceMatrix dist;
+    DistanceMatrix bw;
     for (NodeId exclude = -1; exclude < static_cast<NodeId>(n); ++exclude) {
       const auto residual =
           exclude == kNoExclude ? g : residual_copy(g, exclude);
       const auto ref_dist = all_pairs_shortest_paths(residual);
       const auto ref_bw = all_pairs_widest_paths(residual);
-      const auto dist = engine.all_shortest(exclude);
-      const auto bw = engine.all_widest(exclude);
+      engine.all_shortest(exclude, dist, scratch);
+      engine.all_widest(exclude, bw, scratch);
       ASSERT_EQ(dist.rows(), n);
       for (std::size_t u = 0; u < n; ++u) {
         for (std::size_t j = 0; j < n; ++j) {
@@ -223,8 +230,11 @@ TEST(PathEngineEquivalenceTest, IncrementalRowUpdatesStayBitIdentical) {
     const std::size_t n = 10 + static_cast<std::size_t>(rng.uniform_int(0, 10));
     auto g = random_overlay(rng, n, 3, trial % 2 == 0 ? 0.2 : 0.0);
     PathEngine engine(g);
-    engine.all_shortest(kNoExclude);  // force the shared base trees
-    engine.all_widest(kNoExclude);
+    engine.prepare_shortest();  // the shared base trees the updates patch
+    engine.prepare_widest();
+    PathEngine::QueryScratch scratch;
+    DistanceMatrix dist;
+    DistanceMatrix bw;
     for (int step = 0; step < 12; ++step) {
       // Mutate one node's out-edge row: re-price, drop, and add links.
       const auto u = static_cast<NodeId>(
@@ -243,8 +253,8 @@ TEST(PathEngineEquivalenceTest, IncrementalRowUpdatesStayBitIdentical) {
             exclude == kNoExclude ? g : residual_copy(g, exclude);
         const auto ref_dist = all_pairs_shortest_paths(residual);
         const auto ref_bw = all_pairs_widest_paths(residual);
-        const auto dist = engine.all_shortest(exclude);
-        const auto bw = engine.all_widest(exclude);
+        engine.all_shortest(exclude, dist, scratch);
+        engine.all_widest(exclude, bw, scratch);
         for (std::size_t a = 0; a < n; ++a) {
           for (std::size_t b = 0; b < n; ++b) {
             ASSERT_EQ(dist(a, b), ref_dist[a][b])
@@ -264,10 +274,14 @@ TEST(PathEngineTest, UpdateWithActivityChangeFallsBackToRebuild) {
   util::Rng rng(3);
   auto g = random_overlay(rng, 12, 3, 0.0);
   PathEngine engine(g);
-  engine.all_shortest(kNoExclude);
+  engine.prepare_shortest();
   g.set_active(4, false);  // membership change voids the one-row contract
   engine.update_out_edges(0, g);
-  const auto dist = engine.all_shortest(kNoExclude);
+  ASSERT_FALSE(engine.shortest_prepared());
+  engine.prepare_shortest();
+  PathEngine::QueryScratch scratch;
+  DistanceMatrix dist;
+  engine.all_shortest(kNoExclude, dist, scratch);
   const auto ref = all_pairs_shortest_paths(g);
   for (std::size_t a = 0; a < 12; ++a) {
     for (std::size_t b = 0; b < 12; ++b) {
@@ -287,9 +301,13 @@ TEST(PathEngineTest, UpdateReportsInvalidatedSourceRows) {
     const std::size_t n = 10 + static_cast<std::size_t>(rng.uniform_int(0, 8));
     auto g = random_overlay(rng, n, 3, 0.0);
     PathEngine engine(g);
+    PathEngine::QueryScratch scratch;
+    DistanceMatrix before_dist, before_bw, after_dist, after_bw;
     for (int step = 0; step < 8; ++step) {
-      const auto before_dist = engine.all_shortest(kNoExclude);
-      const auto before_bw = engine.all_widest(kNoExclude);
+      engine.prepare_shortest();
+      engine.prepare_widest();
+      engine.all_shortest(kNoExclude, before_dist, scratch);
+      engine.all_widest(kNoExclude, before_bw, scratch);
       const auto u = static_cast<NodeId>(
           rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
       g.clear_out_edges(u);
@@ -307,8 +325,8 @@ TEST(PathEngineTest, UpdateReportsInvalidatedSourceRows) {
       for (std::size_t i = 1; i < invalidated.size(); ++i) {
         ASSERT_LT(invalidated[i - 1], invalidated[i]);
       }
-      const auto after_dist = engine.all_shortest(kNoExclude);
-      const auto after_bw = engine.all_widest(kNoExclude);
+      engine.all_shortest(kNoExclude, after_dist, scratch);
+      engine.all_widest(kNoExclude, after_bw, scratch);
       for (std::size_t src = 0; src < n; ++src) {
         const bool listed =
             std::find(invalidated.begin(), invalidated.end(),
@@ -331,8 +349,8 @@ TEST(PathEngineTest, NoOpUpdateInvalidatesNothing) {
   util::Rng rng(21);
   auto g = random_overlay(rng, 12, 3, 0.0);
   PathEngine engine(g);
-  engine.all_shortest(kNoExclude);
-  engine.all_widest(kNoExclude);
+  engine.prepare_shortest();
+  engine.prepare_widest();
   engine.update_out_edges(3, g);  // row unchanged: announce refresh
   EXPECT_FALSE(engine.last_update_rebuilt());
   EXPECT_TRUE(engine.last_update_invalidated().empty());
@@ -344,7 +362,7 @@ TEST(PathEngineTest, RebuildAndFallbackReportFullRefresh) {
   PathEngine engine(g);
   // Construction is a rebuild: every cached row is void.
   EXPECT_TRUE(engine.last_update_rebuilt());
-  engine.all_shortest(kNoExclude);
+  engine.prepare_shortest();
   g.set_edge(0, 5, 1.0);
   engine.update_out_edges(0, g);
   EXPECT_FALSE(engine.last_update_rebuilt());
@@ -359,15 +377,17 @@ TEST(PathEngineTest, RebuildAndFallbackReportFullRefresh) {
 
 /// Const concurrent queries against a prepared engine: every worker owns a
 /// QueryScratch and fans out over sources; rows must be bit-identical to
-/// the single-threaded engine-owned-scratch path.
+/// a single-threaded all-pairs query on a second engine.
 TEST(PathEngineConstQueryTest, ConcurrentScratchQueriesMatchSequential) {
   util::Rng rng(31);
   const auto g = random_overlay(rng, 30, 4, 0.1);
   const std::size_t n = 30;
 
   PathEngine reference(g);
+  reference.prepare_shortest();
+  PathEngine::QueryScratch reference_scratch;
   DistanceMatrix want;
-  reference.all_shortest(5, want);
+  reference.all_shortest(5, want, reference_scratch);
 
   PathEngine engine(g);
   engine.prepare_shortest();
@@ -428,12 +448,15 @@ TEST(PathEngineConstQueryTest, ScratchIsReusableAcrossSnapshotsAndEngines) {
     engine.prepare_shortest();
     engine.prepare_widest();
     PathEngine fresh(g);
+    fresh.prepare_shortest();
+    fresh.prepare_widest();
+    PathEngine::QueryScratch fresh_scratch;
     DistanceMatrix want_d, want_b;
-    fresh.all_shortest(2, want_d);
-    fresh.all_widest(2, want_b);
+    fresh.all_shortest(2, want_d, fresh_scratch);
+    fresh.all_widest(2, want_b, fresh_scratch);
     DistanceMatrix got_d, got_b;
-    static_cast<const PathEngine&>(engine).all_shortest(2, got_d, scratch);
-    static_cast<const PathEngine&>(engine).all_widest(2, got_b, scratch);
+    engine.all_shortest(2, got_d, scratch);
+    engine.all_widest(2, got_b, scratch);
     for (std::size_t u = 0; u < n; ++u) {
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(got_d(u, j), want_d(u, j)) << trial << ": " << u << "," << j;
@@ -448,12 +471,13 @@ TEST(PathEngineTest, RebuildTracksGraphMutations) {
   g.set_edge(0, 1, 1.0);
   g.set_edge(1, 2, 1.0);
   PathEngine engine(g);
+  PathEngine::QueryScratch scratch;
   std::vector<double> row(3);
-  engine.shortest_from(0, kNoExclude, row);
+  engine.shortest_from(0, kNoExclude, row, scratch);
   EXPECT_DOUBLE_EQ(row[2], 2.0);
   g.set_edge(0, 2, 0.5);
   engine.rebuild(g);
-  engine.shortest_from(0, kNoExclude, row);
+  engine.shortest_from(0, kNoExclude, row, scratch);
   EXPECT_DOUBLE_EQ(row[2], 0.5);
 }
 

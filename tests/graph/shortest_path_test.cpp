@@ -98,21 +98,6 @@ TEST(ApspTest, InactiveRowIsUnreachable) {
   }
 }
 
-TEST(HopDistanceTest, CountsHopsNotWeights) {
-  auto g = diamond();
-  const auto hops = hop_distances(g, 0);
-  EXPECT_EQ(hops[0], 0);
-  EXPECT_EQ(hops[1], 1);
-  EXPECT_EQ(hops[2], 1);  // direct heavy edge still 1 hop
-  EXPECT_EQ(hops[3], 2);
-}
-
-TEST(HopDistanceTest, UnreachableIsMinusOne) {
-  Digraph g(3);
-  g.set_edge(0, 1, 1.0);
-  EXPECT_EQ(hop_distances(g, 0)[2], -1);
-}
-
 // Property: on random graphs, Dijkstra distances satisfy the triangle
 // inequality d(s,v) <= d(s,u) + w(u,v) for every edge (u,v).
 class DijkstraRandomGraphTest : public ::testing::TestWithParam<int> {};

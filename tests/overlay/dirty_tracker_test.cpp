@@ -122,7 +122,8 @@ TEST(DirtyTrackerTest, ToleranceMembershipMarksChurnedNodeAndHolders) {
 
 // --- drift baselines ---
 
-/// fresh[] is indexed by node id in the tracker's contract.
+/// set_baseline reads its values by node id (the evaluation's expanded
+/// measurement row); drift_exceeded takes the probe's values in link order.
 std::vector<double> values_by_id(std::size_t n,
                                  std::initializer_list<std::pair<NodeId, double>>
                                      entries) {
@@ -138,10 +139,8 @@ TEST(DirtyTrackerTest, DriftWithinThresholdDoesNotTrigger) {
   t.reset(4, 0.1);
   const std::vector<NodeId> links = {1, 2};
   t.set_baseline(0, links, values_by_id(4, {{1, 100.0}, {2, 50.0}}));
-  EXPECT_FALSE(
-      t.drift_exceeded(0, links, values_by_id(4, {{1, 109.0}, {2, 46.0}})));
-  EXPECT_TRUE(
-      t.drift_exceeded(0, links, values_by_id(4, {{1, 112.0}, {2, 50.0}})));
+  EXPECT_FALSE(t.drift_exceeded(0, links, std::vector<double>{109.0, 46.0}));
+  EXPECT_TRUE(t.drift_exceeded(0, links, std::vector<double>{112.0, 50.0}));
 }
 
 TEST(DirtyTrackerTest, DriftComparesAgainstFixedBaselineUntilReset) {
@@ -152,11 +151,11 @@ TEST(DirtyTrackerTest, DriftComparesAgainstFixedBaselineUntilReset) {
   t.reset(3, 0.1);
   const std::vector<NodeId> links = {1};
   t.set_baseline(0, links, values_by_id(3, {{1, 100.0}}));
-  EXPECT_FALSE(t.drift_exceeded(0, links, values_by_id(3, {{1, 106.0}})));
+  EXPECT_FALSE(t.drift_exceeded(0, links, std::vector<double>{106.0}));
   // Probing did not move the baseline: two sub-threshold steps add up.
-  EXPECT_TRUE(t.drift_exceeded(0, links, values_by_id(3, {{1, 111.0}})));
+  EXPECT_TRUE(t.drift_exceeded(0, links, std::vector<double>{111.0}));
   t.set_baseline(0, links, values_by_id(3, {{1, 111.0}}));
-  EXPECT_FALSE(t.drift_exceeded(0, links, values_by_id(3, {{1, 106.0}})));
+  EXPECT_FALSE(t.drift_exceeded(0, links, std::vector<double>{106.0}));
 }
 
 TEST(DirtyTrackerTest, LinkWithoutBaselineCountsAsExceeded) {
@@ -165,8 +164,7 @@ TEST(DirtyTrackerTest, LinkWithoutBaselineCountsAsExceeded) {
   const std::vector<NodeId> baselined = {1};
   t.set_baseline(0, baselined, values_by_id(3, {{1, 100.0}}));
   const std::vector<NodeId> gained = {1, 2};
-  EXPECT_TRUE(t.drift_exceeded(
-      0, gained, values_by_id(3, {{1, 100.0}, {2, 40.0}})));
+  EXPECT_TRUE(t.drift_exceeded(0, gained, std::vector<double>{100.0, 40.0}));
 }
 
 TEST(DirtyTrackerTest, ExactModeNeverDriftTriggers) {
@@ -174,7 +172,7 @@ TEST(DirtyTrackerTest, ExactModeNeverDriftTriggers) {
   t.reset(3, 0.0);
   const std::vector<NodeId> links = {1};
   t.set_baseline(0, links, values_by_id(3, {{1, 100.0}}));
-  EXPECT_FALSE(t.drift_exceeded(0, links, values_by_id(3, {{1, 500.0}})));
+  EXPECT_FALSE(t.drift_exceeded(0, links, std::vector<double>{500.0}));
 }
 
 }  // namespace

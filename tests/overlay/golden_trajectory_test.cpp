@@ -202,9 +202,10 @@ TEST(GoldenTrajectoryTest, HostSchedules) {
 /// §5 scale mode under churn: n = 96, k = 4, each evaluation samples 8
 /// candidates and scores them against 8 landmark destinations, over 6
 /// synchronized epochs that replay an ON/OFF trace.
-egoist::testing::DeterminismCase scale_case(Policy policy,
-                                            net::UnderlayKind underlay) {
-  auto config = make_config(policy, Metric::kDelayPing);
+egoist::testing::DeterminismCase scale_case(
+    Policy policy, net::UnderlayKind underlay,
+    Metric metric = Metric::kDelayPing) {
+  auto config = make_config(policy, metric);
   config.k = 4;
   config.br_sample = 8;
   config.br_landmarks = 8;
@@ -270,6 +271,46 @@ TEST(GoldenTrajectoryTest, ScaleModeStaggeredAndDense) {
                                 net::UnderlayKind::kDense);
   expect_digest("scale mode / BR dense underlay", 0x9bba3f490cf5cebeull,
                 [&] { return egoist::testing::record_trajectory(dense); });
+}
+
+TEST(GoldenTrajectoryTest, ScaleModeMetricsAndRepairs) {
+  // The scale-mode paths the delay(ping) digests above leave open: the
+  // widest-path landmarks of bandwidth (unmeasured value 0, no penalty) and
+  // the load metric, each sequential and pipelined; the staggered schedule
+  // in tolerance mode (drift probes between turns); and immediate
+  // re-wiring, whose repairs refresh the landmarks outside an epoch.
+  struct Golden {
+    Metric metric;
+    int workers;
+    std::uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {Metric::kBandwidth, 0, 0x30197d934bef9bd2ull},
+      {Metric::kBandwidth, 2, 0xca48dd0a86d70cf0ull},
+      {Metric::kNodeLoad, 0, 0xd468e27baf0ae590ull},
+      {Metric::kNodeLoad, 2, 0x695252fec02f59dcull},
+  };
+  for (const auto& g : kGolden) {
+    auto c = scale_case(Policy::kBestResponse, net::UnderlayKind::kProcedural,
+                        g.metric);
+    c.spec.workers(g.workers);
+    expect_digest(std::string("scale mode / BR / ") + to_string(g.metric) +
+                      " / workers " + std::to_string(g.workers),
+                  g.digest,
+                  [&] { return egoist::testing::record_trajectory(c); });
+  }
+
+  auto staggered = scale_case(Policy::kBestResponse,
+                              net::UnderlayKind::kProcedural);
+  staggered.spec.epoch_period(60.0).staggered(0xBDu).incremental(true, 0.05);
+  expect_digest("scale mode / BR staggered tolerance", 0xe8fff044e4dc3d57ull,
+                [&] { return egoist::testing::record_trajectory(staggered); });
+
+  auto immediate = scale_case(Policy::kBestResponse,
+                              net::UnderlayKind::kProcedural);
+  immediate.spec.rewire_mode(RewireMode::kImmediate);
+  expect_digest("scale mode / BR immediate rewire", 0x76553639a0c2a3eeull,
+                [&] { return egoist::testing::record_trajectory(immediate); });
 }
 
 }  // namespace

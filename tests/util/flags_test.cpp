@@ -143,6 +143,39 @@ TEST(FlagsTest, NumberWithTrailingGarbageIsRejected) {
   }
 }
 
+TEST(FlagsTest, SeedWithTrailingCharactersIsRejected) {
+  // "42x" must not run with seed 42, nor "0x10" with seed 0.
+  for (const char* text : {"42x", "0x10", "4 2", ""}) {
+    try {
+      make({"--seed", text}).get_seed("seed", 1u);
+      FAIL() << "--seed " << text << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(make({"--seed", "18446744073709551615"}).get_seed("seed", 1u),
+            18446744073709551615u);
+  EXPECT_THROW(make({"--seed", "18446744073709551616"}).get_seed("seed", 1u),
+               std::invalid_argument);
+}
+
+TEST(FlagsTest, NegativeSeedIsRejected) {
+  // "-1" must not wrap around to 2^64 - 1.
+  const auto expect_rejected = [](const Flags& f) {
+    try {
+      f.get_seed("seed", 1u);
+      FAIL() << "a signed seed parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--seed"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(make({"--seed", "-1"}));
+  expect_rejected(make({"--seed=-1"}));
+  expect_rejected(make({"--seed", "+1"}));
+}
+
 TEST(FlagsTest, UnqueriedFlagsReported) {
   const auto f = make({"--typo=1", "--n=5"});
   EXPECT_EQ(f.get_int("n", 0), 5);

@@ -12,19 +12,6 @@
 namespace egoist::util {
 namespace {
 
-TEST(WorkerPoolTest, ResolveAutoIsAtLeastOne) {
-  EXPECT_GE(WorkerPool::resolve(0), 1);
-}
-
-TEST(WorkerPoolTest, ResolveTakesPositiveLiterally) {
-  EXPECT_EQ(WorkerPool::resolve(1), 1);
-  EXPECT_EQ(WorkerPool::resolve(7), 7);
-}
-
-TEST(WorkerPoolTest, ResolveNegativeThrows) {
-  EXPECT_THROW(WorkerPool::resolve(-1), std::invalid_argument);
-}
-
 TEST(WorkerPoolTest, ZeroWorkersThrows) {
   EXPECT_THROW(WorkerPool pool(0), std::invalid_argument);
 }
