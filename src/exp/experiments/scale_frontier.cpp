@@ -16,7 +16,9 @@
 // Quality is tracked by a sampled oracle: shortest-path routing cost over
 // the true-cost overlay graph from score-sources random online sources
 // (full all-pairs scoring would itself be O(n^2) and is exactly what this
-// experiment exists to avoid).
+// experiment exists to avoid). `searches_skipped` counts the timed
+// evaluations that kept their wiring on the scale-mode bound, without a
+// search (0 in dense mode).
 //
 // `workers` is a comma list of OverlayConfig::epoch_workers values, one
 // row each: 0 is the sequential epoch, N >= 1 the parallel epoch pipeline.
@@ -66,6 +68,9 @@ struct FrontierRow {
   int rewirings = 0;
   std::uint64_t evaluated = 0;   ///< node evaluations in the timed epochs
   std::uint64_t skipped = 0;     ///< evaluations skipped (incremental)
+  /// Evaluations that kept their wiring on propose's bound, without a
+  /// search (scale mode only).
+  std::uint64_t searches_skipped = 0;
   double dirty_frac = 1.0;       ///< evaluated / (evaluated + skipped)
   std::size_t dirty_nodes = 0;   ///< marked nodes after the last epoch
   double speedup_vs_full = 0.0;  ///< 0 = n/a (needs compare-full)
@@ -164,10 +169,10 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
   const std::vector<std::string> kColumns{
       "policy",          "n",               "variant",       "underlay",
       "workers",         "build_ms",        "epoch_ms_mean", "epoch_ms_min",
-      "rewirings",       "evaluated",       "skipped_evals", "dirty_frac",
-      "dirty_nodes",     "speedup_vs_full", "mean_cost",     "unreachable",
-      "churn_rate",      "substrate_bytes", "plane_bytes",   "probed_pairs",
-      "peak_rss_bytes",  "rss_delta_bytes", "host_cpus"};
+      "rewirings",       "evaluated",       "skipped_evals", "searches_skipped",
+      "dirty_frac",      "dirty_nodes",     "speedup_vs_full", "mean_cost",
+      "unreachable",     "churn_rate",      "substrate_bytes", "plane_bytes",
+      "probed_pairs",    "peak_rss_bytes",  "rss_delta_bytes", "host_cpus"};
   util::Table table(kColumns);
 
   // One measured deployment: builds the host, replays the (shared) churn
@@ -218,6 +223,7 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
     if (profile) util::Profiler::instance().reset();
     const std::uint64_t evals_mark = net.total_evaluations();
     const std::uint64_t skips_mark = net.total_skipped_evals();
+    const std::uint64_t searches_mark = net.total_searches_skipped();
     row.epoch_ms_min = std::numeric_limits<double>::infinity();
     for (int e = 0; e < epochs; ++e) {
       env.advance(epoch_s);
@@ -240,6 +246,7 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
     row.epoch_ms_mean /= epochs;
     row.evaluated = net.total_evaluations() - evals_mark;
     row.skipped = net.total_skipped_evals() - skips_mark;
+    row.searches_skipped = net.total_searches_skipped() - searches_mark;
     const double total_evals = static_cast<double>(row.evaluated + row.skipped);
     row.dirty_frac =
         total_evals > 0.0 ? static_cast<double>(row.evaluated) / total_evals
@@ -307,6 +314,7 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
                    std::to_string(row.rewirings),
                    std::to_string(row.evaluated),
                    std::to_string(row.skipped),
+                   std::to_string(row.searches_skipped),
                    fixed(row.dirty_frac, 3),
                    std::to_string(row.dirty_nodes),
                    row.speedup_vs_full > 0.0 ? fixed(row.speedup_vs_full, 3)

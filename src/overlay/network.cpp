@@ -169,7 +169,9 @@ void EgoistNetwork::set_online(int node, bool online) {
     // join/leave invalidates every node; scale-mode tolerance marking can
     // restrict to the churned node and its current holders.
     holder_scratch_.clear();
-    if (!dirty_.exact() && scale_mode()) collect_holders(node, holder_scratch_);
+    if (!dirty_.exact() && scale_mode()) {
+      store_.collect_holders(v, holder_scratch_);
+    }
     dirty_.on_membership(v, !scale_mode(), holder_scratch_);
   }
   if (hooks_.on_membership) hooks_.on_membership(node, online);
@@ -182,17 +184,14 @@ void EgoistNetwork::set_online(int node, bool online) {
     // A (re)joining node first connects to a bootstrap node only (§3.1);
     // its full policy wiring is computed at its next wiring-epoch turn.
     // HybridBR additionally receives its donated backbone links right away
-    // (the backbone is maintained aggressively, below).
-    std::vector<NodeId> others;
-    for (NodeId u : online_nodes()) {
-      if (u != node) others.push_back(u);
-    }
-    if (!others.empty()) {
-      const NodeId bootstrap = others[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(others.size()) - 1))];
-      const auto row = measure(
-          node, scale_mode() ? std::vector<NodeId>{bootstrap} : online_nodes());
-      apply_wiring(node, {bootstrap}, expand(workspace_, row.pool, row.values));
+    // (the backbone is maintained aggressively, below). The bootstrap is
+    // one uniform draw over the other online nodes, taken by rank.
+    const auto self = static_cast<NodeId>(node);
+    const auto bootstrap =
+        store_.sample_online(rng_, std::span<const NodeId>(&self, 1), 1);
+    if (!bootstrap.empty()) {
+      const auto row = measure(node, scale_mode() ? bootstrap : online_nodes());
+      apply_wiring(node, bootstrap, expand(workspace_, row.pool, row.values));
     }
   }
   // §3.3 monitors the donated backbone aggressively; failure detection is
@@ -203,12 +202,11 @@ void EgoistNetwork::set_online(int node, bool online) {
   // instead of waiting for their epoch (§3.3's aggressive monitoring
   // applied to every link).
   if (!online && config_.rewire_mode == RewireMode::kImmediate) {
-    for (NodeId u : online_nodes()) {
-      const auto w = store_.wiring(static_cast<std::size_t>(u));
-      if (std::find(w.begin(), w.end(), static_cast<NodeId>(node)) != w.end()) {
-        evaluate_counted(u);
-      }
-    }
+    // The departed node's wiring holders, ascending. A repair re-wires only
+    // the repairing node, so the list stays exact throughout.
+    std::vector<NodeId> holders;
+    store_.collect_holders(v, holders, /*wiring_only=*/true);
+    for (NodeId u : holders) evaluate_counted(u);
   }
 }
 
@@ -222,7 +220,8 @@ std::size_t EgoistNetwork::online_count() const {
 }
 
 std::vector<NodeId> EgoistNetwork::online_nodes() const {
-  return store_.online_nodes();
+  const auto ids = store_.online_ids();
+  return {ids.begin(), ids.end()};
 }
 
 std::span<const NodeId> EgoistNetwork::wiring(int node) const {
@@ -283,16 +282,9 @@ std::vector<NodeId> EgoistNetwork::sample_pool(int node) {
   for (NodeId v : store_.wiring(static_cast<std::size_t>(node))) add(v);
   for (NodeId v : store_.donated(static_cast<std::size_t>(node))) add(v);
 
-  std::vector<NodeId> others;
-  for (NodeId v : online_nodes()) {
-    if (v != node &&
-        std::find(pool.begin(), pool.end(), v) == pool.end()) {
-      others.push_back(v);
-    }
-  }
-  const std::size_t m = std::min(config_.br_sample, others.size());
-  for (NodeId v : rng_.sample_without_replacement(
-           std::span<const NodeId>(others), m)) {
+  std::vector<NodeId> excluded = pool;
+  excluded.push_back(static_cast<NodeId>(node));
+  for (NodeId v : store_.sample_online(rng_, excluded, config_.br_sample)) {
     pool.push_back(v);
   }
   std::sort(pool.begin(), pool.end());
@@ -300,10 +292,9 @@ std::vector<NodeId> EgoistNetwork::sample_pool(int node) {
 }
 
 void EgoistNetwork::refresh_landmarks() {
-  const auto online = online_nodes();
+  const auto online = store_.online_ids();
   const std::size_t t = std::min(config_.br_landmarks, online.size());
-  auto landmarks = rng_.sample_without_replacement(
-      std::span<const NodeId>(online), t);
+  auto landmarks = rng_.sample_without_replacement(online, t);
   std::sort(landmarks.begin(), landmarks.end());
 
   landmark_state_.landmarks = std::move(landmarks);
@@ -447,10 +438,9 @@ void EgoistNetwork::note_announce(int node,
   // Tolerance mode: the nodes routing over this announcer. Direct holders
   // always; plus, when the epoch-shared engine just patched its base trees,
   // exactly the sources whose dist rows the patch changed. Without a synced
-  // engine (run_node, pipeline merge) the holder scan is the approximation
-  // tolerance mode accepts.
-  holder_scratch_.clear();
-  collect_holders(node, holder_scratch_);
+  // engine (run_node, pipeline merge) the holders alone are the
+  // approximation tolerance mode accepts.
+  store_.collect_holders(static_cast<std::size_t>(node), holder_scratch_);
   for (NodeId h : holder_scratch_) dirty_.mark(static_cast<std::size_t>(h));
   dirty_.mark(static_cast<std::size_t>(node));
   if (engine_synced_) {
@@ -460,21 +450,6 @@ void EgoistNetwork::note_announce(int node,
       for (NodeId s : engine_.last_update_invalidated()) {
         dirty_.mark(static_cast<std::size_t>(s));
       }
-    }
-  }
-}
-
-void EgoistNetwork::collect_holders(int node, std::vector<NodeId>& out) const {
-  for (std::size_t u = 0; u < store_.size(); ++u) {
-    if (!store_.is_online(u) || static_cast<int>(u) == node) continue;
-    const auto w = store_.wiring(u);
-    if (std::find(w.begin(), w.end(), static_cast<NodeId>(node)) != w.end()) {
-      out.push_back(static_cast<NodeId>(u));
-      continue;
-    }
-    const auto d = store_.donated(u);
-    if (std::find(d.begin(), d.end(), static_cast<NodeId>(node)) != d.end()) {
-      out.push_back(static_cast<NodeId>(u));
     }
   }
 }
@@ -698,15 +673,6 @@ EgoistNetwork::Proposal EgoistNetwork::propose(
     int node, const core::WiringObjective& objective,
     const std::vector<NodeId>& current, std::size_t budget,
     core::BestResponseScratch& scratch) const {
-  core::BestResponseOptions options = search_options(node, scratch);
-  options.seed_wiring = current;  // sticky search: move only on improvement
-  options.exact_budget = 0;       // exhaustive search is not seedable
-  const double current_cost = objective.cost(current);
-  const auto br = core::best_response(
-      objective, free_budget(budget, options), options);
-  Proposal proposal{options.fixed_links, false};
-  proposal.wiring.insert(proposal.wiring.end(), br.wiring.begin(),
-                         br.wiring.end());
   // BR(eps) (§4.3): adopt only an improvement beyond eps of the current
   // cost (the noise floor for plain BR), and only a different wiring.
   // The noise floor: improvements below this fraction of the current cost
@@ -714,10 +680,34 @@ EgoistNetwork::Proposal EgoistNetwork::propose(
   // re-wire. The deployed system gets the same effect from averaging link
   // samples across an epoch.
   constexpr double kNoiseFloor = 0.01;
-  const double improvement = current_cost - br.cost;
+  const double current_cost = objective.cost(current);
   const double fraction =
       config_.epsilon > 0.0 ? config_.epsilon : kNoiseFloor;
   const double threshold = fraction * std::abs(current_cost);
+  // Scale mode: every proposal is a subset of the candidates (fixed links
+  // included) and the objective is monotone in the link set (the fold
+  // penalty M exceeds every finite path), so no proposal costs less than
+  // the whole candidate pool. When even that
+  // bound clears no threshold, no search can re-wire: keep the wiring
+  // without one. The bound is scored by the same cost() as the current
+  // wiring and the search's result, and rounding is monotone too, so
+  // bound <= br.cost holds exactly. A non-finite current cost never
+  // qualifies: there the test below can see inf - inf = NaN, which
+  // adopts. Dense mode's candidates are every online node, so there the
+  // bound would cost O(n^2) per turn and never fire.
+  if (scale_mode() && std::isfinite(current_cost) &&
+      current_cost - objective.cost(objective.candidates()) <= threshold) {
+    return {{}, false, /*search_skipped=*/true};
+  }
+  core::BestResponseOptions options = search_options(node, scratch);
+  options.seed_wiring = current;  // sticky search: move only on improvement
+  options.exact_budget = 0;       // exhaustive search is not seedable
+  const auto br = core::best_response(
+      objective, free_budget(budget, options), options);
+  Proposal proposal{options.fixed_links, false};
+  proposal.wiring.insert(proposal.wiring.end(), br.wiring.begin(),
+                         br.wiring.end());
+  const double improvement = current_cost - br.cost;
   proposal.adopt =
       !(improvement <= threshold || same_set(current, proposal.wiring));
   return proposal;
@@ -725,6 +715,7 @@ EgoistNetwork::Proposal EgoistNetwork::propose(
 
 bool EgoistNetwork::commit(int node, const std::vector<NodeId>& current,
                            Proposal proposal, std::span<const double> direct) {
+  if (proposal.search_skipped) ++total_searches_skipped_;
   if (!proposal.adopt) {
     // Keep the wiring but refresh the announced costs.
     apply_wiring(node, current, direct);
@@ -787,26 +778,36 @@ bool EgoistNetwork::evaluate_node(int node) {
     }
     if (landmark_state_.evals_left > 0) --landmark_state_.evals_left;
   }
-  const auto row =
-      measure(node, scale_mode() ? sample_pool(node) : online_nodes());
+  std::vector<NodeId> pool;
+  {
+    EGOIST_PROFILE_SCOPE("sample");
+    pool = scale_mode() ? sample_pool(node) : online_nodes();
+  }
+  Measurement row;
+  {
+    EGOIST_PROFILE_SCOPE("measure");
+    row = measure(node, std::move(pool));
+  }
   const auto& direct = expand(workspace_, row.pool, row.values);
   const auto current = store_.wiring_vec(static_cast<std::size_t>(node));
-  if (!best_response_policy()) {
-    // Same set: costs may have drifted; refresh without re-wiring.
-    auto proposed = choose_wiring(node, direct);
-    const bool adopt = !same_set(current, proposed);
-    return commit(node, current, {std::move(proposed), adopt}, direct);
+  Proposal proposal;
+  {
+    EGOIST_PROFILE_SCOPE("search");
+    if (!best_response_policy()) {
+      // Same set: costs may have drifted; refresh without re-wiring.
+      proposal.wiring = choose_wiring(node, direct);
+      proposal.adopt = !same_set(current, proposal.wiring);
+    } else {
+      // BR: one objective under the same fresh measurements scores both
+      // the current wiring and the search's proposal.
+      const double penalty = prepare_decision();
+      proposal =
+          propose(node, *objective(node, row.pool, direct, penalty, workspace_),
+                  current, degree_budget(), workspace_.br);
+    }
   }
-  // BR: one objective under the same fresh measurements scores both the
-  // current wiring and the search's proposal. Both are subsets of the
-  // measured pool (fixed links included), so `direct` covers every
-  // announced cost.
-  const double penalty = prepare_decision();
-  return commit(node, current,
-                propose(node,
-                        *objective(node, row.pool, direct, penalty, workspace_),
-                        current, degree_budget(), workspace_.br),
-                direct);
+  EGOIST_PROFILE_SCOPE("commit");
+  return commit(node, current, std::move(proposal), direct);
 }
 
 bool EgoistNetwork::evaluate_counted(int node) {
@@ -850,7 +851,7 @@ EpochEngine& EgoistNetwork::epoch_engine() {
 int EgoistNetwork::run_epoch_pipeline() {
   EGOIST_PROFILE_SCOPE("epoch");
   ++epochs_;
-  const auto online = store_.online_nodes();  // ascending: the merge order
+  const auto online = online_nodes();  // ascending: the merge order
   EpochEngine& engine = epoch_engine();
 
   // Incremental mode: freeze the dirty set into this epoch's active list
@@ -891,7 +892,13 @@ int EgoistNetwork::run_epoch_pipeline() {
       // otherwise.
       epoch_store_.begin(store_.size(), store_.wiring_capacity());
       for (NodeId v : active) {
-        const auto row = measure(v, scale_mode() ? sample_pool(v) : online);
+        std::vector<NodeId> pool;
+        {
+          EGOIST_PROFILE_SCOPE("sample");
+          pool = scale_mode() ? sample_pool(v) : online;
+        }
+        EGOIST_PROFILE_SCOPE("measure");
+        const auto row = measure(v, std::move(pool));
         epoch_store_.add_pool(static_cast<std::size_t>(v), row.pool,
                               row.values);
       }
@@ -908,6 +915,9 @@ int EgoistNetwork::run_epoch_pipeline() {
   {
     EGOIST_PROFILE_SCOPE("evaluate");
     engine.run(active.size(), [&](std::size_t i, EpochWorkspace& ws) {
+      // On the calling thread this nests as epoch/evaluate/search; the
+      // pool's other threads record it as a top-level "search".
+      EGOIST_PROFILE_SCOPE("search");
       const NodeId v = active[i];
       const auto node = static_cast<std::size_t>(v);
       const auto pool = epoch_store_.pool_ids(node);
@@ -916,7 +926,8 @@ int EgoistNetwork::run_epoch_pipeline() {
           propose(v, *objective(v, pool, direct, penalty, ws),
                   store_.wiring_vec(node), budget, ws.br);
       std::sort(proposal.wiring.begin(), proposal.wiring.end());
-      epoch_store_.set_proposal(node, proposal.wiring, proposal.adopt);
+      epoch_store_.set_proposal(node, proposal.wiring, proposal.adopt,
+                                proposal.search_skipped);
     });
   }
 
@@ -925,14 +936,17 @@ int EgoistNetwork::run_epoch_pipeline() {
   {
     EGOIST_PROFILE_SCOPE("merge");
     for (NodeId v : active) {
+      EGOIST_PROFILE_SCOPE("commit");
       const auto node = static_cast<std::size_t>(v);
-      // Every announced link is a pool member (kept and proposed wirings
-      // are pool subsets), so the snapshot's row covers the announce.
+      // The snapshot's row prices every announced link except a kept
+      // wiring's offline neighbours, which announce the unmeasured value.
       const auto& direct = expand(workspace_, epoch_store_.pool_ids(node),
                                   epoch_store_.pool_values(node));
       const auto proposal = epoch_store_.proposal(node);
       if (commit(v, store_.wiring_vec(node),
-                 {{proposal.begin(), proposal.end()}, epoch_store_.adopted(node)},
+                 {{proposal.begin(), proposal.end()},
+                  epoch_store_.adopted(node),
+                  epoch_store_.search_skipped(node)},
                  direct)) {
         ++rewired;
       }

@@ -103,6 +103,12 @@ class EgoistNetwork {
   std::size_t dirty_count() const {
     return config_.incremental ? dirty_.dirty_count() : store_.size();
   }
+  /// Scale-mode evaluations that kept their wiring without a search,
+  /// because a bound proved that no search could clear the BR(eps)
+  /// threshold (see propose). Always 0 in dense mode.
+  std::uint64_t total_searches_skipped() const {
+    return total_searches_skipped_;
+  }
 
   /// Current wiring (chosen neighbors, including donated links) of a node.
   /// A view into the SoA node store; invalidated by the next mutation of
@@ -199,7 +205,8 @@ class EgoistNetwork {
   bool scale_mode() const { return config_.br_sample > 0; }
 
   /// Candidate pool for a scale-mode evaluation: the node's current wiring
-  /// and donated links plus a fresh random sample of br_sample others.
+  /// and donated links plus a fresh random sample of br_sample others,
+  /// drawn by rank from the online array (O(pool), not O(n)).
   std::vector<NodeId> sample_pool(int node);
 
   /// One measurement row: `values[i]` is the direct metric cost/value
@@ -234,10 +241,13 @@ class EgoistNetwork {
 
   /// --- The BR decision, shared by every schedule ---
   /// One evaluation's outcome: the proposed wiring (fixed links first)
-  /// and whether the BR(eps) rule adopts it.
+  /// and whether the BR(eps) rule adopts it. `search_skipped`: propose
+  /// kept the wiring on its bound, without a search (counted by commit,
+  /// so the pipeline's workers write no shared counter).
   struct Proposal {
     std::vector<NodeId> wiring;
     bool adopt = false;
+    bool search_skipped = false;
   };
 
   bool best_response_policy() const;
@@ -270,15 +280,18 @@ class EgoistNetwork {
 
   /// Runs the sticky BR search (seeded with `current`) over `objective`
   /// and applies the BR(eps) adoption rule (§4.3) against the current
-  /// wiring's cost under the same objective. Pure: safe to run
-  /// concurrently for distinct nodes with distinct scratch.
+  /// wiring's cost under the same objective. In scale mode it first
+  /// bounds every proposal's cost by the whole candidate pool's and keeps
+  /// the wiring without a search when even that bound clears no
+  /// threshold. Pure: safe to run concurrently for distinct nodes with
+  /// distinct scratch.
   Proposal propose(int node, const core::WiringObjective& objective,
                    const std::vector<NodeId>& current, std::size_t budget,
                    core::BestResponseScratch& scratch) const;
 
   /// Applies an evaluation's outcome: the proposal when adopted (firing
   /// on_rewire), else the current wiring with refreshed announced costs.
-  /// Returns proposal.adopt.
+  /// Counts a skipped search. Returns proposal.adopt.
   bool commit(int node, const std::vector<NodeId>& current, Proposal proposal,
               std::span<const double> direct);
 
@@ -305,14 +318,10 @@ class EgoistNetwork {
 
   /// Post-announce marking, called from apply_wiring with the node's
   /// previous announced out-edge row: exact mode marks everyone on any
-  /// delta; tolerance mode marks the announcer's holders plus the sources
-  /// whose base-tree rows the engine's incremental patch invalidated.
+  /// delta; tolerance mode marks the announcer's holders (from the
+  /// store's in-link index) plus the sources whose base-tree rows the
+  /// engine's incremental patch invalidated.
   void note_announce(int node, std::span<const graph::Edge> old_row);
-
-  /// Online nodes whose wiring or donated links contain `node` (the
-  /// announced graph has no reverse index; rows are k-bounded so the scan
-  /// is O(n * k)).
-  void collect_holders(int node, std::vector<NodeId>& out) const;
 
   Environment& env_;
   OverlayConfig config_;
@@ -382,12 +391,13 @@ class EgoistNetwork {
   /// only consulted — when config_.incremental is on).
   DirtyTracker dirty_;
   std::vector<graph::Edge> old_row_scratch_;  ///< apply_wiring announce delta
-  std::vector<NodeId> holder_scratch_;        ///< tolerance-mode marking
+  std::vector<NodeId> holder_scratch_;  ///< marking and immediate repair
 
   int epochs_ = 0;
   std::uint64_t total_rewirings_ = 0;
   std::uint64_t total_evaluations_ = 0;
   std::uint64_t total_skipped_evals_ = 0;
+  std::uint64_t total_searches_skipped_ = 0;
 };
 
 }  // namespace egoist::overlay

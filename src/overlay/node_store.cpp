@@ -9,50 +9,135 @@ NodeStore::NodeStore(std::size_t nodes, std::size_t wiring_capacity,
                      std::size_t donated_capacity)
     : wiring_cap_(wiring_capacity),
       donated_cap_(donated_capacity),
-      wiring_(nodes * wiring_capacity, NodeId{-1}),
+      links_(nodes * (wiring_capacity + donated_capacity), NodeId{-1}),
       wiring_count_(nodes, 0),
-      donated_(nodes * donated_capacity, NodeId{-1}),
       donated_count_(nodes, 0),
-      online_(nodes, 0) {}
-
-std::size_t NodeStore::online_count() const {
-  return static_cast<std::size_t>(
-      std::count(online_.begin(), online_.end(), std::uint8_t{1}));
+      in_head_(nodes, kNoSlot),
+      in_next_(links_.size(), kNoSlot),
+      in_prev_(links_.size(), kNoSlot),
+      online_(nodes, 0) {
+  if (links_.size() >= kNoSlot) {
+    throw std::length_error("node store exceeds 32-bit slot ids");
+  }
 }
 
-std::vector<NodeId> NodeStore::online_nodes() const {
-  std::vector<NodeId> out;
-  for (std::size_t v = 0; v < online_.size(); ++v) {
-    if (online_[v]) out.push_back(static_cast<NodeId>(v));
+void NodeStore::set_online(std::size_t node, bool online) {
+  if (is_online(node) == online) return;
+  online_[node] = online ? 1 : 0;
+  const auto id = static_cast<NodeId>(node);
+  const auto it = std::lower_bound(online_ids_.begin(), online_ids_.end(), id);
+  if (online) {
+    online_ids_.insert(it, id);
+  } else {
+    online_ids_.erase(it);
   }
-  return out;
+}
+
+std::vector<NodeId> NodeStore::sample_online(util::Rng& rng,
+                                             std::span<const NodeId> excluded,
+                                             std::size_t m) const {
+  // Positions of the excluded online nodes in the online array, ascending.
+  std::vector<std::size_t> skip;
+  skip.reserve(excluded.size());
+  for (NodeId v : excluded) {
+    if (v < 0 || static_cast<std::size_t>(v) >= size() ||
+        !is_online(static_cast<std::size_t>(v))) {
+      continue;
+    }
+    skip.push_back(static_cast<std::size_t>(
+        std::lower_bound(online_ids_.begin(), online_ids_.end(), v) -
+        online_ids_.begin()));
+  }
+  std::sort(skip.begin(), skip.end());
+  skip.erase(std::unique(skip.begin(), skip.end()), skip.end());
+
+  const std::size_t eligible = online_ids_.size() - skip.size();
+  std::vector<NodeId> sample;
+  for (std::size_t rank : rng.sample_ranks(eligible, std::min(m, eligible))) {
+    // The rank-th eligible position: every skipped position at or before
+    // it pushes it one further.
+    std::size_t pos = rank;
+    for (std::size_t s : skip) {
+      if (s > pos) break;
+      ++pos;
+    }
+    sample.push_back(online_ids_[pos]);
+  }
+  return sample;
 }
 
 void NodeStore::set_wiring(std::size_t node, std::span<const NodeId> links) {
   if (links.size() > wiring_cap_) {
     throw std::length_error("wiring exceeds store capacity");
   }
-  std::copy(links.begin(), links.end(), wiring_.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                node * wiring_cap_));
-  wiring_count_[node] = static_cast<std::uint32_t>(links.size());
+  set_row(wiring_slot(node), wiring_count_[node], links);
 }
 
 void NodeStore::set_donated(std::size_t node, std::span<const NodeId> links) {
   if (links.size() > donated_cap_) {
     throw std::length_error("donated links exceed store capacity");
   }
-  std::copy(links.begin(), links.end(), donated_.begin() +
-                                            static_cast<std::ptrdiff_t>(
-                                                node * donated_cap_));
-  donated_count_[node] = static_cast<std::uint32_t>(links.size());
+  set_row(donated_slot(node), donated_count_[node], links);
+}
+
+void NodeStore::set_row(std::size_t first, std::uint32_t& count,
+                        std::span<const NodeId> links) {
+  for (NodeId v : links) {
+    if (v < 0 || static_cast<std::size_t>(v) >= size()) {
+      throw std::out_of_range("link target out of range");
+    }
+  }
+  for (std::size_t i = 0; i < count; ++i) unlink(first + i);
+  std::copy(links.begin(), links.end(),
+            links_.begin() + static_cast<std::ptrdiff_t>(first));
+  for (std::size_t i = 0; i < links.size(); ++i) link(first + i);
+  count = static_cast<std::uint32_t>(links.size());
+}
+
+void NodeStore::link(std::size_t slot) {
+  const auto id = static_cast<std::uint32_t>(slot);
+  std::uint32_t& head = in_head_[static_cast<std::size_t>(links_[slot])];
+  in_prev_[slot] = kNoSlot;
+  in_next_[slot] = head;
+  if (head != kNoSlot) in_prev_[head] = id;
+  head = id;
+}
+
+void NodeStore::unlink(std::size_t slot) {
+  const std::uint32_t prev = in_prev_[slot];
+  const std::uint32_t next = in_next_[slot];
+  if (prev != kNoSlot) {
+    in_next_[prev] = next;
+  } else {
+    in_head_[static_cast<std::size_t>(links_[slot])] = next;
+  }
+  if (next != kNoSlot) in_prev_[next] = prev;
+}
+
+std::size_t NodeStore::owner(std::size_t slot) const {
+  const std::size_t wiring_slots = size() * wiring_cap_;
+  return slot < wiring_slots ? slot / wiring_cap_
+                             : (slot - wiring_slots) / donated_cap_;
+}
+
+void NodeStore::collect_holders(std::size_t node, std::vector<NodeId>& out,
+                                bool wiring_only) const {
+  out.clear();
+  const std::size_t wiring_slots = size() * wiring_cap_;
+  for (std::uint32_t s = in_head_[node]; s != kNoSlot; s = in_next_[s]) {
+    if (wiring_only && s >= wiring_slots) continue;
+    const std::size_t u = owner(s);
+    if (u != node && is_online(u)) out.push_back(static_cast<NodeId>(u));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 void EpochStore::begin(std::size_t nodes, std::size_t wiring_capacity) {
   wiring_cap_ = wiring_capacity;
   proposed_.assign(nodes * wiring_capacity, NodeId{-1});
   proposed_count_.assign(nodes, 0);
-  adopt_.assign(nodes, 0);
+  flags_.assign(nodes, 0);
   pool_offset_.assign(1, 0);
   pool_offset_.reserve(nodes + 1);
   pool_ids_.clear();
@@ -87,14 +172,15 @@ std::span<const double> EpochStore::pool_values(std::size_t node) const {
 }
 
 void EpochStore::set_proposal(std::size_t node, std::span<const NodeId> wiring,
-                              bool adopt) {
+                              bool adopt, bool search_skipped) {
   if (wiring.size() > wiring_cap_) {
     throw std::length_error("proposal exceeds store capacity");
   }
   std::copy(wiring.begin(), wiring.end(),
             proposed_.begin() + static_cast<std::ptrdiff_t>(node * wiring_cap_));
   proposed_count_[node] = static_cast<std::uint32_t>(wiring.size());
-  adopt_[node] = adopt ? 1 : 0;
+  flags_[node] = static_cast<std::uint8_t>((adopt ? kAdopt : 0) |
+                                          (search_skipped ? kSearchSkipped : 0));
 }
 
 }  // namespace egoist::overlay

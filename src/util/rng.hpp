@@ -89,24 +89,57 @@ class Rng {
     std::shuffle(items.begin(), items.end(), engine_);
   }
 
-  /// Samples m distinct elements uniformly from `pool` (order randomized).
-  /// Requires m <= pool.size().
+  /// Ranks of a uniform m-subset of [0, n), in draw order: the first m
+  /// slots of a partial Fisher-Yates shuffle of the identity array
+  /// 0 .. n-1, drawing uniform_int(i, n - 1) for i = 0 .. m-1. Only the
+  /// slots a swap displaced are stored (at most m, in an open-addressed
+  /// table), so a draw costs O(m) however large n is. Requires m <= n.
+  std::vector<std::size_t> sample_ranks(std::size_t n, std::size_t m) {
+    if (m > n) throw std::invalid_argument("sample size exceeds pool size");
+    std::vector<std::size_t> ranks;
+    if (m == 0) return ranks;
+    ranks.reserve(m);
+    // Displaced slot -> the value it holds; a slot absent from the table
+    // still holds its own index. At least 2m cells keep the load <= 1/2.
+    int bits = 1;
+    while ((std::size_t{1} << bits) < 2 * m) ++bits;
+    const std::size_t mask = (std::size_t{1} << bits) - 1;
+    constexpr std::size_t kEmpty = ~std::size_t{0};
+    std::vector<std::size_t> slots(mask + 1, kEmpty);
+    std::vector<std::size_t> held(mask + 1);
+    const auto cell = [&](std::size_t slot) {
+      auto c = static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(slot) * 0x9E3779B97F4A7C15ull) >>
+          (64 - bits));
+      while (slots[c] != kEmpty && slots[c] != slot) c = (c + 1) & mask;
+      return c;
+    };
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto j = static_cast<std::size_t>(uniform_int(
+          static_cast<std::int64_t>(i), static_cast<std::int64_t>(n) - 1));
+      const std::size_t ci = cell(i);
+      const std::size_t at_i = slots[ci] == i ? held[ci] : i;
+      const std::size_t cj = cell(j);
+      ranks.push_back(slots[cj] == j ? held[cj] : j);
+      // The swap: slot i is never read again (later draws start past
+      // it), so only slot j needs a record of its new value.
+      slots[cj] = j;
+      held[cj] = at_i;
+    }
+    return ranks;
+  }
+
+  /// Samples m distinct elements uniformly from `pool` (order randomized):
+  /// pool[r] for each rank r of sample_ranks(pool.size(), m). Requires
+  /// m <= pool.size().
   template <typename T>
   std::vector<T> sample_without_replacement(std::span<const T> pool,
                                             std::size_t m) {
-    if (m > pool.size()) {
-      throw std::invalid_argument("sample size exceeds pool size");
-    }
-    std::vector<T> scratch(pool.begin(), pool.end());
-    // Partial Fisher-Yates: only the first m positions need to be drawn.
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t j = static_cast<std::size_t>(
-          uniform_int(static_cast<std::int64_t>(i),
-                      static_cast<std::int64_t>(scratch.size()) - 1));
-      std::swap(scratch[i], scratch[j]);
-    }
-    scratch.resize(m);
-    return scratch;
+    const auto ranks = sample_ranks(pool.size(), m);
+    std::vector<T> sample;
+    sample.reserve(ranks.size());
+    for (std::size_t r : ranks) sample.push_back(pool[r]);
+    return sample;
   }
 
   /// Picks one element uniformly at random. Requires a non-empty span.

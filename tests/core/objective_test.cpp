@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "core/policies.hpp"
 #include "graph/shortest_path.hpp"
+#include "util/rng.hpp"
 
 namespace egoist::core {
 namespace {
@@ -336,6 +340,76 @@ TEST(LandmarkObjectiveTest, BorrowsTheMeasurementRow) {
   EXPECT_DOUBLE_EQ(obj.link_value(1, 3), 2.5 + 2.0);
   f.dist(1, 0) = 7.0;
   EXPECT_DOUBLE_EQ(obj.link_value(1, 3), 2.5 + 7.0);
+}
+
+TEST(LandmarkObjectiveTest, CandidatePoolCostBoundsEveryBestResponse) {
+  // The scale-mode skip's premise: every proposal is a subset of the
+  // candidates (fixed links included) and the objective is monotone in the
+  // link set, so cost(candidates) <= best_response(...).cost, exactly.
+  // Random objectives over delay and bandwidth, with unreachable direct
+  // and landmark legs, fixed links, sticky seeds, and a finite or an
+  // infinite fold penalty.
+  const double inf = graph::kUnreachable;
+  util::Rng rng(77);
+  for (int c = 0; c < 400; ++c) {
+    const bool maximize = c % 2 == 1;
+    const auto n = static_cast<std::size_t>(rng.uniform_int(4, 40));
+    const auto landmarks = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(n) - 1));
+    const auto self = static_cast<NodeId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    std::vector<NodeId> others;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (static_cast<NodeId>(v) != self) others.push_back(static_cast<NodeId>(v));
+    }
+    // Landmarks: a random subset of the nodes, columns in id order.
+    std::vector<std::int32_t> column(n, -1);
+    std::vector<NodeId> targets;
+    const auto picked = rng.sample_without_replacement(
+        std::span<const NodeId>(others), landmarks);
+    for (NodeId l : picked) targets.push_back(l);
+    std::sort(targets.begin(), targets.end());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      column[static_cast<std::size_t>(targets[i])] = static_cast<std::int32_t>(i);
+    }
+    // Unreachable legs: kUnreachable for delay, 0 for bandwidth (the
+    // unmeasured value); landmark legs may be unreachable too.
+    graph::DistanceMatrix dist(n, targets.size(), inf);
+    std::vector<double> direct(n, maximize ? 0.0 : inf);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (!rng.chance(0.2)) direct[v] = rng.uniform(1.0, 100.0);
+      for (std::size_t l = 0; l < targets.size(); ++l) {
+        dist(v, l) = rng.chance(0.2) ? (maximize ? 0.0 : inf)
+                                     : rng.uniform(0.0, 200.0);
+      }
+    }
+    const auto candidates = rng.sample_without_replacement(
+        std::span<const NodeId>(others),
+        static_cast<std::size_t>(rng.uniform_int(
+            1, static_cast<std::int64_t>(others.size()))));
+    const double penalty = c % 3 == 0 ? inf : 1e9;
+    const LandmarkObjective objective(self, candidates, direct, &dist, &column,
+                                      targets, maximize, penalty);
+
+    BestResponseOptions options;
+    options.exact_budget = c % 4 == 0 ? 20'000 : 0;
+    if (c % 5 < 2 && candidates.size() > 1) {
+      options.fixed_links.assign(candidates.begin(), candidates.begin() + 1);
+    }
+    options.seed_wiring = rng.sample_without_replacement(
+        std::span<const NodeId>(others),
+        static_cast<std::size_t>(rng.uniform_int(0, 3)));
+    const auto k = static_cast<std::size_t>(rng.uniform_int(0, 6));
+    const auto br = best_response(objective, k, options);
+    const double bound = objective.cost(candidates);
+    EXPECT_LE(bound, br.cost) << "case " << c;
+    // Monotone in the link set: no subset of the pool costs less.
+    std::vector<NodeId> subset;
+    for (NodeId v : candidates) {
+      if (rng.chance(0.5)) subset.push_back(v);
+    }
+    EXPECT_LE(bound, objective.cost(subset)) << "case " << c;
+  }
 }
 
 }  // namespace

@@ -129,6 +129,44 @@ TEST(ScaleModeTest, RunNodeWorksOutsideEpochs) {
   EXPECT_TRUE(net.is_online(5));
 }
 
+TEST(ScaleModeTest, BoundSkipsSearchesInScaleModeOnly) {
+  // Scale mode keeps a wiring without a search when the candidate pool's
+  // own cost clears no BR(eps) threshold: the sequential epoch and the
+  // pipeline both count such turns (the pipeline the same at any worker
+  // count), and every counted skip is an evaluation.
+  const auto scale_run = [](int workers) {
+    Environment env(60, 9, scale_env(net::UnderlayKind::kProcedural));
+    auto config = scale_config();
+    config.epoch_workers = workers;
+    EgoistNetwork net(env, config);
+    for (int e = 0; e < 4; ++e) {
+      env.advance(60.0);
+      net.run_epoch();
+    }
+    EXPECT_GT(net.total_searches_skipped(), 0u) << "workers " << workers;
+    EXPECT_LE(net.total_searches_skipped(), net.total_evaluations())
+        << "workers " << workers;
+    return net.total_searches_skipped();
+  };
+  scale_run(0);
+  EXPECT_EQ(scale_run(1), scale_run(2));
+
+  // Dense mode never bounds: its candidates are every online node.
+  for (const int workers : {0, 2}) {
+    Environment env(30, 9);
+    auto config = scale_config();
+    config.br_sample = 0;
+    config.epoch_workers = workers;
+    EgoistNetwork net(env, config);
+    for (int e = 0; e < 4; ++e) {
+      env.advance(60.0);
+      net.run_epoch();
+    }
+    EXPECT_GT(net.total_evaluations(), 0u);
+    EXPECT_EQ(net.total_searches_skipped(), 0u) << "workers " << workers;
+  }
+}
+
 TEST(ScaleModeTest, StaggeredHostDriverCompletesEpochs) {
   host::OverlayHost host(20, 23, scale_env(net::UnderlayKind::kProcedural));
   auto spec = host::OverlaySpec(scale_config())

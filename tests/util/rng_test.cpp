@@ -6,7 +6,10 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace egoist::util {
 namespace {
@@ -114,6 +117,71 @@ TEST(RngTest, SampleWithoutReplacementRejectsOversizedRequest) {
   std::vector<int> pool{1, 2};
   EXPECT_THROW(rng.sample_without_replacement(std::span<const int>(pool), 3),
                std::invalid_argument);
+}
+
+// The dense partial Fisher-Yates the sparse draw replaced: copy the list
+// and swap each of the first m slots with a uniform slot at or after it.
+std::vector<int> dense_sample(Rng& rng, std::vector<int> list, std::size_t m) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(i),
+                        static_cast<std::int64_t>(list.size()) - 1));
+    std::swap(list[i], list[j]);
+  }
+  list.resize(m);
+  return list;
+}
+
+TEST(RngTest, SparseDrawMatchesTheDenseShuffleOverTheExplicitList) {
+  // 1,200 random cases, N from 0 to 500 and m from 0 to N: the list is
+  // [0, T) without random excluded ranks, and the sparse ranks are mapped
+  // to it by stepping over the excluded ones, as a caller drawing from an
+  // id array does. With the same seed the sparse draw, the dense shuffle
+  // and sample_without_replacement pick the same elements in the same
+  // order and leave the engine in the same state.
+  Rng cases(2024);
+  for (int c = 0; c < 1200; ++c) {
+    const auto total = static_cast<std::size_t>(cases.uniform_int(0, 500));
+    const double exclude = cases.uniform(0.0, 0.3);
+    std::vector<int> list;
+    std::vector<std::size_t> excluded;
+    for (std::size_t r = 0; r < total; ++r) {
+      if (cases.chance(exclude)) {
+        excluded.push_back(r);
+      } else {
+        list.push_back(static_cast<int>(r));
+      }
+    }
+    const std::size_t n = list.size();
+    const auto m = c % 10 == 0 ? n
+                               : static_cast<std::size_t>(cases.uniform_int(
+                                     0, static_cast<std::int64_t>(n)));
+    const std::uint64_t seed = cases.engine()();
+
+    Rng dense(seed), sparse(seed), wrapped(seed);
+    const auto want = dense_sample(dense, list, m);
+    std::vector<int> got;
+    for (std::size_t rank : sparse.sample_ranks(n, m)) {
+      std::size_t pos = rank;
+      for (std::size_t e : excluded) {
+        if (e > pos) break;
+        ++pos;
+      }
+      got.push_back(static_cast<int>(pos));
+    }
+    ASSERT_EQ(got, want) << "case " << c << ": N=" << n << " m=" << m;
+    EXPECT_EQ(sparse.engine(), dense.engine()) << "case " << c;
+    EXPECT_EQ(wrapped.sample_without_replacement(std::span<const int>(list), m),
+              want)
+        << "case " << c;
+    EXPECT_EQ(wrapped.engine(), dense.engine()) << "case " << c;
+  }
+}
+
+TEST(RngTest, SampleRanksRejectsOversizedRequest) {
+  Rng rng(1);
+  EXPECT_THROW(rng.sample_ranks(2, 3), std::invalid_argument);
+  EXPECT_TRUE(rng.sample_ranks(0, 0).empty());
 }
 
 TEST(RngTest, PickRejectsEmptyPool) {
