@@ -47,8 +47,10 @@ std::vector<double> resolve_preference(
 }  // namespace
 
 double default_unreachable_penalty(const graph::Digraph& overlay) {
-  // 1000x the largest finite edge weight (or 1e6 for empty overlays) keeps
-  // connectivity dominant without destroying float precision.
+  // 1000 * n times the heaviest edge weight (1000 * n without edges) keeps
+  // connectivity dominant without destroying float precision while every
+  // weight is finite. The scan takes every weight, +inf included: one edge
+  // announced at kUnreachable makes the penalty +inf.
   double heaviest = 0.0;
   for (std::size_t u = 0; u < overlay.node_count(); ++u) {
     for (const auto& e : overlay.out_edges(static_cast<NodeId>(u))) {

@@ -27,7 +27,9 @@
 namespace egoist::core {
 
 /// The "M >> n" penalty for unreachable destinations over `overlay`:
-/// comfortably larger than any realistic path cost.
+/// comfortably larger than any realistic path cost — 1000 * n times the
+/// heaviest edge weight, so +inf when any edge weight is +inf. One scan of
+/// every edge, O(n + E).
 double default_unreachable_penalty(const graph::Digraph& overlay);
 
 /// Builds a delay/load objective for `self`.

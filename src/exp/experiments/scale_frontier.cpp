@@ -21,12 +21,16 @@
 // search (0 in dense mode).
 //
 // `workers` is a comma list of OverlayConfig::epoch_workers values, one
-// row each: 0 is the sequential epoch, N >= 1 the parallel epoch pipeline.
-// The pipeline's trajectory is bit-identical at any N >= 1, so within one
-// (n, policy, variant) every workers >= 1 row must re-wire like the first
-// one; the run fails otherwise, naming both rows. `profile = true` enables
-// the in-process profiler around the timed epochs and emits per-phase rows
-// ("profile" panel; see docs/EXPERIMENTS.md).
+// row each. In scale mode every value runs the same epoch, so within one
+// (n, policy, variant) every row must equal the first on the trajectory
+// columns (rewirings, evaluated, skipped_evals, searches_skipped,
+// dirty_nodes, mean_cost, unreachable, probed_pairs). In dense mode 0 is
+// the sequential epoch and N >= 1 the parallel pipeline, bit-identical at
+// any N >= 1, so there every workers >= 1 row must equal the first such
+// row. The run fails otherwise, naming both rows and the column.
+// `profile = true` enables the in-process profiler around the timed
+// epochs and emits per-phase rows ("profile" panel; see
+// docs/EXPERIMENTS.md).
 //
 // Long-horizon churn: `churn-horizon = N` (epochs, 0 = static membership)
 // synthesizes a §4.4 ON/OFF trace over the timed region and replays it
@@ -46,6 +50,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "churn/churn.hpp"
 #include "exp/common.hpp"
@@ -97,6 +103,22 @@ std::string fixed(double value, int digits) {
   std::ostringstream out;
   out << std::fixed << std::setprecision(digits) << value;
   return out.str();
+}
+
+/// The columns a row's trajectory fixes, by name, at full precision: rows
+/// that walk one trajectory must agree on every one of them.
+std::vector<std::pair<std::string, std::string>> trajectory_columns(
+    const FrontierRow& row) {
+  std::ostringstream cost;
+  cost << std::setprecision(17) << row.mean_cost;
+  return {{"rewirings", std::to_string(row.rewirings)},
+          {"evaluated", std::to_string(row.evaluated)},
+          {"skipped_evals", std::to_string(row.skipped)},
+          {"searches_skipped", std::to_string(row.searches_skipped)},
+          {"dirty_nodes", std::to_string(row.dirty_nodes)},
+          {"mean_cost", cost.str()},
+          {"unreachable", std::to_string(row.unreachable)},
+          {"probed_pairs", std::to_string(row.probed_pairs)}};
 }
 
 }  // namespace
@@ -343,9 +365,9 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
                     churn_config);
     }
     for (const auto policy : policies) {
-      // variant -> the first workers >= 1 row: the pipeline's trajectory
-      // reference for this (n, policy).
-      std::map<std::string, FrontierRow> pipeline_reference;
+      // variant -> the trajectory reference for this (n, policy): the
+      // first row in scale mode, the first workers >= 1 row in dense mode.
+      std::map<std::string, FrontierRow> reference;
       for (const int workers : workers_list) {
         std::vector<FrontierRow> rows;
         if (incremental && compare_full) {
@@ -360,16 +382,19 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
         }
         for (const auto& row : rows) {
           add_row(row);
-          if (workers < 1) continue;
-          const auto [it, first] = pipeline_reference.emplace(row.variant, row);
+          if (config.br_sample == 0 && workers < 1) continue;
+          const auto [it, first] = reference.emplace(row.variant, row);
+          if (first) continue;
           const FrontierRow& ref = it->second;
-          if (!first && row.rewirings != ref.rewirings) {
+          const auto want = trajectory_columns(ref);
+          const auto got = trajectory_columns(row);
+          for (std::size_t c = 0; c < got.size(); ++c) {
+            if (got[c].second == want[c].second) continue;
             mismatches += row.policy + " n=" + std::to_string(n) + " " +
-                          row.variant + ": workers=" +
-                          std::to_string(row.workers) + " re-wired " +
-                          std::to_string(row.rewirings) + " times, workers=" +
-                          std::to_string(ref.workers) + " " +
-                          std::to_string(ref.rewirings) + "\n";
+                          row.variant + " " + got[c].first + ": workers=" +
+                          std::to_string(row.workers) + " " + got[c].second +
+                          ", workers=" + std::to_string(ref.workers) + " " +
+                          want[c].second + "\n";
           }
         }
       }
@@ -381,7 +406,7 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
   sink.table("scale_frontier", table);
   if (!mismatches.empty()) {
     throw std::runtime_error(
-        "the epoch pipeline must re-wire identically at every worker count:\n" +
+        "rows that walk one trajectory must agree at every worker count:\n" +
         mismatches);
   }
 }

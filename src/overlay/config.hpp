@@ -81,15 +81,18 @@ struct OverlayConfig {
   double cheat_factor = 2.0;
 
   /// Worker threads for the wiring epoch itself (BR/HybridBR only; the
-  /// other policies are trivial and ignore this). 0 (the default) keeps the
-  /// paper's unsynchronized sequential epoch: nodes evaluate in a shuffled order and each
-  /// sees the re-wirings of the nodes before it — byte-identical to the
-  /// historical trajectories. >= 1 switches run_epoch to the snapshot ->
-  /// parallel evaluate -> deterministic merge pipeline
-  /// (overlay/epoch_engine.hpp): every node best-responds to the immutable
-  /// epoch-boundary state and adopted re-wirings merge in ascending node
-  /// order, so the trajectory is bit-identical at ANY worker count — 1 vs N
-  /// only changes wall-clock time. Negative values throw.
+  /// other policies are trivial and ignore this). Negative values throw.
+  /// In §5 scale mode (br_sample > 0) it only sets speed: every epoch is
+  /// the snapshot -> evaluate -> merge pipeline (overlay/epoch_engine.hpp)
+  /// in the boundary's shuffled node order, evaluating inline at 0 and on
+  /// this many workers at >= 1, one trajectory at every value. In dense
+  /// mode, 0 (the default) keeps the paper's unsynchronized sequential
+  /// epoch: nodes evaluate in a shuffled order and each sees the
+  /// re-wirings of the nodes before it — byte-identical to the historical
+  /// trajectories. >= 1 switches a dense epoch to the pipeline in
+  /// ascending node order: every node best-responds to the immutable
+  /// epoch-boundary state, so the trajectory is bit-identical at any
+  /// worker count >= 1 — 1 vs N only changes wall-clock time.
   int epoch_workers = 0;
 
   /// §5 scale mode: when > 0, BR/HybridBR nodes evaluate a per-node random

@@ -1,31 +1,36 @@
-// Worker-side machinery of the deterministic parallel epoch pipeline.
+// Worker-side machinery of the deterministic epoch pipeline.
 //
-// EgoistNetwork::run_epoch splits a parallel epoch (config.epoch_workers
-// >= 1, BR/HybridBR policies) into three phases:
+// EgoistNetwork::run_epoch runs a BR/HybridBR epoch in three phases when
+// §5 scale mode is on (at every config.epoch_workers value) or when a
+// dense epoch asks for workers (epoch_workers >= 1):
 //
-//   snapshot  — sequential, ascending node order: all RNG draws (sample
-//               pools, landmark choices) and all stateful measurements
-//               (ping EWMAs, noise streams) happen here, captured into an
-//               EpochStore; the decision graph is frozen and the shared
-//               path-engine base trees are prepared.
-//   evaluate  — parallel: each node's best response is computed against
-//               the immutable epoch-start snapshot. A task reads only
-//               frozen state plus its own EpochStore rows and writes only
-//               its node's disjoint proposal slot, so the outcome is
-//               independent of scheduling.
-//   merge     — sequential, ascending node order: adopted proposals are
-//               applied and hooks fire, so observers see one canonical
-//               order.
+//   snapshot  — sequential: every RNG draw (landmarks and the node order
+//               at the boundary, then sample pools) and every stateful
+//               measurement (dirty checks with their drift probes, ping
+//               EWMAs, noise streams) happens here, each evaluated node's
+//               row captured into the next EpochStore slot.
+//   evaluate  — each slot's best response is computed against the
+//               immutable epoch-start state: inline at workers 0, across
+//               the pool at >= 1. A task reads only frozen state plus its
+//               own slot's row and writes only its slot's proposal, so the
+//               outcome is independent of scheduling.
+//   merge     — sequential, in slot order: adopted proposals are applied
+//               and hooks fire, so observers see one canonical order.
 //
-// Because the evaluate phase is a pure per-node function of the snapshot,
-// the whole epoch trajectory is bit-identical at any worker count — the
-// contract tests/overlay/parallel_epoch_test.cpp enforces.
+// Scale mode visits the nodes in the order it shuffles at the boundary
+// (nodes are not synchronized, §4.2); its evaluations read only boundary
+// state (landmark rows, the fold penalty, their own row and wiring), so
+// the schedule is also the sequential one. A dense pipeline visits them in
+// ascending order. Because the evaluate phase is a pure per-slot function
+// of the snapshot, the whole epoch trajectory is bit-identical at any
+// worker count — the contract tests/overlay/parallel_epoch_test.cpp
+// enforces.
 //
 // EpochEngine owns the reusable worker pool and one workspace per worker
 // (path-query scratch, best-response scratch, residual matrix, a
 // node-indexed measurement row), so steady-state epochs allocate nothing
-// new. The sequential schedules evaluate through one more workspace of
-// their own.
+// new. Every evaluation on the calling thread (workers 0, the sequential
+// schedules) goes through one more workspace of its own.
 #pragma once
 
 #include <cstddef>
@@ -39,9 +44,8 @@
 
 namespace egoist::overlay {
 
-/// Mutable state for one node evaluation at a time: one per pipeline
-/// worker (index w belongs to pool worker w), plus the sequential paths'
-/// own.
+/// Mutable state for one node evaluation at a time: one per pool worker
+/// (index w belongs to pool worker w), plus the calling thread's own.
 struct EpochWorkspace {
   graph::PathEngine::QueryScratch query;
   core::BestResponseScratch br;

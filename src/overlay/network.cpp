@@ -838,7 +838,8 @@ bool EgoistNetwork::best_response_policy() const {
 }
 
 bool EgoistNetwork::use_pipeline() const {
-  return config_.epoch_workers >= 1 && best_response_policy();
+  return best_response_policy() &&
+         (scale_mode() || config_.epoch_workers >= 1);
 }
 
 EpochEngine& EgoistNetwork::epoch_engine() {
@@ -851,102 +852,98 @@ EpochEngine& EgoistNetwork::epoch_engine() {
 int EgoistNetwork::run_epoch_pipeline() {
   EGOIST_PROFILE_SCOPE("epoch");
   ++epochs_;
-  const auto online = online_nodes();  // ascending: the merge order
-  EpochEngine& engine = epoch_engine();
-
-  // Incremental mode: freeze the dirty set into this epoch's active list
-  // (ascending, like the merge order). Drift probes — tolerance mode's
-  // stateful measurements — run here, sequentially, keeping the evaluate
-  // phase pure. Marks raised during the merge apply from the next epoch:
-  // the pipeline's synchronized-agents semantics, unlike the sequential
-  // epoch's immediate mid-epoch marks.
-  std::vector<NodeId> active;
-  if (config_.incremental) {
-    for (NodeId v : online) {
-      if (node_needs_evaluation(v)) {
-        active.push_back(v);
-      } else {
-        ++total_skipped_evals_;
-      }
-    }
-    for (NodeId v : active) dirty_.clear(static_cast<std::size_t>(v));
-  } else {
-    active = online;
-  }
-  total_evaluations_ += active.size();
-
-  // --- Snapshot (sequential, ascending node order) ---
-  // Everything stateful lives here: RNG draws (landmarks, sample pools) and
-  // measurement streams (ping EWMAs, noise) advance exactly once, in a
-  // worker-count-independent order. The decision graph is frozen after
-  // them — in audit mode it is audited once here, not once per node.
-  // With nothing active, the epoch planes, landmark refresh, and engine
-  // snapshot are all skipped — an all-clean epoch costs O(n).
+  // The boundary. Scale mode fixes here everything its evaluations read
+  // besides their own rows — the fold penalty and the landmark rows — and
+  // shuffles the node order (nodes are not synchronized, §4.2). A dense
+  // epoch keeps ascending order and freezes its decision state after the
+  // snapshot.
+  auto order = online_nodes();
   double penalty = 0.0;
-  {
-    EGOIST_PROFILE_SCOPE("snapshot");
-    if (!active.empty()) {
-      if (scale_mode()) refresh_landmarks();
-      // One measurement plane: each active node's pool and the values
-      // measured over it — a fresh sample in scale mode, the online set
-      // otherwise.
-      epoch_store_.begin(store_.size(), store_.wiring_capacity());
-      for (NodeId v : active) {
-        std::vector<NodeId> pool;
-        {
-          EGOIST_PROFILE_SCOPE("sample");
-          pool = scale_mode() ? sample_pool(v) : online;
-        }
-        EGOIST_PROFILE_SCOPE("measure");
-        const auto row = measure(v, std::move(pool));
-        epoch_store_.add_pool(static_cast<std::size_t>(v), row.pool,
-                              row.values);
-      }
-      // The frozen decision state (in dense mode one engine snapshot with
-      // eager base trees, which the evaluate phase only queries).
-      penalty = prepare_decision();
-    }
+  if (scale_mode()) {
+    penalty = prepare_decision();
+    refresh_landmarks();
+    rng_.shuffle(order);
   }
-
-  // --- Evaluate (parallel, pure per-node) ---
-  // A task reads only frozen state and its own workspace, and writes only
-  // its node's disjoint EpochStore slot.
-  const std::size_t budget = degree_budget();
+  const std::size_t pool_bound =
+      scale_mode() ? store_.wiring_capacity() + store_.donated_capacity() +
+                         config_.br_sample
+                   : order.size();
+  epoch_store_.begin(store_.wiring_capacity(), order.size(),
+                     order.size() * pool_bound);
+  int rewired = 0;
   {
     EGOIST_PROFILE_SCOPE("evaluate");
-    engine.run(active.size(), [&](std::size_t i, EpochWorkspace& ws) {
+    // --- Snapshot (sequential, in `order`) ---
+    // Everything stateful lives here: the incremental dirty check with its
+    // drift probe, the sample draws and the measurement streams (ping
+    // EWMAs, noise) advance exactly once, in a worker-count-independent
+    // order. Each active node takes the next EpochStore slot. No commit
+    // runs before the merge, so the dirty set is the boundary's: marks
+    // raised by the merge apply from the next epoch.
+    for (NodeId v : order) {
+      if (config_.incremental) {
+        if (!node_needs_evaluation(v)) {
+          ++total_skipped_evals_;
+          continue;
+        }
+        dirty_.clear(static_cast<std::size_t>(v));
+      }
+      std::vector<NodeId> pool;
+      {
+        EGOIST_PROFILE_SCOPE("sample");
+        pool = scale_mode() ? sample_pool(v) : order;
+      }
+      EGOIST_PROFILE_SCOPE("measure");
+      const auto row = measure(v, std::move(pool));
+      epoch_store_.add_pool(v, row.pool, row.values);
+    }
+    const std::size_t slots = epoch_store_.slots();
+    total_evaluations_ += slots;
+    // A dense epoch's frozen decision state, skipped when nothing is
+    // active: the decision graph (audited once per epoch), one engine
+    // snapshot with eager base trees that the evaluate step only queries,
+    // and the fold penalty.
+    if (!scale_mode() && slots > 0) penalty = prepare_decision();
+
+    // --- Evaluate (pure per slot: inline at workers 0, else fanned out) ---
+    // A task reads only frozen state and its own workspace, and writes only
+    // its slot's proposal.
+    const std::size_t budget = degree_budget();
+    const auto evaluate = [&](std::size_t slot, EpochWorkspace& ws) {
       // On the calling thread this nests as epoch/evaluate/search; the
       // pool's other threads record it as a top-level "search".
       EGOIST_PROFILE_SCOPE("search");
-      const NodeId v = active[i];
-      const auto node = static_cast<std::size_t>(v);
-      const auto pool = epoch_store_.pool_ids(node);
-      const auto& direct = expand(ws, pool, epoch_store_.pool_values(node));
-      Proposal proposal =
+      const NodeId v = epoch_store_.node(slot);
+      const auto pool = epoch_store_.pool_ids(slot);
+      const auto& direct = expand(ws, pool, epoch_store_.pool_values(slot));
+      const Proposal proposal =
           propose(v, *objective(v, pool, direct, penalty, ws),
-                  store_.wiring_vec(node), budget, ws.br);
-      std::sort(proposal.wiring.begin(), proposal.wiring.end());
-      epoch_store_.set_proposal(node, proposal.wiring, proposal.adopt,
+                  store_.wiring_vec(static_cast<std::size_t>(v)), budget,
+                  ws.br);
+      epoch_store_.set_proposal(slot, proposal.wiring, proposal.adopt,
                                 proposal.search_skipped);
-    });
-  }
+    };
+    if (config_.epoch_workers == 0) {
+      for (std::size_t slot = 0; slot < slots; ++slot) {
+        evaluate(slot, workspace_);
+      }
+    } else {
+      epoch_engine().run(slots, evaluate);
+    }
 
-  // --- Merge (sequential, ascending node order) ---
-  int rewired = 0;
-  {
-    EGOIST_PROFILE_SCOPE("merge");
-    for (NodeId v : active) {
+    // --- Merge (sequential, in slot order) ---
+    for (std::size_t slot = 0; slot < slots; ++slot) {
       EGOIST_PROFILE_SCOPE("commit");
-      const auto node = static_cast<std::size_t>(v);
+      const NodeId v = epoch_store_.node(slot);
       // The snapshot's row prices every announced link except a kept
       // wiring's offline neighbours, which announce the unmeasured value.
-      const auto& direct = expand(workspace_, epoch_store_.pool_ids(node),
-                                  epoch_store_.pool_values(node));
-      const auto proposal = epoch_store_.proposal(node);
-      if (commit(v, store_.wiring_vec(node),
+      const auto& direct = expand(workspace_, epoch_store_.pool_ids(slot),
+                                  epoch_store_.pool_values(slot));
+      const auto proposal = epoch_store_.proposal(slot);
+      if (commit(v, store_.wiring_vec(static_cast<std::size_t>(v)),
                  {{proposal.begin(), proposal.end()},
-                  epoch_store_.adopted(node),
-                  epoch_store_.search_skipped(node)},
+                  epoch_store_.adopted(slot),
+                  epoch_store_.search_skipped(slot)},
                  direct)) {
         ++rewired;
       }
@@ -975,11 +972,7 @@ int EgoistNetwork::run_epoch() {
   const bool audited = config_.enable_audits &&
                        (config_.metric == Metric::kDelayPing ||
                         config_.metric == Metric::kDelayCoords);
-  if (scale_mode()) {
-    // Epoch-shared landmark state instead of epoch-shared base trees: the
-    // whole epoch evaluates against the boundary announced graph.
-    refresh_landmarks();
-  } else if (best_response_policy() && !audited) {
+  if (best_response_policy() && !audited) {
     engine_.rebuild(announced_);
     engine_synced_ = true;
   }
@@ -1006,7 +999,6 @@ int EgoistNetwork::run_epoch() {
   }
   engine_synced_ = false;
   epoch_penalty_.reset();
-  landmark_state_.valid = false;
   // k-Random / k-Closest enforce a cycle if the wiring got disconnected
   // (§3.2); the cycle replaces each node's last link to respect degree k.
   if (config_.policy == Policy::kRandom || config_.policy == Policy::kClosest) {

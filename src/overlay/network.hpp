@@ -70,17 +70,20 @@ class EgoistNetwork {
   std::vector<NodeId> online_nodes() const;
 
   /// --- Protocol dynamics ---
-  /// One wiring epoch. With config.epoch_workers == 0 (the default), every
-  /// online node re-evaluates its wiring in a freshly shuffled order, each
-  /// seeing the re-wirings of the nodes before it (nodes are not
-  /// synchronized, §4.2). With epoch_workers >= 1 and a BR/HybridBR policy,
-  /// the epoch runs as the deterministic parallel pipeline instead:
-  /// snapshot (sequential — all measurements and RNG draws, ascending node
-  /// order), evaluate (parallel — every node best-responds to the immutable
-  /// epoch-start state), merge (sequential — adopted re-wirings applied and
-  /// hooks fired in ascending node order). The pipeline trajectory is
-  /// bit-identical at any worker count. Returns the number of nodes that
-  /// changed their wiring this epoch.
+  /// One wiring epoch; returns the number of nodes that changed their
+  /// wiring. A BR/HybridBR epoch in §5 scale mode, or in dense mode with
+  /// config.epoch_workers >= 1, runs the deterministic pipeline: snapshot
+  /// (sequential — every dirty check, drift probe, sample draw and
+  /// measurement), evaluate (every node best-responds to the epoch-start
+  /// state: inline at workers 0, on the worker pool at >= 1), merge
+  /// (sequential — adopted re-wirings applied and hooks fired). Scale mode
+  /// first refreshes its landmarks and shuffles the online nodes, and all
+  /// three phases follow that order; a dense pipeline keeps ascending
+  /// order. Either way the trajectory is bit-identical at any worker count.
+  /// Every other epoch (dense BR at workers 0, the heuristics) is the
+  /// sequential loop: each online node, in a freshly shuffled order,
+  /// re-evaluates seeing the re-wirings of the nodes before it (nodes are
+  /// not synchronized, §4.2).
   int run_epoch();
 
   /// Evaluates a single node's wiring (the staggered, unsynchronized mode:
@@ -159,9 +162,10 @@ class EgoistNetwork {
   /// the sample).
   void join(int node);
 
-  /// One node's turn, the step every sequential schedule runs (run_epoch,
-  /// run_node, immediate repairs): measure the node's pool, choose the
-  /// objective, propose, commit. Returns true when the node re-wired.
+  /// One node's turn, the step every sequential schedule runs (the
+  /// sequential run_epoch loop, run_node, immediate repairs): measure the
+  /// node's pool, choose the objective, propose, commit. Returns true when
+  /// the node re-wired. The pipeline runs the same calls in its phases.
   bool evaluate_node(int node);
 
   /// evaluate_node plus the evaluation / re-wiring counters: the one
@@ -301,13 +305,13 @@ class EgoistNetwork {
   /// over the currently online targets; offline entries zeroed).
   std::vector<double> preference_of(int node) const;
 
-  /// --- Deterministic parallel epoch pipeline (config_.epoch_workers >= 1,
-  /// BR/HybridBR; see run_epoch) ---
+  /// --- The snapshot -> evaluate -> merge epoch (BR/HybridBR in scale
+  /// mode, or dense with config_.epoch_workers >= 1; see run_epoch) ---
   bool use_pipeline() const;
   int run_epoch_pipeline();
 
   /// The lazily built worker pool + per-worker workspaces (rebuilt when the
-  /// knob changes).
+  /// knob changes; never built at workers 0).
   EpochEngine& epoch_engine();
 
   /// --- Incremental dirty-set epochs (config_.incremental) ---
@@ -333,11 +337,13 @@ class EgoistNetwork {
   /// rows, donated rows) — flat slabs instead of one heap vector per node.
   NodeStore store_;
 
-  /// Epoch-scoped planes of the parallel pipeline: the measurement
-  /// snapshot (dense rows or scale-mode pools) and the proposal slots.
+  /// Epoch-scoped planes of the pipeline, one slot per evaluation: the
+  /// measurement snapshot (dense rows or scale-mode pools) and the
+  /// proposals.
   EpochStore epoch_store_;
 
-  /// Worker pool + workspaces for the evaluate phase (pipeline mode only).
+  /// Worker pool + workspaces for the evaluate phase (pipeline at
+  /// workers >= 1 only).
   std::unique_ptr<EpochEngine> epoch_engine_;
 
   graph::Digraph announced_;
@@ -348,15 +354,16 @@ class EgoistNetwork {
   /// over the snapshot instead of a graph copy.
   graph::PathEngine engine_;
 
-  /// The sequential paths' workspace (every measurement row outside the
-  /// pipeline's evaluate phase is expanded here), so no evaluation
-  /// allocates or fills n entries of scratch.
+  /// The calling thread's workspace (every measurement row outside a
+  /// pooled evaluate phase is expanded here), so no evaluation allocates
+  /// or fills n entries of scratch.
   EpochWorkspace workspace_;
 
   /// Audited decision graph buffer (only populated when audits are on).
   graph::Digraph audited_;
 
-  /// True while run_epoch keeps the engine synchronized with announced_:
+  /// True while the sequential run_epoch loop keeps the engine synchronized
+  /// with announced_:
   /// the engine is snapshotted once at the epoch boundary and then patched
   /// incrementally after each node re-announces (update_out_edges), so its
   /// shared base trees survive the whole sequential epoch. Off outside
@@ -365,8 +372,9 @@ class EgoistNetwork {
   bool engine_synced_ = false;
 
   /// Per-epoch cache of core::default_unreachable_penalty over the decision
-  /// graph: set for the duration of run_epoch, empty outside it (join and
-  /// immediate-rewire paths compute a fresh value, as the seed did).
+  /// graph: set for the duration of the sequential run_epoch loop, empty
+  /// outside it (the pipeline scans once per epoch itself; join, run_node
+  /// and immediate repairs compute a fresh value, as the seed did).
   std::optional<double> epoch_penalty_;
 
   /// Scale-mode landmark state: distance/bottleneck from every node to each

@@ -133,53 +133,49 @@ void NodeStore::collect_holders(std::size_t node, std::vector<NodeId>& out,
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-void EpochStore::begin(std::size_t nodes, std::size_t wiring_capacity) {
+void EpochStore::begin(std::size_t wiring_capacity, std::size_t slots,
+                       std::size_t entries) {
   wiring_cap_ = wiring_capacity;
-  proposed_.assign(nodes * wiring_capacity, NodeId{-1});
-  proposed_count_.assign(nodes, 0);
-  flags_.assign(nodes, 0);
+  node_.clear();
   pool_offset_.assign(1, 0);
-  pool_offset_.reserve(nodes + 1);
   pool_ids_.clear();
   pool_values_.clear();
+  proposed_.clear();
+  proposed_count_.clear();
+  flags_.clear();
+  node_.reserve(slots);
+  pool_offset_.reserve(slots + 1);
+  pool_ids_.reserve(entries);
+  pool_values_.reserve(entries);
+  proposed_.reserve(slots * wiring_capacity);
+  proposed_count_.reserve(slots);
+  flags_.reserve(slots);
 }
 
-void EpochStore::add_pool(std::size_t node, std::span<const NodeId> ids,
-                          std::span<const double> values) {
+std::size_t EpochStore::add_pool(NodeId node, std::span<const NodeId> ids,
+                                 std::span<const double> values) {
   if (ids.size() != values.size()) {
     throw std::invalid_argument("pool ids/values size mismatch");
   }
-  if (node + 1 < pool_offset_.size()) {
-    throw std::invalid_argument("pools must be appended in ascending order");
-  }
-  // Nodes skipped since the last append get empty pools.
-  while (pool_offset_.size() <= node) pool_offset_.push_back(pool_ids_.size());
+  node_.push_back(node);
   pool_ids_.insert(pool_ids_.end(), ids.begin(), ids.end());
   pool_values_.insert(pool_values_.end(), values.begin(), values.end());
   pool_offset_.push_back(pool_ids_.size());
+  proposed_.resize(proposed_.size() + wiring_cap_, NodeId{-1});
+  proposed_count_.push_back(0);
+  flags_.push_back(0);
+  return node_.size() - 1;
 }
 
-std::span<const NodeId> EpochStore::pool_ids(std::size_t node) const {
-  if (node + 1 >= pool_offset_.size()) return {};
-  return {pool_ids_.data() + pool_offset_[node],
-          pool_offset_[node + 1] - pool_offset_[node]};
-}
-
-std::span<const double> EpochStore::pool_values(std::size_t node) const {
-  if (node + 1 >= pool_offset_.size()) return {};
-  return {pool_values_.data() + pool_offset_[node],
-          pool_offset_[node + 1] - pool_offset_[node]};
-}
-
-void EpochStore::set_proposal(std::size_t node, std::span<const NodeId> wiring,
+void EpochStore::set_proposal(std::size_t slot, std::span<const NodeId> wiring,
                               bool adopt, bool search_skipped) {
   if (wiring.size() > wiring_cap_) {
     throw std::length_error("proposal exceeds store capacity");
   }
   std::copy(wiring.begin(), wiring.end(),
-            proposed_.begin() + static_cast<std::ptrdiff_t>(node * wiring_cap_));
-  proposed_count_[node] = static_cast<std::uint32_t>(wiring.size());
-  flags_[node] = static_cast<std::uint8_t>((adopt ? kAdopt : 0) |
+            proposed_.begin() + static_cast<std::ptrdiff_t>(slot * wiring_cap_));
+  proposed_count_[slot] = static_cast<std::uint32_t>(wiring.size());
+  flags_[slot] = static_cast<std::uint8_t>((adopt ? kAdopt : 0) |
                                           (search_skipped ? kSearchSkipped : 0));
 }
 

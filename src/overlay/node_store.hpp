@@ -12,12 +12,13 @@
 // or donates to a node: holder marking and immediate repair). With them a
 // scale-mode turn costs O(sample + in-degree), not O(n).
 //
-// EpochStore holds the epoch-scoped planes of the parallel pipeline
-// (overlay/epoch_engine.hpp): the measurement plane captured during the
-// sequential snapshot phase (per-node pools with their measured values —
-// a fresh sample in §5 scale mode, the online set in a dense epoch) and
-// the proposal plane the evaluate phase writes (proposed wiring rows +
-// adoption flags, one disjoint slot per node).
+// EpochStore holds the epoch-scoped planes of the snapshot -> evaluate ->
+// merge epoch (EgoistNetwork::run_epoch, overlay/epoch_engine.hpp), one
+// slot per evaluation in evaluation order: the measurement plane the
+// snapshot fills (each slot's node, pool and measured values — a fresh
+// sample in §5 scale mode, the online set in a dense epoch) and the
+// proposal plane the evaluate step writes (proposed wiring row + adoption
+// flags, one disjoint slot each).
 #pragma once
 
 #include <cstdint>
@@ -42,6 +43,7 @@ class NodeStore {
 
   std::size_t size() const { return online_.size(); }
   std::size_t wiring_capacity() const { return wiring_cap_; }
+  std::size_t donated_capacity() const { return donated_cap_; }
 
   bool is_online(std::size_t node) const { return online_[node] != 0; }
   /// Also keeps the ascending online-id array in step (a sorted insert or
@@ -129,39 +131,49 @@ class NodeStore {
 
 class EpochStore {
  public:
-  /// Starts an epoch: empty pools, empty proposals. The measurement plane
-  /// is CSR-style per-node pools (ids + measured values, appended in
-  /// ascending node order during the snapshot phase), so memory stays
+  /// Starts an epoch with no slots. `wiring_capacity` bounds a proposal;
+  /// `slots` and `entries` (pool entries over all slots) size one
+  /// reservation, past which the planes grow by doubling. Memory stays
   /// O(probed pairs).
-  void begin(std::size_t nodes, std::size_t wiring_capacity);
+  void begin(std::size_t wiring_capacity, std::size_t slots,
+             std::size_t entries);
 
-  /// Appends node's pool (must be called in ascending node order; nodes
-  /// without a call keep an empty pool). `values[i]` is the measured value
-  /// of pool id `ids[i]`.
-  void add_pool(std::size_t node, std::span<const NodeId> ids,
-                std::span<const double> values);
-  std::span<const NodeId> pool_ids(std::size_t node) const;
-  std::span<const double> pool_values(std::size_t node) const;
-
-  /// Proposal plane: one disjoint slot per node, safe for concurrent
-  /// writers on distinct nodes. `search_skipped`: a bound proved that no
-  /// search could re-wire the node, so none ran.
-  void set_proposal(std::size_t node, std::span<const NodeId> wiring,
-                    bool adopt, bool search_skipped);
-  std::span<const NodeId> proposal(std::size_t node) const {
-    return {proposed_.data() + node * wiring_cap_, proposed_count_[node]};
+  /// Appends the next slot, in any node order: `node`'s pool, where
+  /// `values[i]` is the measured value of `ids[i]`, and an empty proposal.
+  /// Returns the slot.
+  std::size_t add_pool(NodeId node, std::span<const NodeId> ids,
+                       std::span<const double> values);
+  std::size_t slots() const { return node_.size(); }
+  NodeId node(std::size_t slot) const { return node_[slot]; }
+  std::span<const NodeId> pool_ids(std::size_t slot) const {
+    return {pool_ids_.data() + pool_offset_[slot],
+            pool_offset_[slot + 1] - pool_offset_[slot]};
   }
-  bool adopted(std::size_t node) const { return (flags_[node] & kAdopt) != 0; }
-  bool search_skipped(std::size_t node) const {
-    return (flags_[node] & kSearchSkipped) != 0;
+  std::span<const double> pool_values(std::size_t slot) const {
+    return {pool_values_.data() + pool_offset_[slot],
+            pool_offset_[slot + 1] - pool_offset_[slot]};
+  }
+
+  /// Proposal plane: safe for concurrent writers on distinct slots once
+  /// every slot is added. `search_skipped`: a bound proved that no search
+  /// could re-wire the node, so none ran.
+  void set_proposal(std::size_t slot, std::span<const NodeId> wiring,
+                    bool adopt, bool search_skipped);
+  std::span<const NodeId> proposal(std::size_t slot) const {
+    return {proposed_.data() + slot * wiring_cap_, proposed_count_[slot]};
+  }
+  bool adopted(std::size_t slot) const { return (flags_[slot] & kAdopt) != 0; }
+  bool search_skipped(std::size_t slot) const {
+    return (flags_[slot] & kSearchSkipped) != 0;
   }
 
  private:
   std::size_t wiring_cap_ = 0;
-  std::vector<std::size_t> pool_offset_;      ///< CSR append offsets
+  std::vector<NodeId> node_;                  ///< slot -> node
+  std::vector<std::size_t> pool_offset_;      ///< CSR offsets, slots + 1
   std::vector<NodeId> pool_ids_;
   std::vector<double> pool_values_;
-  std::vector<NodeId> proposed_;              ///< nodes x wiring_cap_
+  std::vector<NodeId> proposed_;              ///< slots x wiring_cap_
   std::vector<std::uint32_t> proposed_count_;
   static constexpr std::uint8_t kAdopt = 1;
   static constexpr std::uint8_t kSearchSkipped = 2;

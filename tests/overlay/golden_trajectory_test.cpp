@@ -14,10 +14,11 @@
 // not a refactor.
 //
 // The scale-mode digests (§5 sampled candidates x landmark destinations,
-// procedural underlay, churn; sequential and pipeline epochs, full
-// recompute and incremental exact / tolerance modes) pin that trajectory
-// family the same way: a faster candidate sampler or search must keep
-// reproducing them.
+// procedural underlay, churn; full recompute and incremental exact /
+// tolerance modes) pin that trajectory family the same way: a faster
+// candidate sampler or search must keep reproducing them. Scale mode has
+// one epoch schedule, so each of its epoch digests holds at every worker
+// count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -92,6 +93,20 @@ void expect_digest(const std::string& label, std::uint64_t expected,
                    const std::function<Trajectory()>& record) {
   EXPECT_EQ(hex(digest(record())), hex(expected))
       << label << ": trajectory no longer matches its recorded digest";
+}
+
+/// The scale-mode epoch's worker counts: `workers` only sets speed there,
+/// so one digest must hold at each.
+constexpr int kScaleWorkers[] = {0, 1, 2, 4};
+
+void expect_digest_at_every_worker_count(
+    const std::string& label, std::uint64_t expected,
+    egoist::testing::DeterminismCase c) {
+  for (const int workers : kScaleWorkers) {
+    c.spec.workers(workers);
+    expect_digest(label + " / workers " + std::to_string(workers), expected,
+                  [&] { return egoist::testing::record_trajectory(c); });
+  }
 }
 
 TEST(GoldenTrajectoryTest, EveryPolicyMetricCombination) {
@@ -227,36 +242,28 @@ egoist::testing::DeterminismCase scale_case(
 TEST(GoldenTrajectoryTest, ScaleModeOnProceduralUnderlay) {
   struct Golden {
     Policy policy;
-    int workers;       ///< 0 = sequential epoch, 2 = the pipeline
     const char* mode;  ///< full | exact (drift 0) | tolerance (drift 0.05)
     std::uint64_t digest;
   };
   // On this noisy plane exact mode marks every node each epoch, so its
-  // digests equal the full recompute's: the exact-mode contract.
+  // digests equal the full recompute's: the exact-mode contract. HybridBR's
+  // tolerance mode keeps every node dirty here too.
   const Golden kGolden[] = {
-      {Policy::kBestResponse, 0, "full", 0xdc13e7dc85b83660ull},
-      {Policy::kBestResponse, 0, "exact", 0xdc13e7dc85b83660ull},
-      {Policy::kBestResponse, 0, "tolerance", 0x1822f7538d23e40aull},
-      {Policy::kBestResponse, 2, "full", 0xa7dcc224109b2f47ull},
-      {Policy::kBestResponse, 2, "exact", 0xa7dcc224109b2f47ull},
-      {Policy::kBestResponse, 2, "tolerance", 0x9246e0137d51d0dull},
-      {Policy::kHybridBR, 0, "full", 0x896777aced9909a2ull},
-      {Policy::kHybridBR, 0, "exact", 0x896777aced9909a2ull},
-      {Policy::kHybridBR, 0, "tolerance", 0xda9159180748af48ull},
-      {Policy::kHybridBR, 2, "full", 0xbc6736f5ca21ef18ull},
-      {Policy::kHybridBR, 2, "exact", 0xbc6736f5ca21ef18ull},
-      {Policy::kHybridBR, 2, "tolerance", 0xbc6736f5ca21ef18ull},
+      {Policy::kBestResponse, "full", 0xdc13e7dc85b83660ull},
+      {Policy::kBestResponse, "exact", 0xdc13e7dc85b83660ull},
+      {Policy::kBestResponse, "tolerance", 0xa5bf2db899c7193cull},
+      {Policy::kHybridBR, "full", 0x896777aced9909a2ull},
+      {Policy::kHybridBR, "exact", 0x896777aced9909a2ull},
+      {Policy::kHybridBR, "tolerance", 0x896777aced9909a2ull},
   };
   for (const auto& g : kGolden) {
     auto c = scale_case(g.policy, net::UnderlayKind::kProcedural);
-    c.spec.workers(g.workers);
     const std::string mode = g.mode;
     if (mode == "exact") c.spec.incremental(true, 0.0);
     if (mode == "tolerance") c.spec.incremental(true, 0.05);
-    expect_digest(std::string("scale mode / ") + to_string(g.policy) +
-                      " / workers " + std::to_string(g.workers) + " / " + mode,
-                  g.digest,
-                  [&] { return egoist::testing::record_trajectory(c); });
+    expect_digest_at_every_worker_count(std::string("scale mode / ") +
+                                            to_string(g.policy) + " / " + mode,
+                                        g.digest, c);
   }
 }
 
@@ -276,28 +283,22 @@ TEST(GoldenTrajectoryTest, ScaleModeStaggeredAndDense) {
 TEST(GoldenTrajectoryTest, ScaleModeMetricsAndRepairs) {
   // The scale-mode paths the delay(ping) digests above leave open: the
   // widest-path landmarks of bandwidth (unmeasured value 0, no penalty) and
-  // the load metric, each sequential and pipelined; the staggered schedule
+  // the load metric, at every worker count; the staggered schedule
   // in tolerance mode (drift probes between turns); and immediate
   // re-wiring, whose repairs refresh the landmarks outside an epoch.
   struct Golden {
     Metric metric;
-    int workers;
     std::uint64_t digest;
   };
   const Golden kGolden[] = {
-      {Metric::kBandwidth, 0, 0x30197d934bef9bd2ull},
-      {Metric::kBandwidth, 2, 0xca48dd0a86d70cf0ull},
-      {Metric::kNodeLoad, 0, 0xd468e27baf0ae590ull},
-      {Metric::kNodeLoad, 2, 0x695252fec02f59dcull},
+      {Metric::kBandwidth, 0x30197d934bef9bd2ull},
+      {Metric::kNodeLoad, 0xd468e27baf0ae590ull},
   };
   for (const auto& g : kGolden) {
-    auto c = scale_case(Policy::kBestResponse, net::UnderlayKind::kProcedural,
-                        g.metric);
-    c.spec.workers(g.workers);
-    expect_digest(std::string("scale mode / BR / ") + to_string(g.metric) +
-                      " / workers " + std::to_string(g.workers),
-                  g.digest,
-                  [&] { return egoist::testing::record_trajectory(c); });
+    expect_digest_at_every_worker_count(
+        std::string("scale mode / BR / ") + to_string(g.metric), g.digest,
+        scale_case(Policy::kBestResponse, net::UnderlayKind::kProcedural,
+                   g.metric));
   }
 
   auto staggered = scale_case(Policy::kBestResponse,

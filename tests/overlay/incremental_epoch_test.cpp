@@ -88,8 +88,8 @@ TEST(IncrementalEpochTest, SequentialEpochsLockstepAcrossBackendsAndNoise) {
 }
 
 TEST(IncrementalEpochTest, PipelineEpochsLockstepAtEveryWorkerCount) {
-  // The pipeline freezes the dirty set into an active list at the epoch
-  // boundary; its trajectory family differs from the sequential one, so
+  // The pipeline freezes the dirty set at the epoch boundary; in dense mode
+  // its trajectory family differs from the sequential one, so
   // the reference here is the full-recompute pipeline at the same worker
   // count — and the incremental pipeline must additionally be worker-count
   // invariant with itself.
@@ -233,7 +233,8 @@ TEST(IncrementalEpochTest, ScaleModeIsInternallyDeterministic) {
   // evaluation time, so skipping nodes shifts the stream: incremental
   // scale-mode runs are a different (deterministic) trajectory family, not
   // bit-identical to the full recompute. Replaying the same deployment must
-  // reproduce it exactly, at any worker count.
+  // reproduce it exactly, at any worker count, workers 0 included: the
+  // dirty set is frozen at the epoch boundary whatever the count.
   overlay::OverlayConfig config;
   config.policy = Policy::kBestResponse;
   config.metric = Metric::kDelayPing;
@@ -253,12 +254,9 @@ TEST(IncrementalEpochTest, ScaleModeIsInternallyDeterministic) {
   for (int workers : {1, 2}) {
     DeterminismCase parallel = c;
     parallel.spec.workers(workers);
-    const Trajectory at_w = record_trajectory(parallel);
-    if (workers == 1) continue;
-    DeterminismCase one = c;
-    one.spec.workers(1);
-    expect_same_trajectory(record_trajectory(one), at_w,
-                           "scale-mode pipeline workers=2");
+    expect_same_trajectory(first, record_trajectory(parallel),
+                           "scale-mode workers=" + std::to_string(workers) +
+                               " vs workers=0");
   }
 }
 

@@ -158,7 +158,8 @@ TEST(NodeStoreTest, RowWritesCheckCapacityAndTargets) {
 
 TEST(EpochStoreTest, ProposalFlagsRoundTrip) {
   EpochStore epoch;
-  epoch.begin(3, 2);
+  epoch.begin(2, 3, 0);
+  for (const NodeId v : {0, 1, 2}) epoch.add_pool(v, {}, {});
   const std::vector<NodeId> wiring{1, 2};
   epoch.set_proposal(0, wiring, /*adopt=*/true, /*search_skipped=*/false);
   epoch.set_proposal(1, {}, /*adopt=*/false, /*search_skipped=*/true);
@@ -171,6 +172,45 @@ TEST(EpochStoreTest, ProposalFlagsRoundTrip) {
   EXPECT_EQ(std::vector<NodeId>(epoch.proposal(0).begin(),
                                 epoch.proposal(0).end()),
             wiring);
+}
+
+TEST(EpochStoreTest, SlotsRoundTripInAnyNodeOrder) {
+  // Slots follow evaluation order, which scale mode shuffles: rows added
+  // for nodes 7, 2, 5 (an empty pool among them) come back by slot, past
+  // a reservation too small to hold them.
+  struct Row {
+    NodeId node;
+    std::vector<NodeId> ids;
+    std::vector<double> values;
+  };
+  const std::vector<Row> rows{{7, {1, 4, 9}, {3.5, 1.25, 8.0}},
+                              {2, {}, {}},
+                              {5, {0, 7}, {2.0, 6.5}}};
+  EpochStore epoch;
+  for (int epoch_index = 0; epoch_index < 2; ++epoch_index) {
+    epoch.begin(2, 1, 2);  // begin() also drops the previous epoch's slots
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(epoch.add_pool(rows[i].node, rows[i].ids, rows[i].values), i);
+    }
+    ASSERT_EQ(epoch.slots(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(epoch.node(i), rows[i].node) << "slot " << i;
+      const auto ids = epoch.pool_ids(i);
+      const auto values = epoch.pool_values(i);
+      EXPECT_EQ(std::vector<NodeId>(ids.begin(), ids.end()), rows[i].ids);
+      EXPECT_EQ(std::vector<double>(values.begin(), values.end()),
+                rows[i].values);
+      EXPECT_TRUE(epoch.proposal(i).empty());
+      EXPECT_FALSE(epoch.adopted(i));
+    }
+  }
+  // A rejected row adds no slot; a proposal is bounded by the capacity.
+  const std::vector<NodeId> one_id{1};
+  const std::vector<double> one_value{1.0};
+  EXPECT_THROW(epoch.add_pool(3, one_id, {}), std::invalid_argument);
+  const std::vector<NodeId> three{1, 2, 3};
+  EXPECT_THROW(epoch.set_proposal(0, three, true, false), std::length_error);
+  EXPECT_EQ(epoch.add_pool(3, one_id, one_value), rows.size());
 }
 
 }  // namespace

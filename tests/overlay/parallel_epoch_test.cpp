@@ -2,14 +2,17 @@
 //
 // The pipeline's contract (overlay/epoch_engine.hpp): with epoch_workers
 // >= 1, the wiring trajectory is a pure function of the deployment — the
-// worker count only changes wall-clock time. This suite pins that down by
-// replaying the same seed at workers in {1, 2, 4, 8} across the full
-// configuration matrix — BR and HybridBR, dense and procedural underlay
-// backends, synchronized and staggered-with-churn schedules, dense and §5
-// sampled scale mode — and requiring bit-identical wiring trajectories,
-// online sets, scores, and re-wiring counts at every epoch.
+// worker count only changes wall-clock time; in §5 scale mode workers 0
+// (the pipeline evaluated inline) joins them. This suite pins that down
+// by replaying the same seed at workers in {1, 2, 4, 8} (and 0 in scale
+// mode) across the full configuration matrix — BR and HybridBR, dense and
+// procedural underlay backends, synchronized and staggered-with-churn
+// schedules, dense and §5 sampled scale mode — and requiring bit-identical
+// wiring trajectories, online sets, scores, and re-wiring counts at every
+// epoch.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
 #include "determinism_harness.hpp"
@@ -22,6 +25,8 @@ using overlay::Metric;
 using overlay::Policy;
 
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
+/// Scale mode runs the pipeline at workers 0 too, evaluating inline.
+constexpr int kScaleWorkerCounts[] = {0, 1, 2, 4, 8};
 
 OverlaySpec base_spec(Policy policy, Metric metric) {
   OverlaySpec spec;
@@ -45,12 +50,14 @@ churn::ChurnTrace make_trace(std::size_t nodes, int epochs) {
   return churn::ChurnTrace(nodes, epochs * 60.0, 77, config);
 }
 
-/// Records the case at every worker count and requires each trajectory to
-/// equal the workers=1 one, bit for bit.
-void expect_worker_count_invariance(DeterminismCase c, const std::string& label) {
+/// Records the case at every worker count in `counts` and requires each
+/// trajectory to equal the workers=1 one, bit for bit.
+void expect_worker_count_invariance(
+    DeterminismCase c, const std::string& label,
+    std::span<const int> counts = kWorkerCounts) {
   c.spec.workers(1);
   const Trajectory reference = record_trajectory(c);
-  for (int workers : kWorkerCounts) {
+  for (int workers : counts) {
     if (workers == 1) continue;
     DeterminismCase parallel = c;
     parallel.spec.workers(workers);
@@ -119,8 +126,8 @@ TEST(ParallelEpochTest, BandwidthMetricIsWorkerCountInvariant) {
 
 TEST(ParallelEpochTest, ScaleModeIsWorkerCountInvariant) {
   // §5 sampled scale mode: the snapshot phase draws every sample pool and
-  // landmark set sequentially, so the sampled pipeline must also be
-  // invariant across worker counts.
+  // landmark set sequentially, and scale mode runs the pipeline at workers
+  // 0 too (evaluating inline), so workers 0 must replay it as well.
   for (const auto kind :
        {net::UnderlayKind::kDense, net::UnderlayKind::kProcedural}) {
     DeterminismCase c;
@@ -137,7 +144,8 @@ TEST(ParallelEpochTest, ScaleModeIsWorkerCountInvariant) {
     c.spec = OverlaySpec(config);
     expect_worker_count_invariance(
         c, kind == net::UnderlayKind::kDense ? "scale dense"
-                                             : "scale procedural");
+                                             : "scale procedural",
+        kScaleWorkerCounts);
   }
 }
 

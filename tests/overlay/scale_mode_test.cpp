@@ -131,9 +131,9 @@ TEST(ScaleModeTest, RunNodeWorksOutsideEpochs) {
 
 TEST(ScaleModeTest, BoundSkipsSearchesInScaleModeOnly) {
   // Scale mode keeps a wiring without a search when the candidate pool's
-  // own cost clears no BR(eps) threshold: the sequential epoch and the
-  // pipeline both count such turns (the pipeline the same at any worker
-  // count), and every counted skip is an evaluation.
+  // own cost clears no BR(eps) threshold: its one epoch counts such turns
+  // the same at any worker count, workers 0 included, and every counted
+  // skip is an evaluation.
   const auto scale_run = [](int workers) {
     Environment env(60, 9, scale_env(net::UnderlayKind::kProcedural));
     auto config = scale_config();
@@ -148,8 +148,9 @@ TEST(ScaleModeTest, BoundSkipsSearchesInScaleModeOnly) {
         << "workers " << workers;
     return net.total_searches_skipped();
   };
-  scale_run(0);
-  EXPECT_EQ(scale_run(1), scale_run(2));
+  const auto inline_skips = scale_run(0);
+  EXPECT_EQ(scale_run(1), inline_skips);
+  EXPECT_EQ(scale_run(2), inline_skips);
 
   // Dense mode never bounds: its candidates are every online node.
   for (const int workers : {0, 2}) {

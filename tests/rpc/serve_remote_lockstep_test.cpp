@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,7 +36,10 @@ using testing::Trajectory;
 using testing::expect_same_trajectory;
 using testing::record_trajectory;
 
-DeterminismCase churned_br_case(int workers, bool incremental) {
+/// `br_sample` > 0 deploys §5 scale mode (6 landmarks); incremental scale
+/// runs use tolerance mode (drift 0.05).
+DeterminismCase churned_br_case(int workers, bool incremental,
+                                std::size_t br_sample = 0) {
   DeterminismCase c;
   c.nodes = 16;
   c.host_seed = 21;
@@ -47,6 +51,9 @@ DeterminismCase churned_br_case(int workers, bool incremental) {
   config.seed = 5;
   config.epoch_workers = workers;
   config.incremental = incremental;
+  config.br_sample = br_sample;
+  config.br_landmarks = 6;
+  if (br_sample > 0 && incremental) config.drift_threshold = 0.05;
   churn::ChurnConfig churn_config;
   churn_config.timescale = 0.05;
   churn_config.initial_on_fraction = 0.9;
@@ -137,6 +144,22 @@ TEST(ServeRemoteLockstep, SocketServingLeavesTrajectoriesBitIdentical) {
                                    " [rpc::Server attached]");
       }
     }
+  }
+}
+
+TEST(ServeRemoteLockstep, ScaleModeServedAtFourWorkersWalksTheInlineEpoch) {
+  // Scale mode has one epoch schedule, so `workers` only sets speed: a
+  // churned deployment served at workers 4 must walk the unserved
+  // workers-0 trajectory, full recompute and tolerance mode alike.
+  for (const bool incremental : {false, true}) {
+    const auto quiet = record_trajectory(churned_br_case(0, incremental, 4));
+    const auto served =
+        record_trajectory_with_server(churned_br_case(4, incremental, 4), 4);
+    expect_same_trajectory(quiet, served,
+                           std::string("scale mode incremental=") +
+                               (incremental ? "on" : "off") +
+                               " workers=4 [rpc::Server attached] vs "
+                               "workers=0");
   }
 }
 
