@@ -1,67 +1,12 @@
 #include "graph/path_engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
-#include "graph/shortest_path.hpp"
+#include "graph/semiring.hpp"
 
 namespace egoist::graph {
-
-void CsrGraph::rebuild(const Digraph& g) {
-  const std::size_t n = g.node_count();
-  active_.assign(n, 0);
-  for (std::size_t u = 0; u < n; ++u) {
-    if (g.is_active(static_cast<NodeId>(u))) active_[u] = 1;
-  }
-
-  offset_.assign(n + 1, 0);
-  target_.clear();
-  weight_.clear();
-  target_.reserve(g.edge_count());
-  weight_.reserve(g.edge_count());
-  for (std::size_t u = 0; u < n; ++u) {
-    offset_[u] = target_.size();
-    if (!active_[u]) continue;  // an inactive source never relaxes edges
-    for (const Edge& e : g.out_edges(static_cast<NodeId>(u))) {
-      if (e.weight < 0.0) {
-        throw std::invalid_argument("path engine requires non-negative weights");
-      }
-      if (!active_[static_cast<std::size_t>(e.to)]) continue;
-      target_.push_back(e.to);
-      weight_.push_back(e.weight);
-    }
-  }
-  offset_[n] = target_.size();
-
-  // Reverse CSR (counting sort by target): repair seeds scan the edges
-  // *entering* an affected subtree.
-  const std::size_t m = target_.size();
-  in_offset_.assign(n + 1, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    ++in_offset_[static_cast<std::size_t>(target_[e]) + 1];
-  }
-  for (std::size_t u = 0; u < n; ++u) in_offset_[u + 1] += in_offset_[u];
-  in_source_.resize(m);
-  in_weight_.resize(m);
-  build_cursor_.assign(in_offset_.begin(), in_offset_.end() - 1);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t e = offset_[u]; e < offset_[u + 1]; ++e) {
-      const auto slot = build_cursor_[static_cast<std::size_t>(target_[e])]++;
-      in_source_[slot] = static_cast<NodeId>(u);
-      in_weight_[slot] = weight_[e];
-    }
-  }
-}
-
-std::vector<NodeId> CsrGraph::active_nodes() const {
-  std::vector<NodeId> out;
-  for (std::size_t u = 0; u < active_.size(); ++u) {
-    if (active_[u]) out.push_back(static_cast<NodeId>(u));
-  }
-  return out;
-}
 
 namespace {
 
@@ -101,31 +46,10 @@ void sift_down(std::vector<Item>& h, std::size_t i, Better better) {
   h[i] = item;
 }
 
-template <bool kWidest>
-constexpr double init_value() {
-  return kWidest ? 0.0 : kUnreachable;
-}
-
-template <bool kWidest>
-constexpr double source_value() {
-  return kWidest ? std::numeric_limits<double>::infinity() : 0.0;
-}
-
-template <bool kWidest>
-double combine(double upstream, double weight) {
-  if constexpr (kWidest) {
-    return std::min(upstream, weight);
-  } else {
-    return upstream + weight;
-  }
-}
-
-constexpr auto make_better(std::bool_constant<true>) {
-  return [](double a, double b) { return a > b; };
-}
-constexpr auto make_better(std::bool_constant<false>) {
-  return [](double a, double b) { return a < b; };
-}
+using detail::combine;
+using detail::init_value;
+using detail::make_better;
+using detail::source_value;
 
 }  // namespace
 

@@ -7,10 +7,11 @@
 // allocations per node. PathEngine is the overlay's only residual-path
 // implementation and avoids both with three layers:
 //
-// - CsrGraph: a flat compressed-sparse-row snapshot (forward + reverse
-//   offset / endpoint / weight arrays + an active bitmap) rebuilt in place
-//   from a Digraph. Edge-weight validation and inactive-endpoint filtering
-//   happen once at build time instead of inside every relaxation.
+// - CsrGraph (graph/csr_graph.hpp): a flat compressed-sparse-row snapshot
+//   (forward + reverse offset / endpoint / weight arrays + an active
+//   bitmap) rebuilt in place from a Digraph. Edge-weight validation and
+//   inactive-endpoint filtering happen once at build time instead of
+//   inside every relaxation.
 // - Residual *views*: every traversal takes an `exclude_out_edges_of`
 //   source whose edge range is skipped, so G_{-i} costs O(1) instead of an
 //   O(n + m) graph copy. Paths *through* the excluded node are unaffected
@@ -51,6 +52,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/csr_graph.hpp"
 #include "graph/digraph.hpp"
 #include "graph/distance_matrix.hpp"
 
@@ -58,68 +60,6 @@ namespace egoist::graph {
 
 /// Passed as `exclude_out_edges_of` when no source is excluded.
 inline constexpr NodeId kNoExclude = -1;
-
-/// Immutable flat snapshot of a Digraph at a point in time. Activity flags
-/// are baked in: out-edges of inactive sources and edges to inactive
-/// targets are dropped at build time (algorithms on the live Digraph skip
-/// them per relaxation; on a snapshot the filtering can be hoisted).
-class CsrGraph {
- public:
-  CsrGraph() = default;
-  explicit CsrGraph(const Digraph& g) { rebuild(g); }
-
-  /// Rebuilds the snapshot in place, reusing the flat buffers. Validates
-  /// every stored weight (throws std::invalid_argument on a negative one),
-  /// hoisting the per-relaxation check out of the traversal loops.
-  void rebuild(const Digraph& g);
-
-  std::size_t node_count() const { return active_.size(); }
-  /// Stored (active-to-active) edges only.
-  std::size_t edge_count() const { return target_.size(); }
-
-  bool is_active(NodeId u) const {
-    return active_[static_cast<std::size_t>(u)] != 0;
-  }
-
-  /// Targets / weights of u's out-edges (parallel spans).
-  std::span<const NodeId> out_targets(NodeId u) const {
-    const auto i = static_cast<std::size_t>(u);
-    return {target_.data() + offset_[i], offset_[i + 1] - offset_[i]};
-  }
-  std::span<const double> out_weights(NodeId u) const {
-    const auto i = static_cast<std::size_t>(u);
-    return {weight_.data() + offset_[i], offset_[i + 1] - offset_[i]};
-  }
-
-  /// Sources / weights of u's in-edges (reverse CSR, parallel spans).
-  std::span<const NodeId> in_sources(NodeId u) const {
-    const auto i = static_cast<std::size_t>(u);
-    return {in_source_.data() + in_offset_[i], in_offset_[i + 1] - in_offset_[i]};
-  }
-  std::span<const double> in_weights(NodeId u) const {
-    const auto i = static_cast<std::size_t>(u);
-    return {in_weight_.data() + in_offset_[i], in_offset_[i + 1] - in_offset_[i]};
-  }
-
-  /// Active node ids, ascending.
-  std::vector<NodeId> active_nodes() const;
-
-  void check_node(NodeId u) const {
-    if (u < 0 || static_cast<std::size_t>(u) >= active_.size()) {
-      throw std::out_of_range("node id out of range");
-    }
-  }
-
- private:
-  std::vector<std::size_t> offset_;     ///< size n + 1
-  std::vector<NodeId> target_;
-  std::vector<double> weight_;
-  std::vector<std::size_t> in_offset_;  ///< size n + 1 (reverse CSR)
-  std::vector<NodeId> in_source_;
-  std::vector<double> in_weight_;
-  std::vector<std::uint8_t> active_;    ///< bitmap, avoids vector<bool> reads
-  std::vector<std::size_t> build_cursor_;  ///< rebuild() scratch
-};
 
 /// Reusable residual-path solver over a CsrGraph snapshot.
 ///

@@ -8,12 +8,25 @@
 
 namespace egoist::host {
 
+namespace {
+
+/// The reader thread's search scratch: every uncached answer and row build
+/// on this thread reuses it (CsrSearch stamps its slots per run, so views
+/// of any size may share it).
+graph::CsrSearch& thread_search() {
+  thread_local graph::CsrSearch search;
+  return search;
+}
+
+}  // namespace
+
 namespace detail {
 
 ServingView::ServingView(WiringSnapshot snapshot, std::uint64_t seq,
                          std::size_t max_cached_sources, bool seal,
                          std::shared_ptr<ServiceCounters> counters)
     : snapshot_(std::move(snapshot)),
+      csr_(snapshot_.announced_graph()),
       seq_(seq),
       max_cached_sources_(max_cached_sources),
       sealed_(seal),
@@ -29,33 +42,18 @@ ServingView::~ServingView() {
 }
 
 SourceRow ServingView::build_row(NodeId src) const {
+  graph::CsrSearch& search = thread_search();
+  search.run(csr_, src);
+  const std::size_t n = csr_.node_count();
   SourceRow row;
-  row.tree = graph::dijkstra(snapshot_.announced_graph(), src);
-  const std::size_t n = row.tree.dist.size();
-  row.first_hop.assign(n, -1);
-  // first_hop[v] = the node right after src on a shortest path to v.
-  // Parent chains are memoized: each node is resolved once, so the whole
-  // pass is O(n).
-  std::vector<NodeId> chain;
+  row.tree.dist.resize(n);
+  row.tree.parent.resize(n);
+  row.first_hop.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const NodeId v = static_cast<NodeId>(i);
-    if (v == src || row.tree.dist[i] == graph::kUnreachable) continue;
-    if (row.first_hop[i] != -1) continue;
-    chain.clear();
-    NodeId cur = v;
-    while (row.first_hop[static_cast<std::size_t>(cur)] == -1 &&
-           row.tree.parent[static_cast<std::size_t>(cur)] != src) {
-      chain.push_back(cur);
-      cur = row.tree.parent[static_cast<std::size_t>(cur)];
-    }
-    const NodeId hop =
-        row.first_hop[static_cast<std::size_t>(cur)] != -1
-            ? row.first_hop[static_cast<std::size_t>(cur)]
-            : cur;  // parent[cur] == src: cur is the first hop itself
-    row.first_hop[static_cast<std::size_t>(cur)] = hop;
-    for (const NodeId u : chain) {
-      row.first_hop[static_cast<std::size_t>(u)] = hop;
-    }
+    const auto v = static_cast<NodeId>(i);
+    row.tree.dist[i] = search.dist(v);
+    row.tree.parent[i] = search.parent(v);
+    row.first_hop[i] = search.first_hop(v);
   }
   return row;
 }
@@ -127,19 +125,21 @@ RouteAnswer ServedSnapshot::route(NodeId src, NodeId dst) const {
     answer.cost = 0.0;
     return answer;
   }
-  const auto fill = [&](const detail::SourceRow& row) {
-    const double cost = row.tree.dist[static_cast<std::size_t>(dst)];
-    if (cost == graph::kUnreachable) return;
+  if (const detail::SourceRow* row = view_->row(src)) {
+    const double cost = row->tree.dist[static_cast<std::size_t>(dst)];
+    if (cost == graph::kUnreachable) return answer;
     answer.reachable = true;
     answer.cost = cost;
-    answer.next_hop = row.first_hop[static_cast<std::size_t>(dst)];
-  };
-  if (const detail::SourceRow* row = view_->row(src)) {
-    fill(*row);
-  } else {
-    counters_->uncached_queries.fetch_add(1, std::memory_order_relaxed);
-    fill(view_->build_row(src));
+    answer.next_hop = row->first_hop[static_cast<std::size_t>(dst)];
+    return answer;
   }
+  counters_->uncached_queries.fetch_add(1, std::memory_order_relaxed);
+  graph::CsrSearch& search = thread_search();
+  search.run(view_->csr(), src, {.stop_at = dst});
+  if (!search.reached(dst)) return answer;
+  answer.reachable = true;
+  answer.cost = search.dist(dst);
+  answer.next_hop = search.first_hop(dst);
   return answer;
 }
 
@@ -158,19 +158,21 @@ PathAnswer ServedSnapshot::path(NodeId src, NodeId dst) const {
     answer.cost = 0.0;
     return answer;
   }
-  const auto fill = [&](const detail::SourceRow& row) {
-    const double cost = row.tree.dist[static_cast<std::size_t>(dst)];
-    if (cost == graph::kUnreachable) return;
+  if (const detail::SourceRow* row = view_->row(src)) {
+    const double cost = row->tree.dist[static_cast<std::size_t>(dst)];
+    if (cost == graph::kUnreachable) return answer;
     answer.reachable = true;
     answer.cost = cost;
-    answer.nodes = graph::extract_path(row.tree, src, dst);
-  };
-  if (const detail::SourceRow* row = view_->row(src)) {
-    fill(*row);
-  } else {
-    counters_->uncached_queries.fetch_add(1, std::memory_order_relaxed);
-    fill(view_->build_row(src));
+    answer.nodes = graph::extract_path(row->tree, src, dst);
+    return answer;
   }
+  counters_->uncached_queries.fetch_add(1, std::memory_order_relaxed);
+  graph::CsrSearch& search = thread_search();
+  search.run(view_->csr(), src, {.stop_at = dst});
+  if (!search.reached(dst)) return answer;
+  answer.reachable = true;
+  answer.cost = search.dist(dst);
+  answer.nodes = search.path_to(dst);
   return answer;
 }
 

@@ -31,14 +31,18 @@
 //                           mutated a published payload, and reclaim()
 //                           throws.
 //
-// Query answers come from per-source shortest-path rows over the
-// snapshot's ANNOUNCED graph (what the link-state protocol carried — the
-// paper's standard shortest-path routing over the selfishly built
-// topology, §2.1). Rows are built lazily on first use, published into the
-// view with a compare-exchange (duplicate builders discard), and capped by
-// Options::max_cached_sources; queries beyond the cap compute a transient
-// row and stay correct, just slower. score(node) is the single-node
-// routing-cost score over the true-cost graph (WiringSnapshot::node_cost).
+// Query answers are shortest paths over the snapshot's ANNOUNCED graph
+// (what the link-state protocol carried — the paper's standard
+// shortest-path routing over the selfishly built topology, §2.1), searched
+// on a CSR copy of it that each view builds at publication
+// (graph::CsrSearch). Per-source rows are built lazily on first use,
+// published into the view with a compare-exchange (duplicate builders
+// discard), and capped by Options::max_cached_sources. A query from a
+// source beyond the cap runs the same search on a per-thread scratch and
+// stops once dst is settled; the search settles nodes in (dist, id) order,
+// so that answer, its first hop and its path equal the full row's bit for
+// bit. score(node) is the single-node routing-cost score over the
+// true-cost graph (WiringSnapshot::node_cost).
 //
 // Threading contract: publish(), reclaim(), construction and destruction
 // belong to the host (simulator) thread; acquire(), route(), path(),
@@ -54,6 +58,7 @@
 #include <mutex>
 #include <vector>
 
+#include "graph/csr_graph.hpp"
 #include "graph/shortest_path.hpp"
 #include "host/overlay_host.hpp"
 #include "host/wiring_snapshot.hpp"
@@ -95,8 +100,8 @@ struct ServiceCounters {
   std::atomic<std::uint64_t> seal_violations{0};
 };
 
-/// One source's routing row: the Dijkstra tree over the announced graph
-/// plus the precomputed first hop toward every destination.
+/// One source's routing row: the shortest-path tree over the announced
+/// graph plus the first hop toward every destination.
 struct SourceRow {
   graph::ShortestPathTree tree;
   std::vector<NodeId> first_hop;  ///< -1 when unreachable or == source
@@ -116,13 +121,12 @@ class ServingView {
 
   const WiringSnapshot& snapshot() const { return snapshot_; }
   std::uint64_t seq() const { return seq_; }
+  /// The announced graph as a CSR snapshot, built at construction.
+  const graph::CsrGraph& csr() const { return csr_; }
 
   /// The cached row for `src`, building it on first use. nullptr when the
-  /// row cache is full — the caller computes a transient row instead.
+  /// row cache is full — the caller searches src -> dst directly instead.
   const SourceRow* row(NodeId src) const;
-
-  /// Pure row construction (also the transient fallback).
-  SourceRow build_row(NodeId src) const;
 
   /// Re-checks the publication-time payload seal. Always true when the
   /// view was published without sealing.
@@ -133,7 +137,11 @@ class ServingView {
   }
 
  private:
+  /// One full search from src, copied out.
+  SourceRow build_row(NodeId src) const;
+
   WiringSnapshot snapshot_;
+  graph::CsrGraph csr_;
   std::uint64_t seq_ = 0;
   std::size_t max_cached_sources_ = 0;
   bool sealed_ = false;
@@ -187,7 +195,7 @@ class RouteService {
  public:
   struct Options {
     /// Per-view cap on cached per-source rows (each is O(n)); queries from
-    /// sources beyond the cap compute transient rows.
+    /// sources beyond the cap search src -> dst without caching a row.
     std::size_t max_cached_sources = 256;
     /// Record a payload checksum at publication and re-verify it when the
     /// last reader drains (reclaim throws std::logic_error on mismatch).
@@ -205,7 +213,7 @@ class RouteService {
     std::uint64_t stale_served = 0;   ///< queries answered by a superseded view
     std::uint64_t rows_built = 0;     ///< per-source rows cached
     std::uint64_t rows_discarded = 0; ///< duplicate builds lost the CAS
-    std::uint64_t uncached_queries = 0; ///< transient rows (cache cap hit)
+    std::uint64_t uncached_queries = 0; ///< answered past the row cache cap
     std::uint64_t seal_violations = 0;
     std::size_t retired_pending = 0;  ///< retired views readers still pin
     int published_epoch = 0;          ///< epoch of the current publication

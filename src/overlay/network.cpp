@@ -11,7 +11,6 @@
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
 #include "graph/shortest_path.hpp"
-#include "graph/widest_path.hpp"
 #include "overlay/epoch_engine.hpp"
 #include "overlay/scoring.hpp"
 #include "util/profiler.hpp"
@@ -304,35 +303,21 @@ void EgoistNetwork::refresh_landmarks() {
         landmark_state_.landmarks[c])] = static_cast<std::int32_t>(c);
   }
 
-  // One reverse traversal of the announced overlay per landmark: distances
-  // *to* a landmark are distances *from* it in the reversed graph, so L
-  // traversals serve every node's evaluation this epoch.
+  // One in-edge search of the announced overlay per landmark: distances
+  // *to* a landmark are distances *from* it along reversed edges, so L
+  // searches serve every node's evaluation this epoch.
+  // The CSR and the search scratch live for the refresh only, so an
+  // overlay holds no second copy of its announced graph between epochs.
   const std::size_t n = store_.size();
-  graph::Digraph reversed(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    reversed.set_active(static_cast<NodeId>(u), store_.is_online(u));
-  }
-  for (std::size_t u = 0; u < n; ++u) {
-    if (!store_.is_online(u)) continue;
-    for (const auto& e : announced_.out_edges(static_cast<NodeId>(u))) {
-      reversed.set_edge(e.to, static_cast<NodeId>(u), e.weight);
-    }
-  }
-
-  const bool widest = config_.metric == Metric::kBandwidth;
+  const graph::CsrGraph csr(announced_);
+  graph::CsrSearch search;
+  const graph::CsrSearch::Request request{
+      .widest = config_.metric == Metric::kBandwidth, .in_edges = true};
   landmark_state_.dist.reshape(n, landmark_state_.landmarks.size());
   for (std::size_t c = 0; c < landmark_state_.landmarks.size(); ++c) {
-    const NodeId l = landmark_state_.landmarks[c];
-    if (widest) {
-      const auto tree = graph::widest_paths(reversed, l);
-      for (std::size_t v = 0; v < n; ++v) {
-        landmark_state_.dist(v, c) = tree.bottleneck[v];
-      }
-    } else {
-      const auto tree = graph::dijkstra(reversed, l);
-      for (std::size_t v = 0; v < n; ++v) {
-        landmark_state_.dist(v, c) = tree.dist[v];
-      }
+    search.run(csr, landmark_state_.landmarks[c], request);
+    for (std::size_t v = 0; v < n; ++v) {
+      landmark_state_.dist(v, c) = search.dist(static_cast<NodeId>(v));
     }
   }
   landmark_state_.valid = true;

@@ -239,7 +239,7 @@ class EgoistNetwork {
                                     std::span<const double> values) const;
 
   /// (Re)computes the epoch-shared landmark state: samples br_landmarks
-  /// online destinations and runs one reverse traversal of the announced
+  /// online destinations and runs one in-edge search of the announced
   /// graph per landmark (shortest for delay/load, widest for bandwidth).
   void refresh_landmarks();
 
@@ -384,7 +384,7 @@ class EgoistNetwork {
   /// epoch-equivalent of evaluations: run_epoch refreshes at its boundary;
   /// the staggered/run_node path decrements `evals_left` and refreshes
   /// after online_count() evaluations, so both schedules recompute the L
-  /// reverse traversals once per epoch, not once per node. Membership
+  /// in-edge searches once per epoch, not once per node. Membership
   /// changes invalidate the state (landmarks may have left).
   struct LandmarkState {
     bool valid = false;

@@ -1,14 +1,18 @@
 // Property test for RouteService query answers: for random small overlays
-// (policies x churn-induced offline nodes), every path() answer must match
-// a freshly computed reference shortest path on the snapshot's announced
-// graph — cost-equality (ties may pick different node sequences), plus
+// (policies x churn-induced offline nodes), every route() and path() answer
+// must match graph::dijkstra on the snapshot's announced graph — the same
+// cost bits, first hop and node sequence (the service's search settles
+// nodes in dijkstra's (dist, id) order, so even ties resolve alike), plus
 // validity of the returned sequence, unreachable pairs, offline-node and
-// out-of-range edge cases.
+// out-of-range edge cases. Each overlay runs twice: with the default row
+// cache (every answer from a cached row) and with a cap of 0 rows (every
+// answer from a search stopped at dst).
 #include "host/route_service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "churn/churn.hpp"
 #include "graph/shortest_path.hpp"
@@ -22,7 +26,14 @@ struct Scenario {
   overlay::Policy policy;
   std::uint64_t seed;
   bool churn;
+  bool uncached = false;  ///< serve with max_cached_sources = 0
 };
+
+host::RouteService::Options service_options(const Scenario& scenario) {
+  host::RouteService::Options options;
+  if (scenario.uncached) options.max_cached_sources = 0;
+  return options;
+}
 
 class RoutePropertyTest : public ::testing::TestWithParam<Scenario> {};
 
@@ -43,7 +54,7 @@ TEST_P(RoutePropertyTest, PathAnswersMatchReferenceOnAnnouncedGraph) {
                                  scenario.seed ^ 0xC0FFEEull, churn_config));
   }
   const auto handle = host.deploy(spec);
-  host::RouteService service(host, handle);
+  host::RouteService service(host, handle, service_options(scenario));
   host.run_epochs(handle, 6);
 
   const auto pinned = service.acquire();
@@ -79,9 +90,10 @@ TEST_P(RoutePropertyTest, PathAnswersMatchReferenceOnAnnouncedGraph) {
         continue;
       }
       ASSERT_TRUE(answer.reachable) << src << "->" << dst;
-      // Cost equality with the reference (ties may differ in sequence).
       EXPECT_EQ(answer.cost, ref_cost) << src << "->" << dst;
       EXPECT_EQ(route.cost, ref_cost);
+      EXPECT_EQ(answer.nodes, graph::extract_path(reference, src, dst))
+          << src << "->" << dst;
       // The returned sequence must itself be a valid src->dst walk whose
       // announced edge weights sum to the claimed cost.
       ASSERT_GE(answer.nodes.size(), 2u);
@@ -95,6 +107,15 @@ TEST_P(RoutePropertyTest, PathAnswersMatchReferenceOnAnnouncedGraph) {
       }
       EXPECT_NEAR(total, answer.cost, 1e-9 * (1.0 + answer.cost));
     }
+  }
+
+  // The cap decides which path answered: cached rows, or none at all.
+  const auto stats = service.stats();
+  if (scenario.uncached) {
+    EXPECT_EQ(stats.rows_built, 0u);
+    EXPECT_GT(stats.uncached_queries, 0u);
+  } else {
+    EXPECT_EQ(stats.uncached_queries, 0u);
   }
 
   // Out-of-range ids throw instead of answering garbage.
@@ -111,7 +132,7 @@ TEST_P(RoutePropertyTest, ScoreMatchesSnapshotNodeCosts) {
   config.k = 3;
   config.seed = scenario.seed;
   const auto handle = host.deploy(host::OverlaySpec(config));
-  host::RouteService service(host, handle);
+  host::RouteService service(host, handle, service_options(scenario));
   host.run_epochs(handle, 4);
 
   const auto pinned = service.acquire();
@@ -131,14 +152,23 @@ std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
          std::to_string(s.seed) + (s.churn ? "_churn" : "_stable");
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SmallOverlays, RoutePropertyTest,
-    ::testing::Values(Scenario{8, overlay::Policy::kBestResponse, 1, false},
-                      Scenario{12, overlay::Policy::kBestResponse, 2, true},
-                      Scenario{12, overlay::Policy::kHybridBR, 3, true},
-                      Scenario{20, overlay::Policy::kBestResponse, 4, true},
-                      Scenario{16, overlay::Policy::kHybridBR, 5, false}),
-    scenario_name);
+std::vector<Scenario> small_overlays(bool uncached) {
+  std::vector<Scenario> scenarios = {
+      Scenario{8, overlay::Policy::kBestResponse, 1, false},
+      Scenario{12, overlay::Policy::kBestResponse, 2, true},
+      Scenario{12, overlay::Policy::kHybridBR, 3, true},
+      Scenario{20, overlay::Policy::kBestResponse, 4, true},
+      Scenario{16, overlay::Policy::kHybridBR, 5, false}};
+  for (auto& scenario : scenarios) scenario.uncached = uncached;
+  return scenarios;
+}
+
+INSTANTIATE_TEST_SUITE_P(SmallOverlays, RoutePropertyTest,
+                         ::testing::ValuesIn(small_overlays(false)),
+                         scenario_name);
+INSTANTIATE_TEST_SUITE_P(Uncached, RoutePropertyTest,
+                         ::testing::ValuesIn(small_overlays(true)),
+                         scenario_name);
 
 }  // namespace
 }  // namespace egoist

@@ -10,6 +10,10 @@
 //  - service counters reconcile exactly with reader-side tallies,
 //  - epoch-end publication ordering: subscribers registered after the
 //    service observe the fresh epoch's publication from their callback,
+//  - answers past the row cache cap (a search stopped at dst on the
+//    reader's own scratch, over the view's CSR) equal cached answers bit
+//    for bit, and stay equal to graph::dijkstra on the pinned view while
+//    four readers search concurrently under churn,
 //  - serve-while-epoching determinism: trajectories with an active
 //    RouteService under reader load are bit-identical to trajectories with
 //    no readers, across workers {0,2,4} x incremental on/off.
@@ -17,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -26,6 +32,7 @@
 
 #include "../overlay/determinism_harness.hpp"
 #include "churn/churn.hpp"
+#include "graph/shortest_path.hpp"
 #include "host/overlay_host.hpp"
 #include "util/rng.hpp"
 
@@ -268,24 +275,160 @@ TEST(RouteServiceConcurrency, AcquireIsValidBeforeAnyEpoch) {
   EXPECT_EQ(answer.epoch, 0);
 }
 
-TEST(RouteServiceConcurrency, RowCacheCapFallsBackToTransientRows) {
-  host::OverlayHost host(16, 9);
-  const auto handle = host.deploy(br_spec(13));
+/// A churned BR overlay over 60 s epochs, for the row-cache cases.
+host::OverlayHandle deploy_churned(host::OverlayHost& host, std::size_t nodes,
+                                   int epochs, std::uint64_t seed) {
+  churn::ChurnConfig churn_config;
+  churn_config.timescale = 0.05;
+  churn_config.initial_on_fraction = 0.8;
+  churn::ChurnTrace trace(nodes, epochs * 60.0, seed, churn_config);
+  return host.deploy(br_spec(seed).epoch_period(60.0).churn(trace));
+}
+
+host::RouteService::Options row_cap(std::size_t max_cached_sources) {
   host::RouteService::Options options;
-  options.max_cached_sources = 2;
-  host::RouteService service(host, handle, options);
-  host.run_epochs(handle, 1);
-  for (graph::NodeId src = 0; src < 16; ++src) {
-    (void)service.route(src, (src + 1) % 16);
+  options.max_cached_sources = max_cached_sources;
+  return options;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(RouteServiceConcurrency, RowCacheCapFallsBackToTransientRows) {
+  constexpr std::size_t kNodes = 24;
+  host::OverlayHost host(kNodes, 9);
+  const auto handle = deploy_churned(host, kNodes, 4, 13);
+  // Three services over the same epoch ends: no rows, two rows, every row.
+  host::RouteService uncached(host, handle, row_cap(0));
+  host::RouteService capped(host, handle, row_cap(2));
+  host::RouteService cached(host, handle, row_cap(kNodes));
+  host.run_epochs(handle, 4);
+
+  const auto reference = cached.acquire();
+  const auto& snap = reference.snapshot();
+  const auto n = static_cast<graph::NodeId>(kNodes);
+  std::uint64_t online_pairs = 0, reachable = 0;
+  for (graph::NodeId src = 0; src < n; ++src) {
+    for (graph::NodeId dst = 0; dst < n; ++dst) {
+      if (src == dst || !snap.is_online(src) || !snap.is_online(dst)) continue;
+      ++online_pairs;
+      if (reference.route(src, dst).reachable) ++reachable;
+    }
   }
+  // The overlay is churned (some nodes offline) yet mostly connected.
+  EXPECT_LT(online_pairs, kNodes * (kNodes - 1));
+  EXPECT_GT(reachable, online_pairs / 2);
+
+  for (const auto* service : {&uncached, &capped}) {
+    const auto pinned = service->acquire();
+    ASSERT_EQ(pinned.epoch(), reference.epoch());
+    ASSERT_EQ(pinned.publish_seq(), reference.publish_seq());
+    for (graph::NodeId src = 0; src < n; ++src) {
+      for (graph::NodeId dst = 0; dst < n; ++dst) {
+        // Transient answers equal cached answers, bit for bit.
+        const auto route = pinned.route(src, dst);
+        const auto want_route = reference.route(src, dst);
+        ASSERT_EQ(route.reachable, want_route.reachable) << src << "->" << dst;
+        ASSERT_EQ(route.next_hop, want_route.next_hop) << src << "->" << dst;
+        ASSERT_EQ(bits(route.cost), bits(want_route.cost))
+            << src << "->" << dst;
+        ASSERT_EQ(route.epoch, want_route.epoch);
+        ASSERT_EQ(route.publish_seq, want_route.publish_seq);
+        const auto path = pinned.path(src, dst);
+        const auto want_path = reference.path(src, dst);
+        ASSERT_EQ(path.reachable, want_path.reachable) << src << "->" << dst;
+        ASSERT_EQ(path.nodes, want_path.nodes) << src << "->" << dst;
+        ASSERT_EQ(bits(path.cost), bits(want_path.cost)) << src << "->" << dst;
+        ASSERT_EQ(path.epoch, want_path.epoch);
+        ASSERT_EQ(path.publish_seq, want_path.publish_seq);
+      }
+    }
+  }
+
+  // Every online src != dst query past the cap searched instead of caching.
+  EXPECT_EQ(uncached.stats().rows_built, 0u);
+  // One route and one path per online pair.
+  EXPECT_EQ(uncached.stats().uncached_queries, 2 * online_pairs);
+  EXPECT_LE(capped.stats().rows_built, 2u);  // single thread: the cap is exact
+  EXPECT_GT(capped.stats().uncached_queries, 0u);
+  EXPECT_EQ(cached.stats().uncached_queries, 0u);
+}
+
+TEST(RouteServiceConcurrency, UncachedAnswersUnderChurnMatchDijkstraOnTheirView) {
+  // Four readers answer every query past the row cache (cap 0), so each
+  // runs the per-thread search over the pinned view's CSR while the host
+  // publishes churned epochs. Each answer is checked against graph::dijkstra
+  // on the announced graph of the view that answered it.
+  constexpr std::size_t kNodes = 32;
+  constexpr int kReaders = 4;
+  constexpr int kEpochs = 6;
+  host::OverlayHost host(kNodes, 41);
+  const auto handle = deploy_churned(host, kNodes, kEpochs, 43);
+  host::RouteService service(host, handle, row_cap(0));
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> answers{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::vector<std::uint64_t>> seqs(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      util::Rng rng(500 + static_cast<std::uint64_t>(r));
+      auto& seen = seqs[static_cast<std::size_t>(r)];
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto src = static_cast<graph::NodeId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
+        const auto dst = static_cast<graph::NodeId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
+        const auto pinned = service.acquire();
+        const auto route = pinned.route(src, dst);
+        const auto path = pinned.path(src, dst);
+        if (seen.empty() || seen.back() != pinned.publish_seq()) {
+          seen.push_back(pinned.publish_seq());
+        }
+        const auto& snap = pinned.snapshot();
+        bool ok = route.publish_seq == pinned.publish_seq() &&
+                  path.publish_seq == pinned.publish_seq();
+        if (snap.is_online(src) && snap.is_online(dst) && src != dst) {
+          const auto tree = graph::dijkstra(snap.announced_graph(), src);
+          const auto want = graph::extract_path(tree, src, dst);
+          const double cost = tree.dist[static_cast<std::size_t>(dst)];
+          ok = ok && route.reachable == !want.empty() &&
+               path.reachable == !want.empty() && path.nodes == want &&
+               bits(route.cost) == bits(cost) &&
+               bits(path.cost) == bits(cost) &&
+               route.next_hop == (want.empty() ? -1 : want[1]);
+        }
+        if (!ok) mismatches.fetch_add(1, std::memory_order_relaxed);
+        answers.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Let every publication serve answers before the next one replaces it.
+  const auto wait_for_answers = [&](std::uint64_t more) {
+    const auto target = answers.load() + more;
+    while (answers.load() < target) std::this_thread::yield();
+  };
+  wait_for_answers(2 * kReaders);
+  for (int e = 0; e < kEpochs; ++e) {
+    host.run_epochs(handle, 1);
+    wait_for_answers(2 * kReaders);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& reader : readers) reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  std::vector<std::uint64_t> distinct;
+  for (const auto& seen : seqs) {
+    distinct.insert(distinct.end(), seen.begin(), seen.end());
+  }
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  EXPECT_GE(distinct.size(), 2u);  // answers span several publications
   const auto stats = service.stats();
-  EXPECT_LE(stats.rows_built, 3u);  // soft cap: single thread stays exact +1
+  EXPECT_EQ(stats.rows_built, 0u);
   EXPECT_GT(stats.uncached_queries, 0u);
-  // Transient answers equal cached answers.
-  const auto a = service.route(0, 5);
-  const auto b = service.route(3, 5);
-  EXPECT_EQ(a.reachable, true);
-  EXPECT_EQ(b.reachable, true);
+  EXPECT_EQ(stats.seal_violations, 0u);
 }
 
 // --- Serve-while-epoching determinism (the lockstep satellite) ---
