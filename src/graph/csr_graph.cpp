@@ -7,49 +7,76 @@
 
 namespace egoist::graph {
 
-void CsrGraph::rebuild(const Digraph& g) {
+namespace {
+
+/// Calls visit(u, e) for every edge a snapshot keeps, after checking its
+/// weight: the out-edges of active sources to active targets, sources
+/// ascending, each source's edges in Digraph order.
+template <typename Visit>
+void for_each_kept_edge(const Digraph& g,
+                        const std::vector<std::uint8_t>& active, Visit visit) {
+  for (std::size_t u = 0; u < active.size(); ++u) {
+    if (!active[u]) continue;  // an inactive source never relaxes edges
+    for (const Edge& e : g.out_edges(static_cast<NodeId>(u))) {
+      if (e.weight < 0.0) {
+        throw std::invalid_argument("path engine requires non-negative weights");
+      }
+      if (active[static_cast<std::size_t>(e.to)]) visit(u, e);
+    }
+  }
+}
+
+template <typename... Vectors>
+void release(Vectors&... vectors) {
+  (Vectors().swap(vectors), ...);
+}
+
+}  // namespace
+
+void CsrGraph::rebuild(const Digraph& g, CsrSides sides) {
   const std::size_t n = g.node_count();
+  sides_ = sides;
   active_.assign(n, 0);
   for (std::size_t u = 0; u < n; ++u) {
     if (g.is_active(static_cast<NodeId>(u))) active_[u] = 1;
   }
 
-  offset_.assign(n + 1, 0);
-  target_.clear();
-  weight_.clear();
-  target_.reserve(g.edge_count());
-  weight_.reserve(g.edge_count());
-  for (std::size_t u = 0; u < n; ++u) {
-    offset_[u] = target_.size();
-    if (!active_[u]) continue;  // an inactive source never relaxes edges
-    for (const Edge& e : g.out_edges(static_cast<NodeId>(u))) {
-      if (e.weight < 0.0) {
-        throw std::invalid_argument("path engine requires non-negative weights");
-      }
-      if (!active_[static_cast<std::size_t>(e.to)]) continue;
+  if (has_out_edges()) {
+    offset_.assign(n + 1, 0);
+    target_.clear();
+    weight_.clear();
+    target_.reserve(g.edge_count());
+    weight_.reserve(g.edge_count());
+    for_each_kept_edge(g, active_, [&](std::size_t u, const Edge& e) {
+      ++offset_[u + 1];
       target_.push_back(e.to);
       weight_.push_back(e.weight);
-    }
+    });
+    for (std::size_t u = 0; u < n; ++u) offset_[u + 1] += offset_[u];
+    edge_count_ = target_.size();
+  } else {
+    release(offset_, target_, weight_);
   }
-  offset_[n] = target_.size();
 
-  // Reverse CSR (counting sort by target): repair seeds and in-edge
-  // searches scan the edges *entering* a node.
-  const std::size_t m = target_.size();
-  in_offset_.assign(n + 1, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    ++in_offset_[static_cast<std::size_t>(target_[e]) + 1];
-  }
-  for (std::size_t u = 0; u < n; ++u) in_offset_[u + 1] += in_offset_[u];
-  in_source_.resize(m);
-  in_weight_.resize(m);
-  build_cursor_.assign(in_offset_.begin(), in_offset_.end() - 1);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t e = offset_[u]; e < offset_[u + 1]; ++e) {
-      const auto slot = build_cursor_[static_cast<std::size_t>(target_[e])]++;
+  if (has_in_edges()) {
+    // Reverse CSR (counting sort by target): repair seeds and in-edge
+    // searches scan the edges *entering* a node.
+    in_offset_.assign(n + 1, 0);
+    for_each_kept_edge(g, active_, [&](std::size_t, const Edge& e) {
+      ++in_offset_[static_cast<std::size_t>(e.to) + 1];
+    });
+    for (std::size_t u = 0; u < n; ++u) in_offset_[u + 1] += in_offset_[u];
+    edge_count_ = in_offset_[n];
+    in_source_.resize(edge_count_);
+    in_weight_.resize(edge_count_);
+    build_cursor_.assign(in_offset_.begin(), in_offset_.end() - 1);
+    for_each_kept_edge(g, active_, [&](std::size_t u, const Edge& e) {
+      const auto slot = build_cursor_[static_cast<std::size_t>(e.to)]++;
       in_source_[slot] = static_cast<NodeId>(u);
-      in_weight_[slot] = weight_[e];
-    }
+      in_weight_[slot] = e.weight;
+    });
+  } else {
+    release(in_offset_, in_source_, in_weight_, build_cursor_);
   }
 }
 
@@ -170,6 +197,11 @@ void CsrSearch::search(const CsrGraph& g, NodeId src, NodeId stop_at) {
 }
 
 void CsrSearch::run(const CsrGraph& g, NodeId src, Request request) {
+  if (request.in_edges ? !g.has_in_edges() : !g.has_out_edges()) {
+    throw CsrSideNotBuilt(request.in_edges
+                              ? "CsrSearch: graph has no in-edges"
+                              : "CsrSearch: graph has no out-edges");
+  }
   g.check_node(src);
   if (request.stop_at != kNoTarget) g.check_node(request.stop_at);
   node_count_ = g.node_count();

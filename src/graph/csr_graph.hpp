@@ -4,7 +4,9 @@
 // CsrGraph stores forward and reverse offset / endpoint / weight arrays
 // plus an active bitmap, rebuilt in place from a Digraph. Edge-weight
 // validation and inactive-endpoint filtering happen once at build time
-// instead of inside every relaxation.
+// instead of inside every relaxation. A caller that walks one direction
+// only builds that side (serving walks out-edges, the landmark refresh
+// in-edges); PathEngine builds both.
 //
 // CsrSearch is a Dijkstra over that snapshot, for either fold (shortest
 // or widest paths), along out-edges (paths from the source) or in-edges
@@ -31,6 +33,16 @@
 
 namespace egoist::graph {
 
+/// The adjacency a CsrGraph holds: out-edges (walks from a source),
+/// in-edges (walks towards it), or both.
+enum class CsrSides : std::uint8_t { kOut, kIn, kBoth };
+
+/// Thrown by CsrSearch::run when asked to walk a side its graph lacks.
+class CsrSideNotBuilt : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
 /// Immutable flat snapshot of a Digraph at a point in time. Activity flags
 /// are baked in: out-edges of inactive sources and edges to inactive
 /// targets are dropped at build time (algorithms on the live Digraph skip
@@ -38,22 +50,29 @@ namespace egoist::graph {
 class CsrGraph {
  public:
   CsrGraph() = default;
-  explicit CsrGraph(const Digraph& g) { rebuild(g); }
+  explicit CsrGraph(const Digraph& g, CsrSides sides = CsrSides::kBoth) {
+    rebuild(g, sides);
+  }
 
-  /// Rebuilds the snapshot in place, reusing the flat buffers. Validates
-  /// every stored weight (throws std::invalid_argument on a negative one),
-  /// hoisting the per-relaxation check out of the traversal loops.
-  void rebuild(const Digraph& g);
+  /// Rebuilds the snapshot in place, reusing the flat buffers of the sides
+  /// it builds and releasing the other's. Validates every stored weight
+  /// (throws std::invalid_argument on a negative one), hoisting the
+  /// per-relaxation check out of the traversal loops.
+  void rebuild(const Digraph& g, CsrSides sides = CsrSides::kBoth);
+
+  bool has_out_edges() const { return sides_ != CsrSides::kIn; }
+  bool has_in_edges() const { return sides_ != CsrSides::kOut; }
 
   std::size_t node_count() const { return active_.size(); }
   /// Stored (active-to-active) edges only.
-  std::size_t edge_count() const { return target_.size(); }
+  std::size_t edge_count() const { return edge_count_; }
 
   bool is_active(NodeId u) const {
     return active_[static_cast<std::size_t>(u)] != 0;
   }
 
-  /// Targets / weights of u's out-edges (parallel spans).
+  /// Targets / weights of u's out-edges (parallel spans). Requires
+  /// has_out_edges().
   std::span<const NodeId> out_targets(NodeId u) const {
     const auto i = static_cast<std::size_t>(u);
     return {target_.data() + offset_[i], offset_[i + 1] - offset_[i]};
@@ -64,6 +83,7 @@ class CsrGraph {
   }
 
   /// Sources / weights of u's in-edges (reverse CSR, parallel spans).
+  /// Requires has_in_edges().
   std::span<const NodeId> in_sources(NodeId u) const {
     const auto i = static_cast<std::size_t>(u);
     return {in_source_.data() + in_offset_[i], in_offset_[i + 1] - in_offset_[i]};
@@ -91,6 +111,8 @@ class CsrGraph {
   std::vector<double> in_weight_;
   std::vector<std::uint8_t> active_;    ///< bitmap, avoids vector<bool> reads
   std::vector<std::size_t> build_cursor_;  ///< rebuild() scratch
+  std::size_t edge_count_ = 0;
+  CsrSides sides_ = CsrSides::kBoth;
 };
 
 /// Passed as CsrSearch::Request::stop_at to run a search to completion.
@@ -117,8 +139,9 @@ class CsrSearch {
   };
 
   /// Runs one search from `src`. An inactive source reaches nothing, not
-  /// even itself (PathEngine's inactive rows). Throws std::out_of_range on
-  /// an invalid `src` or `stop_at`.
+  /// even itself (PathEngine's inactive rows). Throws CsrSideNotBuilt when
+  /// `g` lacks the side the request walks, and std::out_of_range on an
+  /// invalid `src` or `stop_at`.
   void run(const CsrGraph& g, NodeId src, Request request);
   void run(const CsrGraph& g, NodeId src) { run(g, src, Request{}); }
 

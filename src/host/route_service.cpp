@@ -26,7 +26,7 @@ ServingView::ServingView(WiringSnapshot snapshot, std::uint64_t seq,
                          std::size_t max_cached_sources, bool seal,
                          std::shared_ptr<ServiceCounters> counters)
     : snapshot_(std::move(snapshot)),
-      csr_(snapshot_.announced_graph()),
+      csr_(snapshot_.announced_graph(), graph::CsrSides::kOut),
       seq_(seq),
       max_cached_sources_(max_cached_sources),
       sealed_(seal),

@@ -121,7 +121,8 @@ class ServingView {
 
   const WiringSnapshot& snapshot() const { return snapshot_; }
   std::uint64_t seq() const { return seq_; }
-  /// The announced graph as a CSR snapshot, built at construction.
+  /// The announced graph as a CSR snapshot of its out-edges (every answer
+  /// walks from its source), built at construction.
   const graph::CsrGraph& csr() const { return csr_; }
 
   /// The cached row for `src`, building it on first use. nullptr when the

@@ -13,6 +13,12 @@
 
 namespace egoist::net {
 
+/// Both directed delays of one pair (milliseconds).
+struct DelayPair {
+  double forward = 0.0;   ///< i -> j
+  double backward = 0.0;  ///< j -> i
+};
+
 /// True one-way underlay delays (milliseconds).
 class DelayField {
  public:
@@ -23,8 +29,18 @@ class DelayField {
   /// True one-way delay i -> j in milliseconds. 0 on the diagonal.
   virtual double delay(int i, int j) const = 0;
 
+  /// {delay(i, j), delay(j, i)}, bit for bit. A backend whose two
+  /// directions share work (the procedural pair hashes) overrides it to do
+  /// that work once; the ping plane and Vivaldi read RTTs through it.
+  virtual DelayPair delay_pair(int i, int j) const {
+    return {delay(i, j), delay(j, i)};
+  }
+
   /// Round-trip time i <-> j (sum of the two directed delays).
-  double rtt(int i, int j) const { return delay(i, j) + delay(j, i); }
+  double rtt(int i, int j) const {
+    const DelayPair d = delay_pair(i, j);
+    return d.forward + d.backward;
+  }
 };
 
 /// True available bandwidth per directed pair (Mbps), at the backend's

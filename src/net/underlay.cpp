@@ -225,21 +225,26 @@ int ProceduralUnderlay::cluster(int node) const {
   return cluster_[check(node)];
 }
 
-double ProceduralUnderlay::delay(int i, int j) const {
+DelayPair ProceduralUnderlay::delay_pair(int i, int j) const {
   const std::size_t a = check(i);
   const std::size_t b = check(j);
-  if (a == b) return 0.0;
+  if (a == b) return {0.0, 0.0};
   const auto lo = static_cast<std::uint64_t>(std::min(a, b));
   const auto hi = static_cast<std::uint64_t>(std::max(a, b));
   const auto& geo = config_.geo;
 
+  // Swapping a and b only negates dx and dy, so the distance, the three
+  // pair hashes and the skew serve both directions. Each direction keeps
+  // its own sum order (its source's access penalty first), so each equals
+  // the one-direction expression bit for bit.
   const double dx = pos_x_[a] - pos_x_[b];
   const double dy = pos_y_[a] - pos_y_[b];
   const double geo_ms = std::sqrt(dx * dx + dy * dy);
   const double jitter =
       std::exp(-0.5 * jitter_sigma_ * jitter_sigma_ +
                jitter_sigma_ * hash_gaussian(counter_hash(seed_, lo, hi, kJitter)));
-  const double pair = geo_ms * jitter + access_[a] + access_[b];
+  const double forward = geo_ms * jitter + access_[a] + access_[b];
+  const double backward = geo_ms * jitter + access_[b] + access_[a];
   const double inflated =
       hash_unit(counter_hash(seed_, lo, hi, kViolation)) < geo.violation_fraction
           ? geo.violation_factor
@@ -247,7 +252,13 @@ double ProceduralUnderlay::delay(int i, int j) const {
   const double skew =
       1.0 + geo.asymmetry *
                 (2.0 * hash_unit(counter_hash(seed_, lo, hi, kSkew)) - 1.0);
-  return a < b ? pair * inflated * skew : pair * inflated / skew;
+  // The lower id's direction is stretched by the skew, the other shrunk.
+  if (a < b) return {forward * inflated * skew, backward * inflated / skew};
+  return {forward * inflated / skew, backward * inflated * skew};
+}
+
+double ProceduralUnderlay::delay(int i, int j) const {
+  return delay_pair(i, j).forward;
 }
 
 double ProceduralUnderlay::capacity(int i, int j) const {

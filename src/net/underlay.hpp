@@ -146,6 +146,9 @@ class ProceduralUnderlay final : public UnderlayBackend {
 
   /// --- The pure per-pair functions (also reachable via the fields) ---
   double delay(int i, int j) const;
+  /// Both directions of a pair: the three pair hashes, the geometric term
+  /// and the skew are computed once for the two of them.
+  DelayPair delay_pair(int i, int j) const;
   double capacity(int i, int j) const;
   double avail_bw(int i, int j) const;  ///< at the current model time
   double node_load(int node) const;     ///< at the current model time
@@ -155,6 +158,9 @@ class ProceduralUnderlay final : public UnderlayBackend {
     const ProceduralUnderlay* owner = nullptr;
     std::size_t size() const override { return owner->n_; }
     double delay(int i, int j) const override { return owner->delay(i, j); }
+    DelayPair delay_pair(int i, int j) const override {
+      return owner->delay_pair(i, j);
+    }
   };
   struct BandwidthView final : BandwidthField {
     const ProceduralUnderlay* owner = nullptr;

@@ -31,13 +31,56 @@ std::size_t Substrate::memory_bytes() const {
 
 namespace {
 
-/// Packs a directed pair into one sparse-plane key.
-inline std::uint64_t pair_key(int i, int j) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32) |
-         static_cast<std::uint32_t>(j);
-}
+constexpr std::int32_t kEmptySlot = -1;
+constexpr std::uint32_t kMinRowCapacity = 16;
 
 }  // namespace
+
+std::uint32_t Environment::PingRow::find(int target) const {
+  // Fibonacci hashing: node ids are dense small integers, so spread them
+  // with the multiplier's middle bits before masking.
+  const std::uint32_t mask = capacity_ - 1;
+  auto s = static_cast<std::uint32_t>(
+               (static_cast<std::uint64_t>(static_cast<std::uint32_t>(target)) *
+                0x9E3779B97F4A7C15ull) >>
+               32) &
+           mask;
+  while (targets_[s] != target && targets_[s] != kEmptySlot) s = (s + 1) & mask;
+  return s;
+}
+
+void Environment::PingRow::grow() {
+  const std::uint32_t old_capacity = capacity_;
+  auto old_targets = std::move(targets_);
+  auto old_values = std::move(values_);
+  capacity_ = std::max(kMinRowCapacity, 2 * old_capacity);
+  targets_ = std::make_unique<std::int32_t[]>(capacity_);
+  values_ = std::make_unique<double[]>(capacity_);
+  std::fill_n(targets_.get(), capacity_, kEmptySlot);
+  for (std::uint32_t s = 0; s < old_capacity; ++s) {
+    if (old_targets[s] == kEmptySlot) continue;
+    const std::uint32_t to = find(old_targets[s]);
+    targets_[to] = old_targets[s];
+    values_[to] = old_values[s];
+  }
+}
+
+double& Environment::PingRow::ewma(int target) {
+  std::uint32_t s = 0;
+  if (capacity_ > 0) {
+    s = find(target);
+    if (targets_[s] == target) return values_[s];
+  }
+  if (4 * (static_cast<std::size_t>(size_) + 1) >
+      3 * static_cast<std::size_t>(capacity_)) {
+    grow();
+    s = find(target);
+  }
+  ++size_;
+  targets_[s] = target;
+  values_[s] = std::numeric_limits<double>::quiet_NaN();
+  return values_[s];
+}
 
 Environment::Environment(std::size_t n, std::uint64_t seed,
                          EnvironmentConfig config)
@@ -60,9 +103,11 @@ Environment::Environment(std::shared_ptr<Substrate> substrate,
     ping_smoothed_.assign(n * n, std::numeric_limits<double>::quiet_NaN());
     delay_drift_.assign(n * n, 0.0);
   } else {
-    // Sparse plane: ping EWMAs materialize per probed pair; drift is the
-    // procedural hash stream below (stationary moments calibrated to the
-    // dense OU process), so advance() needs no per-pair sweep.
+    // Sparse plane: ping EWMAs materialize per probed pair, in the prober's
+    // row; drift is the procedural hash stream below (stationary moments
+    // calibrated to the dense OU process), so advance() needs no per-pair
+    // sweep.
+    ping_rows_.resize(n);
     drift_seed_ = seed ^ 0xD21F7ull;
     drift_tau_ = config.delay_drift_reversion > 0.0
                      ? 1.0 / config.delay_drift_reversion
@@ -100,8 +145,11 @@ double Environment::true_delay(int i, int j) const {
 
 double Environment::measure_delay_ping(int i, int j) {
   const auto& config = substrate_->config();
-  // RTT/2 averaged over ping_samples probes; queueing noise only adds.
-  const double rtt = true_delay(i, j) + true_delay(j, i);
+  // RTT/2 averaged over ping_samples probes; queueing noise only adds. The
+  // RTT is true_delay(i, j) + true_delay(j, i), on one base-delay call.
+  const net::DelayPair base = substrate_->delays().delay_pair(i, j);
+  const double rtt =
+      base.forward * (1.0 + drift(i, j)) + base.backward * (1.0 + drift(j, i));
   double sum = 0.0;
   for (int s = 0; s < config.ping_samples; ++s) {
     sum += rtt + std::abs(rng_.normal(0.0, config.ping_jitter_ms));
@@ -110,14 +158,12 @@ double Environment::measure_delay_ping(int i, int j) {
 
   double& smoothed =
       sparse_plane_
-          ? ping_sparse_
-                .try_emplace(pair_key(i, j),
-                             std::numeric_limits<double>::quiet_NaN())
-                .first->second
+          ? ping_rows_[static_cast<std::size_t>(i)].ewma(j)
           : ping_smoothed_[static_cast<std::size_t>(i) * size() +
                            static_cast<std::size_t>(j)];
   if (std::isnan(smoothed)) {
     smoothed = sample;
+    ++probed_pairs_;
   } else {
     // Nodes monitor links continuously; fold fresh samples into a running
     // average rather than trusting a single epoch's probe.
@@ -150,23 +196,13 @@ void Environment::advance(double dt) {
   }
 }
 
-std::size_t Environment::probed_pairs() const {
-  if (sparse_plane_) return ping_sparse_.size();
-  std::size_t probed = 0;
-  for (const double v : ping_smoothed_) {
-    if (!std::isnan(v)) ++probed;
-  }
-  return probed;
-}
-
 std::size_t Environment::plane_memory_bytes() const {
   if (!sparse_plane_) {
     return (ping_smoothed_.size() + delay_drift_.size()) * sizeof(double);
   }
-  // unordered_map node: key + value + next pointer, plus the bucket array.
-  return ping_sparse_.size() *
-             (sizeof(std::uint64_t) + sizeof(double) + sizeof(void*)) +
-         ping_sparse_.bucket_count() * sizeof(void*);
+  std::size_t bytes = ping_rows_.capacity() * sizeof(PingRow);
+  for (const PingRow& row : ping_rows_) bytes += row.slot_bytes();
+  return bytes;
 }
 
 }  // namespace egoist::overlay

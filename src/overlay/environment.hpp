@@ -13,14 +13,17 @@
 // §5 scale regime. Measurement planes follow suit: below
 // sparse_plane_threshold nodes on a dense backend they keep the historical
 // dense per-pair arrays (bit-exact); at scale, or on the procedural
-// backend, they hold sparse pair state keyed by the pairs actually probed
-// and derive per-pair delay drift procedurally — O(probed pairs), not
-// O(n^2).
+// backend, each probing node owns one row of EWMAs keyed by the targets it
+// actually probed (an open-addressed table, so a node's probes stay in one
+// cache-resident row), and per-pair delay drift is derived procedurally —
+// O(probed pairs), not O(n^2). A ping reads both directed base delays
+// through one net::DelayField::delay_pair call. Neither choice touches the
+// arithmetic: every EWMA is the dense plane's, bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "coord/vivaldi.hpp"
 #include "net/load.hpp"
@@ -160,12 +163,35 @@ class Environment {
   bool sparse_plane() const { return sparse_plane_; }
 
   /// Directed pairs this plane has pinged at least once.
-  std::size_t probed_pairs() const;
+  std::size_t probed_pairs() const { return probed_pairs_; }
 
-  /// Approximate bytes of per-pair measurement state (ping EWMAs + drift).
+  /// Bytes of per-pair measurement state. Dense: the EWMA and drift
+  /// arrays. Sparse: the row headers plus every row's allocated slots.
   std::size_t plane_memory_bytes() const;
 
  private:
+  /// One probing node's ping EWMAs on the sparse plane: target id -> EWMA
+  /// in an open-addressed table (linear probing, power-of-two capacity
+  /// grown at 3/4 load), held as two parallel slot arrays of 12 bytes a
+  /// slot behind a 24-byte header.
+  class PingRow {
+   public:
+    /// The EWMA slot of `target`; a new slot starts at NaN (no sample yet).
+    double& ewma(int target);
+    std::size_t slot_bytes() const {
+      return capacity_ * (sizeof(std::int32_t) + sizeof(double));
+    }
+
+   private:
+    std::uint32_t find(int target) const;
+    void grow();
+
+    std::unique_ptr<std::int32_t[]> targets_;  ///< -1 marks an empty slot
+    std::unique_ptr<double[]> values_;
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = 0;
+  };
+
   double drift(int i, int j) const;
 
   std::shared_ptr<Substrate> substrate_;
@@ -177,12 +203,15 @@ class Environment {
   std::vector<double> ping_smoothed_;  ///< per-pair EWMA; NaN = no sample yet
   std::vector<double> delay_drift_;    ///< per-pair relative drift state
 
-  /// Sparse plane: EWMA state only for pairs actually probed; drift is a
-  /// pure function of (plane drift seed, i, j, time) — no per-pair state.
-  std::unordered_map<std::uint64_t, double> ping_sparse_;
+  /// Sparse plane: one EWMA row per probing node, holding only the targets
+  /// it probed; drift is a pure function of (plane drift seed, i, j, time)
+  /// — no per-pair state.
+  std::vector<PingRow> ping_rows_;
   std::uint64_t drift_seed_ = 0;
   double drift_amp_ = 0.0;
   double drift_tau_ = 1.0;
+
+  std::size_t probed_pairs_ = 0;
 
   util::Rng rng_;
   double now_ = 0.0;

@@ -309,7 +309,7 @@ void EgoistNetwork::refresh_landmarks() {
   // The CSR and the search scratch live for the refresh only, so an
   // overlay holds no second copy of its announced graph between epochs.
   const std::size_t n = store_.size();
-  const graph::CsrGraph csr(announced_);
+  const graph::CsrGraph csr(announced_, graph::CsrSides::kIn);
   graph::CsrSearch search;
   const graph::CsrSearch::Request request{
       .widest = config_.metric == Metric::kBandwidth, .in_edges = true};
@@ -446,6 +446,7 @@ bool EgoistNetwork::node_needs_evaluation(int node) {
   // actually routes over) and compare against its last-evaluation baseline.
   const auto links = store_.wiring(static_cast<std::size_t>(node));
   if (links.empty()) return false;
+  EGOIST_PROFILE_SCOPE("probe");
   const auto probe = measure(node, {links.begin(), links.end()});
   return dirty_.drift_exceeded(static_cast<std::size_t>(node), probe.pool,
                                probe.values);

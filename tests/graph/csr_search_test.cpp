@@ -201,6 +201,45 @@ TEST(CsrSearchTest, StoppedRunsAnswerLikeTheFullRun) {
   EXPECT_GT(fewer, 0u);  // the stop does cut searches short
 }
 
+TEST(CsrSearchTest, OneSidedGraphsAnswerLikeBothSidesAndRefuseTheOther) {
+  CsrSearch both_search;
+  CsrSearch side_search;
+  for (const Digraph& g : fixtures()) {
+    const CsrGraph both(g);
+    const CsrGraph out_only(g, CsrSides::kOut);
+    const CsrGraph in_only(g, CsrSides::kIn);
+    ASSERT_TRUE(out_only.has_out_edges() && !out_only.has_in_edges());
+    ASSERT_TRUE(in_only.has_in_edges() && !in_only.has_out_edges());
+    ASSERT_EQ(out_only.edge_count(), both.edge_count());
+    ASSERT_EQ(in_only.edge_count(), both.edge_count());
+    const auto n = static_cast<NodeId>(g.node_count());
+    for (const bool in_edges : {false, true}) {
+      const CsrGraph& side = in_edges ? in_only : out_only;
+      const CsrGraph& other = in_edges ? out_only : in_only;
+      for (NodeId src = 0; src < n; ++src) {
+        both_search.run(both, src, {.in_edges = in_edges});
+        side_search.run(side, src, {.in_edges = in_edges});
+        for (NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(bits(side_search.dist(v)), bits(both_search.dist(v)))
+              << in_edges << " " << src << "->" << v;
+          ASSERT_EQ(side_search.parent(v), both_search.parent(v));
+        }
+        EXPECT_THROW(side_search.run(other, src, {.in_edges = in_edges}),
+                     CsrSideNotBuilt);
+        EXPECT_THROW(side_search.run(other, src,
+                                     {.widest = true, .in_edges = in_edges}),
+                     CsrSideNotBuilt);
+      }
+    }
+  }
+  // Rebuilding in place switches the sides: a reused graph drops the side
+  // it no longer builds.
+  CsrGraph reused(fixtures().back(), CsrSides::kIn);
+  reused.rebuild(fixtures().back(), CsrSides::kOut);
+  EXPECT_THROW(side_search.run(reused, 0, {.in_edges = true}), CsrSideNotBuilt);
+  EXPECT_NO_THROW(side_search.run(reused, 0));
+}
+
 TEST(CsrSearchTest, UnreachableTargetAnswersUnreachable) {
   Digraph g(5);
   g.set_edge(0, 1, 1.0);

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace egoist::net {
@@ -183,6 +185,38 @@ TEST(ProceduralUnderlayTest, DelayStructureMatchesPlanetLabShape) {
   ASSERT_GT(intra.count(), 0u);
   ASSERT_GT(inter.count(), 0u);
   EXPECT_LT(intra.mean() * 2.0, inter.mean());
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(DelayPairTest, BothDirectionsAndTheRttBitForBit) {
+  constexpr std::size_t kN = 150;
+  for (const auto kind : {UnderlayKind::kDense, UnderlayKind::kProcedural}) {
+    const auto backend = make_underlay(kind, kN, 11, {}, {}, {});
+    const DelayField& field = backend->delays();
+    util::Rng rng(5);
+    for (int draw = 0; draw < 3000; ++draw) {
+      const auto i = static_cast<int>(rng.uniform_int(0, kN - 1));
+      // Every tenth draw probes the diagonal.
+      const auto j = draw % 10 == 0
+                         ? i
+                         : static_cast<int>(rng.uniform_int(0, kN - 1));
+      for (const auto& [a, b] : {std::pair{i, j}, std::pair{j, i}}) {
+        const DelayPair pair = field.delay_pair(a, b);
+        ASSERT_TRUE(same_bits(pair.forward, field.delay(a, b)))
+            << to_string(kind) << " " << a << "->" << b;
+        ASSERT_TRUE(same_bits(pair.backward, field.delay(b, a)))
+            << to_string(kind) << " " << b << "->" << a;
+        ASSERT_TRUE(
+            same_bits(field.rtt(a, b), field.delay(a, b) + field.delay(b, a)))
+            << to_string(kind) << " " << a << "<->" << b;
+      }
+    }
+    EXPECT_THROW(field.delay_pair(0, static_cast<int>(kN)), std::out_of_range);
+    EXPECT_THROW(field.delay_pair(-1, 0), std::out_of_range);
+  }
 }
 
 TEST(UnderlayMemoryTest, ProceduralIsLinearDenseIsQuadratic) {

@@ -8,6 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace egoist::overlay {
 namespace {
@@ -48,6 +53,51 @@ TEST(EnvironmentPlaneTest, DenseAndSparsePlanesAgreeOnPingValues) {
   }
   EXPECT_EQ(dense_env.probed_pairs(), 90u);
   EXPECT_EQ(sparse_env.probed_pairs(), 90u);
+}
+
+TEST(EnvironmentPlaneTest, SparseRowsGrowAndKeepEveryEwmaBitForBit) {
+  // The per-node rows rehash as they double; every EWMA must survive each
+  // doubling bit for bit. Random probe order with re-probes, and some
+  // nodes probing every target, so rows grow from 16 slots to 512.
+  constexpr int kN = 300;
+  EnvironmentConfig dense;
+  dense.coord_warmup_rounds = 5;
+  dense.sparse_plane_threshold = 1u << 20;
+  dense.delay_drift_volatility = 0.0;
+  auto sparse = dense;
+  sparse.sparse_plane_threshold = 0;
+  Environment dense_env(kN, 17, dense);
+  Environment sparse_env(kN, 17, sparse);
+  ASSERT_FALSE(dense_env.sparse_plane());
+  ASSERT_TRUE(sparse_env.sparse_plane());
+
+  util::Rng rng(3);
+  std::vector<std::pair<int, int>> probes;
+  for (int round = 0; round < 4; ++round) {
+    for (int draw = 0; draw < 20000; ++draw) {
+      probes.emplace_back(static_cast<int>(rng.uniform_int(0, kN - 1)),
+                          static_cast<int>(rng.uniform_int(0, kN - 1)));
+    }
+    for (int j = 0; j < kN; ++j) probes.emplace_back(round, j);
+  }
+  rng.shuffle(probes);
+  for (const auto& [i, j] : probes) {
+    const double a = dense_env.measure_delay_ping(i, j);
+    const double b = sparse_env.measure_delay_ping(i, j);
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << i << "->" << j;
+  }
+  EXPECT_EQ(sparse_env.probed_pairs(), dense_env.probed_pairs());
+  EXPECT_GT(sparse_env.probed_pairs(), 40000u);
+  // A last pass over every pair reads each stored EWMA back once more.
+  for (int i = 0; i < kN; ++i) {
+    for (int j = 0; j < kN; ++j) {
+      const double a = dense_env.measure_delay_ping(i, j);
+      const double b = sparse_env.measure_delay_ping(i, j);
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << i << "->" << j;
+    }
+  }
+  EXPECT_EQ(sparse_env.probed_pairs(), static_cast<std::size_t>(kN) * kN);
+  EXPECT_EQ(dense_env.probed_pairs(), static_cast<std::size_t>(kN) * kN);
 }
 
 TEST(EnvironmentPlaneTest, SparsePlaneMemoryTracksProbedPairs) {
