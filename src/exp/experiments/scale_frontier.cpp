@@ -21,13 +21,11 @@
 // search (0 in dense mode).
 //
 // `workers` is a comma list of OverlayConfig::epoch_workers values, one
-// row each. In scale mode every value runs the same epoch, so within one
-// (n, policy, variant) every row must equal the first on the trajectory
-// columns (rewirings, evaluated, skipped_evals, searches_skipped,
-// dirty_nodes, mean_cost, unreachable, probed_pairs). In dense mode 0 is
-// the sequential epoch and N >= 1 the parallel pipeline, bit-identical at
-// any N >= 1, so there every workers >= 1 row must equal the first such
-// row. The run fails otherwise, naming both rows and the column.
+// row each. Every value runs the same epoch, so within one (n, policy,
+// variant) every row must equal the first on the trajectory columns
+// (rewirings, evaluated, skipped_evals, searches_skipped, dirty_nodes,
+// mean_cost, unreachable, probed_pairs). The run fails otherwise, naming
+// both rows and the column. Dense mode takes workers 0 only.
 // `profile = true` enables the in-process profiler around the timed
 // epochs and emits per-phase rows ("profile" panel; see
 // docs/EXPERIMENTS.md).
@@ -145,7 +143,8 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
       static_cast<std::size_t>(params.get_int("br-sample", 32));
   config.br_landmarks =
       static_cast<std::size_t>(params.get_int("br-landmarks", 64));
-  // Negative worker counts are rejected by the overlay config validation.
+  // The overlay config validation rejects negative worker counts, and
+  // workers >= 1 outside scale mode.
   const auto workers_list = params.get_int_list("workers", "0");
 
   auto env_config = parse_underlay(params);
@@ -365,8 +364,8 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
                     churn_config);
     }
     for (const auto policy : policies) {
-      // variant -> the trajectory reference for this (n, policy): the
-      // first row in scale mode, the first workers >= 1 row in dense mode.
+      // variant -> the trajectory reference for this (n, policy): its
+      // first row.
       std::map<std::string, FrontierRow> reference;
       for (const int workers : workers_list) {
         std::vector<FrontierRow> rows;
@@ -382,7 +381,6 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
         }
         for (const auto& row : rows) {
           add_row(row);
-          if (config.br_sample == 0 && workers < 1) continue;
           const auto [it, first] = reference.emplace(row.variant, row);
           if (first) continue;
           const FrontierRow& ref = it->second;

@@ -87,10 +87,9 @@ class OverlaySpec {
     config_.enable_audits = enable;
     return *this;
   }
-  /// Wiring-epoch worker threads (overlay::OverlayConfig::epoch_workers).
-  /// Scale mode: a pure speed setting (one trajectory at every value).
-  /// Dense mode: 0 = sequential epoch, >= 1 = the deterministic parallel
-  /// pipeline (trajectories bit-identical at any worker count >= 1).
+  /// Wiring-epoch worker threads (overlay::OverlayConfig::epoch_workers):
+  /// a pure speed setting in scale mode (one trajectory at every value);
+  /// a dense deploy takes 0 only.
   OverlaySpec& workers(int value) { config_.epoch_workers = value; return *this; }
   OverlaySpec& preference_zipf(double exponent) {
     config_.preference_zipf_exponent = exponent;

@@ -80,19 +80,13 @@ struct OverlayConfig {
   std::vector<int> cheaters;
   double cheat_factor = 2.0;
 
-  /// Worker threads for the wiring epoch itself (BR/HybridBR only; the
-  /// other policies are trivial and ignore this). Negative values throw.
-  /// In §5 scale mode (br_sample > 0) it only sets speed: every epoch is
-  /// the snapshot -> evaluate -> merge pipeline (overlay/epoch_engine.hpp)
-  /// in the boundary's shuffled node order, evaluating inline at 0 and on
-  /// this many workers at >= 1, one trajectory at every value. In dense
-  /// mode, 0 (the default) keeps the paper's unsynchronized sequential
-  /// epoch: nodes evaluate in a shuffled order and each sees the
-  /// re-wirings of the nodes before it — byte-identical to the historical
-  /// trajectories. >= 1 switches a dense epoch to the pipeline in
-  /// ascending node order: every node best-responds to the immutable
-  /// epoch-boundary state, so the trajectory is bit-identical at any
-  /// worker count >= 1 — 1 vs N only changes wall-clock time.
+  /// Worker threads for the wiring epoch itself. It only sets speed: a §5
+  /// scale-mode epoch (br_sample > 0) is the snapshot -> evaluate -> merge
+  /// pipeline (overlay/epoch_engine.hpp), evaluating inline at 0 and on
+  /// this many workers at >= 1, one trajectory at every value. A dense
+  /// epoch is the paper's unsynchronized sequential epoch, where each node
+  /// sees the re-wirings of the nodes before it, so it takes no workers:
+  /// >= 1 without scale mode throws, as do negative values.
   int epoch_workers = 0;
 
   /// §5 scale mode: when > 0, BR/HybridBR nodes evaluate a per-node random

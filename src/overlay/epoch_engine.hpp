@@ -1,8 +1,8 @@
 // Worker-side machinery of the deterministic epoch pipeline.
 //
-// EgoistNetwork::run_epoch runs a BR/HybridBR epoch in three phases when
-// §5 scale mode is on (at every config.epoch_workers value) or when a
-// dense epoch asks for workers (epoch_workers >= 1):
+// EgoistNetwork::run_epoch runs every §5 scale-mode epoch in three phases,
+// after a boundary that refreshes the landmarks, takes the fold penalty
+// and shuffles the online nodes (nodes are not synchronized, §4.2):
 //
 //   snapshot  — sequential: every RNG draw (landmarks and the node order
 //               at the boundary, then sample pools) and every stateful
@@ -10,27 +10,26 @@
 //               EWMAs, noise streams) happens here, each evaluated node's
 //               row captured into the next EpochStore slot.
 //   evaluate  — each slot's best response is computed against the
-//               immutable epoch-start state: inline at workers 0, across
-//               the pool at >= 1. A task reads only frozen state plus its
-//               own slot's row and writes only its slot's proposal, so the
+//               immutable boundary state: inline at workers 0, across the
+//               pool at >= 1. A task reads only frozen state plus its own
+//               slot's row and writes only its slot's proposal, so the
 //               outcome is independent of scheduling.
 //   merge     — sequential, in slot order: adopted proposals are applied
 //               and hooks fire, so observers see one canonical order.
 //
-// Scale mode visits the nodes in the order it shuffles at the boundary
-// (nodes are not synchronized, §4.2); its evaluations read only boundary
-// state (landmark rows, the fold penalty, their own row and wiring), so
-// the schedule is also the sequential one. A dense pipeline visits them in
-// ascending order. Because the evaluate phase is a pure per-slot function
-// of the snapshot, the whole epoch trajectory is bit-identical at any
+// A scale-mode evaluation reads only boundary state (landmark rows, the
+// fold penalty, its own row and wiring), which no commit writes, so
+// deferring the commits to the merge leaves the sequential schedule's
+// trajectory in place. Because the evaluate phase is a pure per-slot
+// function of the snapshot, the trajectory is bit-identical at every
 // worker count — the contract tests/overlay/parallel_epoch_test.cpp
-// enforces.
+// enforces. A dense evaluation reads the whole announced graph, which
+// every earlier commit writes, so dense epochs stay sequential.
 //
-// EpochEngine owns the reusable worker pool and one workspace per worker
-// (path-query scratch, best-response scratch, residual matrix, a
-// node-indexed measurement row), so steady-state epochs allocate nothing
-// new. Every evaluation on the calling thread (workers 0, the sequential
-// schedules) goes through one more workspace of its own.
+// EpochEngine owns the reusable worker pool and one workspace per worker,
+// so steady-state epochs allocate nothing new. Every evaluation on the
+// calling thread (workers 0, the sequential schedules) goes through one
+// more workspace of its own.
 #pragma once
 
 #include <cstddef>
@@ -84,8 +83,6 @@ class EpochEngine {
   explicit EpochEngine(int workers) : pool_(workers) {
     workspaces_.resize(static_cast<std::size_t>(pool_.size()));
   }
-
-  int workers() const { return pool_.size(); }
 
   using NodeTask = std::function<void(std::size_t, EpochWorkspace&)>;
 

@@ -62,6 +62,12 @@ EgoistNetwork::EgoistNetwork(Environment& env, OverlayConfig config)
   if (config_.epoch_workers < 0) {
     throw std::invalid_argument("epoch_workers must be >= 0");
   }
+  // Only scale mode's epoch can defer its commits (see run_epoch), so a
+  // dense run at workers >= 1 would silently run the sequential epoch.
+  if (config_.epoch_workers >= 1 && config_.br_sample == 0) {
+    throw std::invalid_argument(
+        "epoch_workers >= 1 requires scale mode (br_sample > 0)");
+  }
   if (config_.policy == Policy::kHybridBR) {
     if (config_.donated_links % 2 != 0 || config_.donated_links == 0 ||
         config_.donated_links >= config_.k) {
@@ -131,6 +137,9 @@ EgoistNetwork::EgoistNetwork(Environment& env, OverlayConfig config)
                            config_.preference_zipf_exponent);
       }
     }
+  }
+  if (config_.epoch_workers >= 1) {
+    epoch_engine_ = std::make_unique<EpochEngine>(config_.epoch_workers);
   }
   // Incremental bootstrap: nodes join one at a time (id order), each wiring
   // itself against the overlay built so far...
@@ -453,10 +462,13 @@ bool EgoistNetwork::node_needs_evaluation(int node) {
 }
 
 std::vector<NodeId> EgoistNetwork::backbone_links(int node) const {
-  const auto ring = online_nodes();
+  // The ascending online ids, read in place: refresh_backbone asks once
+  // per online node on every membership change.
+  const auto ring = store_.online_ids();
   std::vector<NodeId> links;
-  const auto it = std::find(ring.begin(), ring.end(), static_cast<NodeId>(node));
-  if (it == ring.end() || ring.size() < 2) return links;
+  const auto it =
+      std::lower_bound(ring.begin(), ring.end(), static_cast<NodeId>(node));
+  if (it == ring.end() || *it != node || ring.size() < 2) return links;
 
   if (config_.backbone == Backbone::kMst) {
     // Young et al. [43]-style backbone: a minimum spanning tree over the
@@ -465,7 +477,8 @@ std::vector<NodeId> EgoistNetwork::backbone_links(int node) const {
     // ablation bench. Each node donates links to its tree neighbors (up to
     // its donated budget; high-degree tree nodes are truncated).
     const auto tree = graph::minimum_spanning_tree(
-        ring, [this](NodeId a, NodeId b) { return env_.true_delay(a, b); });
+        online_nodes(),
+        [this](NodeId a, NodeId b) { return env_.true_delay(a, b); });
     const auto adjacency = tree_adjacency(store_.size(), tree);
     for (NodeId v : adjacency[static_cast<std::size_t>(node)]) {
       if (links.size() >= config_.donated_links) break;
@@ -823,39 +836,20 @@ bool EgoistNetwork::best_response_policy() const {
          config_.policy == Policy::kHybridBR;
 }
 
-bool EgoistNetwork::use_pipeline() const {
-  return best_response_policy() &&
-         (scale_mode() || config_.epoch_workers >= 1);
-}
-
-EpochEngine& EgoistNetwork::epoch_engine() {
-  if (!epoch_engine_ || epoch_engine_->workers() != config_.epoch_workers) {
-    epoch_engine_ = std::make_unique<EpochEngine>(config_.epoch_workers);
-  }
-  return *epoch_engine_;
-}
-
 int EgoistNetwork::run_epoch_pipeline() {
   EGOIST_PROFILE_SCOPE("epoch");
   ++epochs_;
-  // The boundary. Scale mode fixes here everything its evaluations read
-  // besides their own rows — the fold penalty and the landmark rows — and
-  // shuffles the node order (nodes are not synchronized, §4.2). A dense
-  // epoch keeps ascending order and freezes its decision state after the
-  // snapshot.
+  // The boundary fixes everything the evaluations read besides their own
+  // rows — the fold penalty and the landmark rows — and shuffles the node
+  // order (nodes are not synchronized, §4.2).
   auto order = online_nodes();
-  double penalty = 0.0;
-  if (scale_mode()) {
-    penalty = prepare_decision();
-    refresh_landmarks();
-    rng_.shuffle(order);
-  }
-  const std::size_t pool_bound =
-      scale_mode() ? store_.wiring_capacity() + store_.donated_capacity() +
-                         config_.br_sample
-                   : order.size();
+  const double penalty = prepare_decision();
+  refresh_landmarks();
+  rng_.shuffle(order);
   epoch_store_.begin(store_.wiring_capacity(), order.size(),
-                     order.size() * pool_bound);
+                     order.size() * (store_.wiring_capacity() +
+                                     store_.donated_capacity() +
+                                     config_.br_sample));
   int rewired = 0;
   {
     EGOIST_PROFILE_SCOPE("evaluate");
@@ -877,7 +871,7 @@ int EgoistNetwork::run_epoch_pipeline() {
       std::vector<NodeId> pool;
       {
         EGOIST_PROFILE_SCOPE("sample");
-        pool = scale_mode() ? sample_pool(v) : order;
+        pool = sample_pool(v);
       }
       EGOIST_PROFILE_SCOPE("measure");
       const auto row = measure(v, std::move(pool));
@@ -885,11 +879,6 @@ int EgoistNetwork::run_epoch_pipeline() {
     }
     const std::size_t slots = epoch_store_.slots();
     total_evaluations_ += slots;
-    // A dense epoch's frozen decision state, skipped when nothing is
-    // active: the decision graph (audited once per epoch), one engine
-    // snapshot with eager base trees that the evaluate step only queries,
-    // and the fold penalty.
-    if (!scale_mode() && slots > 0) penalty = prepare_decision();
 
     // --- Evaluate (pure per slot: inline at workers 0, else fanned out) ---
     // A task reads only frozen state and its own workspace, and writes only
@@ -909,12 +898,12 @@ int EgoistNetwork::run_epoch_pipeline() {
       epoch_store_.set_proposal(slot, proposal.wiring, proposal.adopt,
                                 proposal.search_skipped);
     };
-    if (config_.epoch_workers == 0) {
+    if (epoch_engine_) {
+      epoch_engine_->run(slots, evaluate);
+    } else {
       for (std::size_t slot = 0; slot < slots; ++slot) {
         evaluate(slot, workspace_);
       }
-    } else {
-      epoch_engine().run(slots, evaluate);
     }
 
     // --- Merge (sequential, in slot order) ---
@@ -942,7 +931,7 @@ int EgoistNetwork::run_epoch_pipeline() {
 }
 
 int EgoistNetwork::run_epoch() {
-  if (use_pipeline()) return run_epoch_pipeline();
+  if (scale_mode()) return run_epoch_pipeline();
   EGOIST_PROFILE_SCOPE("epoch");
   ++epochs_;
   // Cache the unreachable-fold penalty for this epoch (bandwidth's fold

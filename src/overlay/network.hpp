@@ -71,19 +71,16 @@ class EgoistNetwork {
 
   /// --- Protocol dynamics ---
   /// One wiring epoch; returns the number of nodes that changed their
-  /// wiring. A BR/HybridBR epoch in §5 scale mode, or in dense mode with
-  /// config.epoch_workers >= 1, runs the deterministic pipeline: snapshot
-  /// (sequential — every dirty check, drift probe, sample draw and
-  /// measurement), evaluate (every node best-responds to the epoch-start
-  /// state: inline at workers 0, on the worker pool at >= 1), merge
-  /// (sequential — adopted re-wirings applied and hooks fired). Scale mode
-  /// first refreshes its landmarks and shuffles the online nodes, and all
-  /// three phases follow that order; a dense pipeline keeps ascending
-  /// order. Either way the trajectory is bit-identical at any worker count.
-  /// Every other epoch (dense BR at workers 0, the heuristics) is the
-  /// sequential loop: each online node, in a freshly shuffled order,
-  /// re-evaluates seeing the re-wirings of the nodes before it (nodes are
-  /// not synchronized, §4.2).
+  /// wiring. A §5 scale-mode epoch runs the deterministic pipeline: it
+  /// refreshes the landmarks and shuffles the online nodes at the
+  /// boundary, then snapshot (sequential — every dirty check, drift probe,
+  /// sample draw and measurement), evaluate (every node best-responds to
+  /// the boundary state: inline at workers 0, on the worker pool at >= 1),
+  /// merge (sequential — adopted re-wirings applied and hooks fired), all
+  /// in that order, so the trajectory is bit-identical at any worker
+  /// count. Every dense epoch is the sequential loop: each online node, in
+  /// a freshly shuffled order, re-evaluates seeing the re-wirings of the
+  /// nodes before it (nodes are not synchronized, §4.2).
   int run_epoch();
 
   /// Evaluates a single node's wiring (the staggered, unsynchronized mode:
@@ -305,14 +302,9 @@ class EgoistNetwork {
   /// over the currently online targets; offline entries zeroed).
   std::vector<double> preference_of(int node) const;
 
-  /// --- The snapshot -> evaluate -> merge epoch (BR/HybridBR in scale
-  /// mode, or dense with config_.epoch_workers >= 1; see run_epoch) ---
-  bool use_pipeline() const;
+  /// --- The snapshot -> evaluate -> merge epoch (scale mode; see
+  /// run_epoch) ---
   int run_epoch_pipeline();
-
-  /// The lazily built worker pool + per-worker workspaces (rebuilt when the
-  /// knob changes; never built at workers 0).
-  EpochEngine& epoch_engine();
 
   /// --- Incremental dirty-set epochs (config_.incremental) ---
   /// The epoch-turn skip decision: the node's dirty bit, or — tolerance
@@ -338,12 +330,11 @@ class EgoistNetwork {
   NodeStore store_;
 
   /// Epoch-scoped planes of the pipeline, one slot per evaluation: the
-  /// measurement snapshot (dense rows or scale-mode pools) and the
-  /// proposals.
+  /// measurement snapshot (sampled pools) and the proposals.
   EpochStore epoch_store_;
 
-  /// Worker pool + workspaces for the evaluate phase (pipeline at
-  /// workers >= 1 only).
+  /// Worker pool + workspaces for the pipeline's evaluate phase: built at
+  /// construction when config_.epoch_workers >= 1, never at 0.
   std::unique_ptr<EpochEngine> epoch_engine_;
 
   graph::Digraph announced_;

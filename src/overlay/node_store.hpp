@@ -12,13 +12,12 @@
 // or donates to a node: holder marking and immediate repair). With them a
 // scale-mode turn costs O(sample + in-degree), not O(n).
 //
-// EpochStore holds the epoch-scoped planes of the snapshot -> evaluate ->
-// merge epoch (EgoistNetwork::run_epoch, overlay/epoch_engine.hpp), one
-// slot per evaluation in evaluation order: the measurement plane the
-// snapshot fills (each slot's node, pool and measured values — a fresh
-// sample in §5 scale mode, the online set in a dense epoch) and the
-// proposal plane the evaluate step writes (proposed wiring row + adoption
-// flags, one disjoint slot each).
+// EpochStore holds the epoch-scoped planes of the §5 scale-mode snapshot
+// -> evaluate -> merge epoch (EgoistNetwork::run_epoch,
+// overlay/epoch_engine.hpp), one slot per evaluation in evaluation order:
+// the measurement plane the snapshot fills (each slot's node, sampled pool
+// and measured values) and the proposal plane the evaluate step writes
+// (proposed wiring row + adoption flags, one disjoint slot each).
 #pragma once
 
 #include <cstdint>

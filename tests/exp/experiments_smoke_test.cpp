@@ -8,6 +8,7 @@
 
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "exp/cli.hpp"
 #include "exp/registry.hpp"
@@ -101,16 +102,17 @@ class TableCollector final : public ResultSink {
 };
 
 TEST(ExperimentsSmokeTest, ScaleFrontierRowPerPolicyAndWorkerCount) {
-  // The epoch-scaling scenario (dense objective, dense underlay), shrunk:
-  // list-valued policy and workers give one row each, and the pipeline
-  // rows of one policy re-wire identically at any worker count.
+  // The epoch-scaling scenario on its dense underlay, shrunk and switched
+  // to scale mode: list-valued policy and workers give one row each, and
+  // the rows of one policy walk one trajectory at every worker count.
   ScenarioSpec spec;
   ASSERT_NO_THROW(spec = load_scenario_file(
                       default_scenario_path("perf_epoch_scaling")));
   EXPECT_EQ(spec.experiment, "scale_frontier");
   for (const auto& [key, value] :
-       Params{{"n-list", "12"}, {"policy", "BR,HybridBR"}, {"br-sample", "0"},
-              {"underlay", "dense"}, {"workers", "0,1,2"}, {"epochs", "2"}}) {
+       Params{{"n-list", "12"}, {"policy", "BR,HybridBR"}, {"br-sample", "4"},
+              {"br-landmarks", "6"}, {"underlay", "dense"},
+              {"workers", "0,1,2"}, {"epochs", "2"}}) {
     spec.set(key, value);
   }
   TableCollector collector;
@@ -134,11 +136,19 @@ TEST(ExperimentsSmokeTest, ScaleFrontierRowPerPolicyAndWorkerCount) {
   }
   for (const std::string policy : {"BR", "HybridBR"}) {
     for (const std::string workers : {"0", "1", "2"}) {
-      EXPECT_EQ(rows.count({policy, workers}), 1u) << policy << " @" << workers;
+      ASSERT_EQ(rows.count({policy, workers}), 1u) << policy << " @" << workers;
     }
-    const auto& one = rows[{policy, "1"}];
-    const auto& two = rows[{policy, "2"}];
-    EXPECT_EQ(one.at("rewirings"), two.at("rewirings")) << policy;
+    const auto& inline_row = rows[{policy, "0"}];
+    EXPECT_GT(std::stoi(inline_row.at("evaluated")), 0) << policy;
+    for (const std::string workers : {"1", "2"}) {
+      const auto& row = rows[{policy, workers}];
+      for (const char* column :
+           {"rewirings", "evaluated", "skipped_evals", "searches_skipped",
+            "dirty_nodes", "mean_cost", "unreachable", "probed_pairs"}) {
+        EXPECT_EQ(row.at(column), inline_row.at(column))
+            << policy << " @" << workers << " " << column;
+      }
+    }
   }
 }
 

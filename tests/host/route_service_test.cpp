@@ -448,6 +448,12 @@ TEST_P(ServeDeterminism, TrajectoriesIdenticalWithAndWithoutReaders) {
   config.seed = 29;
   config.epoch_workers = workers;
   config.incremental = incremental;
+  // Dense mode takes no workers: the pooled instances run §5 scale mode,
+  // so pool threads evaluate beside the readers.
+  if (workers > 0) {
+    config.br_sample = 6;
+    config.br_landmarks = 8;
+  }
   c.spec = host::OverlaySpec(config);
 
   const auto baseline = record_trajectory(c);

@@ -182,8 +182,9 @@ TEST(GoldenTrajectoryTest, ScoresWithoutChurn) {
 }
 
 TEST(GoldenTrajectoryTest, HostSchedules) {
-  // The host's synchronized, parallel-pipeline, and staggered-with-churn
-  // schedules, recorded through the shared trajectory harness.
+  // The host's synchronized and staggered-with-churn dense schedules,
+  // recorded through the shared trajectory harness. The scale-mode
+  // pipeline's host schedule is pinned by ScaleModeOnProceduralUnderlay.
   churn::ChurnConfig churn_config;
   churn_config.mean_on_s = 150.0;
   churn_config.mean_off_s = 50.0;
@@ -196,7 +197,6 @@ TEST(GoldenTrajectoryTest, HostSchedules) {
   };
   const Golden kGolden[] = {
       {"synchronized", 0x91a9cceebf638e77ull},
-      {"pipeline", 0xd079672abf276ea4ull},
       {"staggered", 0x9ea59e759bc18e7full},
   };
   for (const auto& g : kGolden) {
@@ -205,7 +205,6 @@ TEST(GoldenTrajectoryTest, HostSchedules) {
     c.spec = host::OverlaySpec(
         make_config(Policy::kBestResponse, Metric::kDelayPing));
     const std::string schedule = g.schedule;
-    if (schedule == "pipeline") c.spec.workers(2);
     if (schedule == "staggered") {
       c.spec.epoch_period(60.0).staggered(0xBDu).churn(trace);
     }

@@ -2,9 +2,9 @@
 //
 // The contract (overlay/dirty_tracker.hpp): with drift thresholds disabled
 // (exact mode), an incremental overlay's trajectory is bit-identical to the
-// full recompute — across policies, underlay backends, epoch worker counts,
-// and host schedules — because a node is only skipped when its
-// best-response inputs provably did not change. The suites here replay the
+// full recompute — across policies, underlay backends and host schedules —
+// because a node is only skipped when its best-response inputs provably
+// did not change. The suites here replay the
 // same deployments with incremental on and off through the shared
 // determinism harness and diff every epoch.
 //
@@ -83,33 +83,6 @@ TEST(IncrementalEpochTest, SequentialEpochsLockstepAcrossBackendsAndNoise) {
             (quiet ? " / quiet" : " / noisy");
         expect_incremental_lockstep(c, label);
       }
-    }
-  }
-}
-
-TEST(IncrementalEpochTest, PipelineEpochsLockstepAtEveryWorkerCount) {
-  // The pipeline freezes the dirty set at the epoch boundary; in dense mode
-  // its trajectory family differs from the sequential one, so
-  // the reference here is the full-recompute pipeline at the same worker
-  // count — and the incremental pipeline must additionally be worker-count
-  // invariant with itself.
-  for (bool quiet : {false, true}) {
-    DeterminismCase c;
-    c.epochs = 8;
-    c.env = env_config(net::UnderlayKind::kDense, quiet);
-    c.spec = base_spec(Policy::kBestResponse, Metric::kDelayPing).workers(1);
-    const std::string label =
-        std::string("pipeline") + (quiet ? " / quiet" : " / noisy");
-    expect_incremental_lockstep(c, label);
-
-    DeterminismCase one = c;
-    one.spec.incremental(true).workers(1);
-    const Trajectory at_one = record_trajectory(one);
-    for (int workers : {2, 4}) {
-      DeterminismCase many = c;
-      many.spec.incremental(true).workers(workers);
-      expect_same_trajectory(at_one, record_trajectory(many),
-                             label + " @ workers=" + std::to_string(workers));
     }
   }
 }

@@ -1,18 +1,17 @@
 // Determinism stress suite for the parallel BR epoch pipeline.
 //
-// The pipeline's contract (overlay/epoch_engine.hpp): with epoch_workers
-// >= 1, the wiring trajectory is a pure function of the deployment — the
-// worker count only changes wall-clock time; in §5 scale mode workers 0
-// (the pipeline evaluated inline) joins them. This suite pins that down
-// by replaying the same seed at workers in {1, 2, 4, 8} (and 0 in scale
-// mode) across the full configuration matrix — BR and HybridBR, dense and
-// procedural underlay backends, synchronized and staggered-with-churn
-// schedules, dense and §5 sampled scale mode — and requiring bit-identical
-// wiring trajectories, online sets, scores, and re-wiring counts at every
-// epoch.
+// The pipeline's contract (overlay/epoch_engine.hpp): in §5 scale mode
+// the wiring trajectory is a pure function of the deployment — the worker
+// count only changes wall-clock time, workers 0 (the pipeline evaluated
+// inline) included. This suite pins that down by replaying the same seed
+// at workers in {0, 1, 2, 4, 8} across the configuration matrix — BR and
+// HybridBR, delay and bandwidth, dense and procedural underlay backends,
+// synchronized and staggered-with-churn schedules — and requiring
+// bit-identical wiring trajectories, online sets, scores, and re-wiring
+// counts at every epoch. Dense mode keeps the sequential epoch only, so
+// a dense deploy at workers >= 1 is rejected.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <string>
 
 #include "determinism_harness.hpp"
@@ -24,15 +23,20 @@ using host::OverlaySpec;
 using overlay::Metric;
 using overlay::Policy;
 
-constexpr int kWorkerCounts[] = {1, 2, 4, 8};
-/// Scale mode runs the pipeline at workers 0 too, evaluating inline.
-constexpr int kScaleWorkerCounts[] = {0, 1, 2, 4, 8};
+constexpr int kWorkerCounts[] = {0, 1, 2, 4, 8};
 
-OverlaySpec base_spec(Policy policy, Metric metric) {
-  OverlaySpec spec;
-  spec.policy(policy).metric(metric).k(3).seed(99);
-  if (policy == Policy::kHybridBR) spec.donated_links(2);
-  return spec;
+/// §5 scale mode on the default 14-node host: each evaluation samples 6
+/// candidates and scores them against 8 landmarks.
+OverlaySpec scale_spec(Policy policy, Metric metric) {
+  overlay::OverlayConfig config;
+  config.policy = policy;
+  config.metric = metric;
+  config.k = 3;
+  config.seed = 99;
+  config.br_sample = 6;
+  config.br_landmarks = 8;
+  if (policy == Policy::kHybridBR) config.donated_links = 2;
+  return OverlaySpec(config);
 }
 
 overlay::EnvironmentConfig env_config(net::UnderlayKind kind) {
@@ -40,6 +44,10 @@ overlay::EnvironmentConfig env_config(net::UnderlayKind kind) {
   env.underlay = kind;
   if (kind == net::UnderlayKind::kProcedural) env.coord_warmup_rounds = 10;
   return env;
+}
+
+std::string underlay_label(net::UnderlayKind kind) {
+  return kind == net::UnderlayKind::kDense ? "dense" : "procedural";
 }
 
 churn::ChurnTrace make_trace(std::size_t nodes, int epochs) {
@@ -50,15 +58,14 @@ churn::ChurnTrace make_trace(std::size_t nodes, int epochs) {
   return churn::ChurnTrace(nodes, epochs * 60.0, 77, config);
 }
 
-/// Records the case at every worker count in `counts` and requires each
-/// trajectory to equal the workers=1 one, bit for bit.
-void expect_worker_count_invariance(
-    DeterminismCase c, const std::string& label,
-    std::span<const int> counts = kWorkerCounts) {
-  c.spec.workers(1);
+/// Records the case at every worker count in kWorkerCounts and requires
+/// each trajectory to equal the workers=0 one, bit for bit.
+void expect_worker_count_invariance(DeterminismCase c,
+                                    const std::string& label) {
+  c.spec.workers(0);
   const Trajectory reference = record_trajectory(c);
-  for (int workers : counts) {
-    if (workers == 1) continue;
+  for (int workers : kWorkerCounts) {
+    if (workers == 0) continue;
     DeterminismCase parallel = c;
     parallel.spec.workers(workers);
     expect_same_trajectory(reference, record_trajectory(parallel),
@@ -72,12 +79,9 @@ TEST(ParallelEpochTest, SynchronizedEpochsAreWorkerCountInvariant) {
          {net::UnderlayKind::kDense, net::UnderlayKind::kProcedural}) {
       DeterminismCase c;
       c.env = env_config(kind);
-      c.spec = base_spec(policy, Metric::kDelayPing);
-      const std::string label = std::string(to_string(policy)) + " / " +
-                                (kind == net::UnderlayKind::kDense
-                                     ? "dense"
-                                     : "procedural");
-      expect_worker_count_invariance(c, label);
+      c.spec = scale_spec(policy, Metric::kDelayPing);
+      expect_worker_count_invariance(
+          c, std::string(to_string(policy)) + " / " + underlay_label(kind));
     }
   }
 }
@@ -93,16 +97,13 @@ TEST(ParallelEpochTest, StaggeredChurnedEpochsAreWorkerCountInvariant) {
       DeterminismCase c;
       c.epochs = 3;
       c.env = env_config(kind);
-      c.spec = base_spec(policy, Metric::kDelayPing)
+      c.spec = scale_spec(policy, Metric::kDelayPing)
                    .epoch_period(60.0)
                    .staggered(0xBDu)
                    .churn(make_trace(c.nodes, c.epochs));
-      const std::string label = std::string("staggered ") +
-                                to_string(policy) + " / " +
-                                (kind == net::UnderlayKind::kDense
-                                     ? "dense"
-                                     : "procedural");
-      expect_worker_count_invariance(c, label);
+      expect_worker_count_invariance(
+          c, std::string("staggered ") + to_string(policy) + " / " +
+                 underlay_label(kind));
     }
   }
 }
@@ -112,7 +113,7 @@ TEST(ParallelEpochTest, SynchronizedChurnIsWorkerCountInvariant) {
   // sequential and consume RNG) interleave with pipeline epochs.
   DeterminismCase c;
   c.epochs = 4;
-  c.spec = base_spec(Policy::kHybridBR, Metric::kDelayPing)
+  c.spec = scale_spec(Policy::kHybridBR, Metric::kDelayPing)
                .epoch_period(60.0)
                .churn(make_trace(c.nodes, c.epochs));
   expect_worker_count_invariance(c, "synchronized churn HybridBR");
@@ -120,14 +121,13 @@ TEST(ParallelEpochTest, SynchronizedChurnIsWorkerCountInvariant) {
 
 TEST(ParallelEpochTest, BandwidthMetricIsWorkerCountInvariant) {
   DeterminismCase c;
-  c.spec = base_spec(Policy::kBestResponse, Metric::kBandwidth);
+  c.spec = scale_spec(Policy::kBestResponse, Metric::kBandwidth);
   expect_worker_count_invariance(c, "BR bandwidth");
 }
 
 TEST(ParallelEpochTest, ScaleModeIsWorkerCountInvariant) {
-  // §5 sampled scale mode: the snapshot phase draws every sample pool and
-  // landmark set sequentially, and scale mode runs the pipeline at workers
-  // 0 too (evaluating inline), so workers 0 must replay it as well.
+  // The same contract on the sparse measurement plane (threshold 0), at a
+  // larger n with a wider sample and landmark set.
   for (const auto kind :
        {net::UnderlayKind::kDense, net::UnderlayKind::kProcedural}) {
     DeterminismCase c;
@@ -142,43 +142,46 @@ TEST(ParallelEpochTest, ScaleModeIsWorkerCountInvariant) {
     config.br_sample = 8;
     config.br_landmarks = 12;
     c.spec = OverlaySpec(config);
-    expect_worker_count_invariance(
-        c, kind == net::UnderlayKind::kDense ? "scale dense"
-                                             : "scale procedural",
-        kScaleWorkerCounts);
+    expect_worker_count_invariance(c, "scale " + underlay_label(kind));
   }
 }
 
-TEST(ParallelEpochTest, ZipfPreferencesAndCheatersAreWorkerCountInvariant) {
-  // Skewed preferences exercise preference_of() in the workers; cheaters
-  // exercise announced-cost inflation during the sequential merge.
-  DeterminismCase c;
-  c.epochs = 3;
-  c.spec = base_spec(Policy::kBestResponse, Metric::kDelayCoords)
-               .preference_zipf(1.0)
-               .cheaters({2, 5}, 2.0);
-  expect_worker_count_invariance(c, "BR zipf + cheaters");
-}
-
-TEST(ParallelEpochTest, NonBrPoliciesIgnoreTheWorkerKnob) {
-  // The heuristics never enter the pipeline: workers=4 must replay the
-  // sequential (workers=0) trajectory exactly, shuffled epoch order and
-  // all.
-  for (Policy policy : {Policy::kRandom, Policy::kClosest, Policy::kRegular}) {
-    DeterminismCase sequential;
-    sequential.epochs = 3;
-    sequential.spec = base_spec(policy, Metric::kDelayPing).workers(0);
-    DeterminismCase parallel = sequential;
-    parallel.spec.workers(4);
-    expect_same_trajectory(record_trajectory(sequential),
-                           record_trajectory(parallel),
-                           std::string(to_string(policy)) + " ignores workers");
+TEST(ParallelEpochTest, WorkersOutsideScaleModeAreRejected) {
+  // Dense mode keeps the sequential epoch only, so no dense deploy may ask
+  // for workers: every policy throws, naming the knob. Scale mode takes
+  // them.
+  overlay::Environment env(12, 1);
+  for (Policy policy : {Policy::kBestResponse, Policy::kHybridBR,
+                        Policy::kRandom, Policy::kClosest, Policy::kRegular,
+                        Policy::kFullMesh}) {
+    overlay::OverlayConfig config;
+    config.policy = policy;
+    config.k = 3;
+    config.donated_links = 2;
+    config.epoch_workers = 1;
+    try {
+      overlay::EgoistNetwork network(env, config);
+      ADD_FAILURE() << to_string(policy) << " deployed dense at workers 1";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("epoch_workers"),
+                std::string::npos)
+          << e.what();
+    }
   }
+  overlay::OverlayConfig scale;
+  scale.k = 3;
+  scale.br_sample = 4;
+  scale.br_landmarks = 4;
+  scale.epoch_workers = 1;
+  overlay::EgoistNetwork network(env, scale);
+  env.advance(60.0);
+  network.run_epoch();
+  EXPECT_GT(network.total_evaluations(), 0u);
 }
 
 TEST(ParallelEpochTest, PipelineWiringsRespectDegreeAndMembership) {
   DeterminismCase c;
-  c.spec = base_spec(Policy::kHybridBR, Metric::kDelayPing).workers(4);
+  c.spec = scale_spec(Policy::kHybridBR, Metric::kDelayPing).workers(4);
   const auto trajectory = record_trajectory(c);
   for (const auto& epoch : trajectory.wirings) {
     for (const auto& wiring : epoch) {

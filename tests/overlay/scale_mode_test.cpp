@@ -153,19 +153,16 @@ TEST(ScaleModeTest, BoundSkipsSearchesInScaleModeOnly) {
   EXPECT_EQ(scale_run(2), inline_skips);
 
   // Dense mode never bounds: its candidates are every online node.
-  for (const int workers : {0, 2}) {
-    Environment env(30, 9);
-    auto config = scale_config();
-    config.br_sample = 0;
-    config.epoch_workers = workers;
-    EgoistNetwork net(env, config);
-    for (int e = 0; e < 4; ++e) {
-      env.advance(60.0);
-      net.run_epoch();
-    }
-    EXPECT_GT(net.total_evaluations(), 0u);
-    EXPECT_EQ(net.total_searches_skipped(), 0u) << "workers " << workers;
+  Environment env(30, 9);
+  auto config = scale_config();
+  config.br_sample = 0;
+  EgoistNetwork net(env, config);
+  for (int e = 0; e < 4; ++e) {
+    env.advance(60.0);
+    net.run_epoch();
   }
+  EXPECT_GT(net.total_evaluations(), 0u);
+  EXPECT_EQ(net.total_searches_skipped(), 0u);
 }
 
 TEST(ScaleModeTest, StaggeredHostDriverCompletesEpochs) {

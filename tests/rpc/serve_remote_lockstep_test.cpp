@@ -131,9 +131,12 @@ Trajectory record_trajectory_with_server(const DeterminismCase& c,
 }
 
 TEST(ServeRemoteLockstep, SocketServingLeavesTrajectoriesBitIdentical) {
+  // Dense at workers 0, and scale mode on a pool of 2 workers (dense mode
+  // takes no workers).
   for (const int workers : {0, 2}) {
     for (const bool incremental : {false, true}) {
-      const auto c = churned_br_case(workers, incremental);
+      const auto c =
+          churned_br_case(workers, incremental, workers > 0 ? 4 : 0);
       const auto base_label = "workers=" + std::to_string(workers) +
                               " incremental=" + (incremental ? "on" : "off");
       const auto quiet = record_trajectory(c);
@@ -167,7 +170,7 @@ TEST(ServeRemoteLockstep, ServedRunsAreRepeatable) {
   // Two socket-served runs of the same case agree with each other too —
   // the socket layer adds no run-to-run jitter to the simulation, even
   // with the multi-loop fan-out handing UDS connections across threads.
-  const auto c = churned_br_case(2, true);
+  const auto c = churned_br_case(2, true, 4);
   const auto first = record_trajectory_with_server(c, 2, 4);
   const auto second = record_trajectory_with_server(c, 2, 4);
   expect_same_trajectory(first, second, "repeat [rpc::Server attached]");
