@@ -4,9 +4,9 @@
 // the chosen underlay backend (procedural by default — O(n) substrate
 // state, O(1) advance), deploys one BR/HybridBR overlay, runs the
 // requested BR epochs, and reports run_epoch() wall time alongside the
-// memory telemetry that proves the O(n k + probed-pairs) claim: substrate
-// bytes, measurement-plane bytes, probed-pair count, and process peak RSS
-// with its growth during the row.
+// memory telemetry that proves the O(n (k + k2 + br-sample)) claim:
+// substrate bytes, measurement-plane bytes, the pairs the plane holds an
+// EWMA for, and process peak RSS with its growth during the row.
 //
 // `br-sample > 0` is §5 scale mode (sampled candidates x epoch-shared
 // landmark destinations — no O(n^2) residual state); `br-sample = 0` is
@@ -185,7 +185,8 @@ void run_scale_frontier(const ParamReader& params, ResultSink& sink) {
           ", k=" + std::to_string(config.k) + "; br-sample 0 = dense residual "
           "objective); " + std::to_string(epochs) +
           " timed epoch(s) after " + std::to_string(warmup) +
-          " warmup. Memory columns are the O(n k + probed-pairs) evidence.");
+          " warmup. Memory columns are the O(n (k + k2 + br-sample)) "
+          "evidence.");
 
   const std::vector<std::string> kColumns{
       "policy",          "n",               "variant",       "underlay",

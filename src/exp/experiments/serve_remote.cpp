@@ -381,6 +381,11 @@ void run_serve_remote(const ParamReader& params, ResultSink& sink) {
       if (::access(sibling.c_str(), X_OK) == 0) egoistd_bin = sibling;
     }
   }
+  // A missing daemon would only show as an early EOF after the fork.
+  if (!transports.empty() && ::access(egoistd_bin.c_str(), X_OK) != 0) {
+    throw std::runtime_error("egoistd not found or not executable: " +
+                             egoistd_bin + " (build the egoistd target)");
+  }
 
   // Each daemon keeps churning across every one of its remote windows, so
   // its churn trace must cover the worst case; the local overlay runs at

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace egoist::overlay {
 
@@ -32,7 +33,17 @@ std::size_t Substrate::memory_bytes() const {
 namespace {
 
 constexpr std::int32_t kEmptySlot = -1;
-constexpr std::uint32_t kMinRowCapacity = 16;
+
+/// The smallest power-of-two slot count that holds `bound` targets at
+/// <= 3/4 load, so linear probing always finds an empty slot.
+std::uint32_t row_capacity(std::uint32_t bound) {
+  std::uint32_t capacity = 1;
+  while (4 * static_cast<std::uint64_t>(bound) >
+         3 * static_cast<std::uint64_t>(capacity)) {
+    capacity *= 2;
+  }
+  return capacity;
+}
 
 }  // namespace
 
@@ -49,37 +60,48 @@ std::uint32_t Environment::PingRow::find(int target) const {
   return s;
 }
 
-void Environment::PingRow::grow() {
-  const std::uint32_t old_capacity = capacity_;
-  auto old_targets = std::move(targets_);
-  auto old_values = std::move(values_);
-  capacity_ = std::max(kMinRowCapacity, 2 * old_capacity);
+void Environment::PingRow::allocate(std::uint32_t capacity) {
+  capacity_ = capacity;
   targets_ = std::make_unique<std::int32_t[]>(capacity_);
   values_ = std::make_unique<double[]>(capacity_);
   std::fill_n(targets_.get(), capacity_, kEmptySlot);
-  for (std::uint32_t s = 0; s < old_capacity; ++s) {
-    if (old_targets[s] == kEmptySlot) continue;
-    const std::uint32_t to = find(old_targets[s]);
-    targets_[to] = old_targets[s];
-    values_[to] = old_values[s];
-  }
 }
 
-double& Environment::PingRow::ewma(int target) {
-  std::uint32_t s = 0;
-  if (capacity_ > 0) {
-    s = find(target);
-    if (targets_[s] == target) return values_[s];
-  }
-  if (4 * (static_cast<std::size_t>(size_) + 1) >
-      3 * static_cast<std::size_t>(capacity_)) {
-    grow();
-    s = find(target);
+double& Environment::PingRow::ewma(int target, std::uint32_t bound) {
+  const std::uint32_t s = find(target);
+  if (targets_[s] == target) return values_[s];
+  if (size_ >= bound) {
+    throw std::length_error("ping row already holds its bound of targets");
   }
   ++size_;
   targets_[s] = target;
   values_[s] = std::numeric_limits<double>::quiet_NaN();
   return values_[s];
+}
+
+std::uint32_t Environment::PingRow::keep_marked(
+    std::span<const std::uint32_t> marks, std::uint32_t mark,
+    std::vector<std::pair<int, double>>& kept) {
+  kept.clear();
+  for (std::uint32_t s = 0; s < capacity_; ++s) {
+    const std::int32_t target = targets_[s];
+    if (target != kEmptySlot &&
+        marks[static_cast<std::size_t>(target)] == mark) {
+      kept.emplace_back(target, values_[s]);
+    }
+  }
+  const auto dropped = size_ - static_cast<std::uint32_t>(kept.size());
+  if (dropped == 0) return 0;
+  // Linear probing cannot punch holes into a probe chain, so the survivors
+  // re-insert into emptied slots; their values move bit for bit.
+  std::fill_n(targets_.get(), capacity_, kEmptySlot);
+  for (const auto& [target, value] : kept) {
+    const std::uint32_t s = find(target);
+    targets_[s] = target;
+    values_[s] = value;
+  }
+  size_ = static_cast<std::uint32_t>(kept.size());
+  return dropped;
 }
 
 Environment::Environment(std::size_t n, std::uint64_t seed,
@@ -108,6 +130,8 @@ Environment::Environment(std::shared_ptr<Substrate> substrate,
     // calibrated to the dense OU process), so advance() needs no per-pair
     // sweep.
     ping_rows_.resize(n);
+    row_bound_ = static_cast<std::uint32_t>(n);
+    row_capacity_ = row_capacity(row_bound_);
     drift_seed_ = seed ^ 0xD21F7ull;
     drift_tau_ = config.delay_drift_reversion > 0.0
                      ? 1.0 / config.delay_drift_reversion
@@ -143,6 +167,12 @@ double Environment::true_delay(int i, int j) const {
   return base * (1.0 + drift(i, j));
 }
 
+double& Environment::row_ewma(int i, int j) {
+  PingRow& row = ping_rows_[static_cast<std::size_t>(i)];
+  if (!row.allocated()) row.allocate(row_capacity_);
+  return row.ewma(j, row_bound_);
+}
+
 double Environment::measure_delay_ping(int i, int j) {
   const auto& config = substrate_->config();
   // RTT/2 averaged over ping_samples probes; queueing noise only adds. The
@@ -158,7 +188,7 @@ double Environment::measure_delay_ping(int i, int j) {
 
   double& smoothed =
       sparse_plane_
-          ? ping_rows_[static_cast<std::size_t>(i)].ewma(j)
+          ? row_ewma(i, j)
           : ping_smoothed_[static_cast<std::size_t>(i) * size() +
                            static_cast<std::size_t>(j)];
   if (std::isnan(smoothed)) {
@@ -196,11 +226,48 @@ void Environment::advance(double dt) {
   }
 }
 
+void Environment::bound_rows(std::size_t targets) {
+  if (!sparse_plane_) return;
+  const auto bound = static_cast<std::uint32_t>(std::min(targets, size()));
+  if (bound == row_bound_) return;
+  for (const PingRow& row : ping_rows_) {
+    if (row.allocated()) {
+      throw std::logic_error("bound_rows after a row was allocated");
+    }
+  }
+  row_bound_ = bound;
+  row_capacity_ = row_capacity(bound);
+}
+
+void Environment::cut_row(int prober,
+                          std::initializer_list<std::span<const int>> keep) {
+  if (!sparse_plane_) return;
+  PingRow& row = ping_rows_[static_cast<std::size_t>(prober)];
+  if (!row.allocated()) return;
+  if (keep_marks_.empty()) {
+    // Sized once, so the plane's footprint stays fixed from here on.
+    keep_marks_.assign(size(), 0);
+    kept_.reserve(row_bound_);
+  }
+  if (++keep_mark_ == 0) {  // wrapped: no stale mark may match
+    std::fill(keep_marks_.begin(), keep_marks_.end(), 0);
+    keep_mark_ = 1;
+  }
+  for (const auto targets : keep) {
+    for (const int t : targets) {
+      keep_marks_[static_cast<std::size_t>(t)] = keep_mark_;
+    }
+  }
+  probed_pairs_ -= row.keep_marked(keep_marks_, keep_mark_, kept_);
+}
+
 std::size_t Environment::plane_memory_bytes() const {
   if (!sparse_plane_) {
     return (ping_smoothed_.size() + delay_drift_.size()) * sizeof(double);
   }
-  std::size_t bytes = ping_rows_.capacity() * sizeof(PingRow);
+  std::size_t bytes = ping_rows_.capacity() * sizeof(PingRow) +
+                      keep_marks_.capacity() * sizeof(std::uint32_t) +
+                      kept_.capacity() * sizeof(std::pair<int, double>);
   for (const PingRow& row : ping_rows_) bytes += row.slot_bytes();
   return bytes;
 }

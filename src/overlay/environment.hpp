@@ -13,16 +13,24 @@
 // §5 scale regime. Measurement planes follow suit: below
 // sparse_plane_threshold nodes on a dense backend they keep the historical
 // dense per-pair arrays (bit-exact); at scale, or on the procedural
-// backend, each probing node owns one row of EWMAs keyed by the targets it
-// actually probed (an open-addressed table, so a node's probes stay in one
-// cache-resident row), and per-pair delay drift is derived procedurally —
-// O(probed pairs), not O(n^2). A ping reads both directed base delays
-// through one net::DelayField::delay_pair call. Neither choice touches the
-// arithmetic: every EWMA is the dense plane's, bit for bit.
+// backend, each probing node owns one row of EWMAs keyed by its targets (an
+// open-addressed table, so a node's probes stay in one cache-resident row),
+// and per-pair delay drift is derived procedurally. A row is allocated
+// once, at its node's first ping, for the plane's row bound and never
+// reallocates: n targets on a plane nobody bounds, k + k2 + br_sample on a
+// scale-mode overlay's plane, which cuts each row to the node's links and
+// its pool before every measurement (bound_rows, cut_row). Plane memory is
+// then O(n (k + k2 + br_sample)), not O(pairs ever probed). A ping reads
+// both directed base delays through one net::DelayField::delay_pair call.
+// Neither choice touches the arithmetic: every EWMA a row keeps is the
+// dense plane's, bit for bit; a cut target's next ping seeds a fresh one.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "coord/vivaldi.hpp"
@@ -53,7 +61,7 @@ struct EnvironmentConfig {
   net::UnderlayKind underlay = net::UnderlayKind::kDense;
 
   /// Measurement planes switch from the historical dense per-pair arrays
-  /// to sparse probed-pair state at this node count (and always on the
+  /// to sparse per-node EWMA rows at this node count (and always on the
   /// procedural backend). Dense planes below the threshold are bit-exact
   /// with the pre-backend code; sparse planes draw their delay drift from
   /// a procedural hash stream instead of a stateful O(n^2) sweep.
@@ -157,34 +165,62 @@ class Environment {
 
   double now() const { return now_; }
 
+  /// --- Sparse-plane row bound ---
+  /// Caps every sparse row at `targets` EWMAs (at most n; n until set). An
+  /// overlay that cuts its rows before each measurement sets its bound
+  /// here before its first ping. Each row is allocated once, at its node's
+  /// first ping, with the smallest power-of-two capacity that keeps the
+  /// bound at <= 3/4 load; a ping that would take a row past the bound
+  /// throws std::length_error. Throws std::logic_error when a row is
+  /// already allocated under another bound. A no-op on dense planes.
+  void bound_rows(std::size_t targets);
+
+  /// Cuts `prober`'s sparse row to the targets in `keep` (the spans may
+  /// overlap): one pass over the row drops every other EWMA, and the next
+  /// ping of a dropped target seeds a fresh one. The EWMAs it keeps are
+  /// untouched. A no-op on dense planes.
+  void cut_row(int prober, std::initializer_list<std::span<const int>> keep);
+
   /// --- Plane telemetry (scale experiments) ---
-  /// True when this plane holds sparse probed-pair state instead of the
-  /// dense n^2 arrays.
+  /// True when this plane holds sparse per-row state instead of the dense
+  /// n^2 arrays.
   bool sparse_plane() const { return sparse_plane_; }
 
-  /// Directed pairs this plane has pinged at least once.
+  /// Directed pairs this plane holds an EWMA for. Pairs that no cut has
+  /// dropped count once from their first ping on, so a plane that never
+  /// cuts counts every pair it has pinged.
   std::size_t probed_pairs() const { return probed_pairs_; }
 
   /// Bytes of per-pair measurement state. Dense: the EWMA and drift
-  /// arrays. Sparse: the row headers plus every row's allocated slots.
+  /// arrays. Sparse: the row headers, every allocated row's slots and
+  /// cut_row's scratch.
   std::size_t plane_memory_bytes() const;
 
  private:
   /// One probing node's ping EWMAs on the sparse plane: target id -> EWMA
-  /// in an open-addressed table (linear probing, power-of-two capacity
-  /// grown at 3/4 load), held as two parallel slot arrays of 12 bytes a
-  /// slot behind a 24-byte header.
+  /// in an open-addressed table (linear probing, power-of-two capacity),
+  /// held as two parallel slot arrays of 12 bytes a slot behind a 24-byte
+  /// header. The slots are allocated once and never grow.
   class PingRow {
    public:
-    /// The EWMA slot of `target`; a new slot starts at NaN (no sample yet).
-    double& ewma(int target);
+    bool allocated() const { return capacity_ > 0; }
+    /// Gives the row `capacity` empty slots (a power of two).
+    void allocate(std::uint32_t capacity);
+    /// The EWMA slot of `target`; a new slot starts at NaN (no sample
+    /// yet). Throws std::length_error when the row already holds `bound`
+    /// targets.
+    double& ewma(int target, std::uint32_t bound);
+    /// Keeps the targets whose mark in `marks` equals `mark`, re-inserting
+    /// them through `kept`; returns how many targets it dropped.
+    std::uint32_t keep_marked(std::span<const std::uint32_t> marks,
+                              std::uint32_t mark,
+                              std::vector<std::pair<int, double>>& kept);
     std::size_t slot_bytes() const {
       return capacity_ * (sizeof(std::int32_t) + sizeof(double));
     }
 
    private:
     std::uint32_t find(int target) const;
-    void grow();
 
     std::unique_ptr<std::int32_t[]> targets_;  ///< -1 marks an empty slot
     std::unique_ptr<double[]> values_;
@@ -193,6 +229,9 @@ class Environment {
   };
 
   double drift(int i, int j) const;
+  /// `i`'s EWMA slot for `j` on the sparse plane; `i`'s first ping
+  /// allocates its row.
+  double& row_ewma(int i, int j);
 
   std::shared_ptr<Substrate> substrate_;
   net::BandwidthProber bw_probe_;
@@ -203,10 +242,18 @@ class Environment {
   std::vector<double> ping_smoothed_;  ///< per-pair EWMA; NaN = no sample yet
   std::vector<double> delay_drift_;    ///< per-pair relative drift state
 
-  /// Sparse plane: one EWMA row per probing node, holding only the targets
-  /// it probed; drift is a pure function of (plane drift seed, i, j, time)
-  /// — no per-pair state.
+  /// Sparse plane: one EWMA row per probing node, holding at most
+  /// row_bound_ targets in row_capacity_ slots; drift is a pure function of
+  /// (plane drift seed, i, j, time) — no per-pair state.
   std::vector<PingRow> ping_rows_;
+  std::uint32_t row_bound_ = 0;
+  std::uint32_t row_capacity_ = 0;
+  /// cut_row's scratch, sized at the plane's first cut: a target is kept
+  /// when its mark equals keep_mark_, and the survivors re-insert through
+  /// kept_.
+  std::vector<std::uint32_t> keep_marks_;
+  std::uint32_t keep_mark_ = 0;
+  std::vector<std::pair<int, double>> kept_;
   std::uint64_t drift_seed_ = 0;
   double drift_amp_ = 0.0;
   double drift_tau_ = 1.0;

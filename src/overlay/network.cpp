@@ -141,6 +141,12 @@ EgoistNetwork::EgoistNetwork(Environment& env, OverlayConfig config)
   if (config_.epoch_workers >= 1) {
     epoch_engine_ = std::make_unique<EpochEngine>(config_.epoch_workers);
   }
+  if (scale_mode()) {
+    // measure() cuts a node's row to its links and its pool, so no row
+    // holds more than k + k2 + br_sample targets.
+    env_.bound_rows(config_.k + donated_capacity(config_, env.size()) +
+                    config_.br_sample);
+  }
   // Incremental bootstrap: nodes join one at a time (id order), each wiring
   // itself against the overlay built so far...
   for (std::size_t v = 0; v < env.size(); ++v) {
@@ -188,6 +194,9 @@ void EgoistNetwork::set_online(int node, bool online) {
     announced_.clear_out_edges(node);
     store_.clear_wiring(v);
     store_.clear_donated(v);
+    // So do its measurements: a scale-mode row keeps the node's links,
+    // and it has none left, so a rejoining node pings afresh.
+    if (scale_mode()) env_.cut_row(node, {});
   } else {
     // A (re)joining node first connects to a bootstrap node only (§3.1);
     // its full policy wiring is computed at its next wiring-epoch turn.
@@ -248,6 +257,12 @@ double EgoistNetwork::unmeasured() const {
 
 EgoistNetwork::Measurement EgoistNetwork::measure(int node,
                                                   std::vector<NodeId> pool) {
+  if (scale_mode()) {
+    // A node keeps EWMAs for what it monitors (§3.3, §4.1): its links and
+    // the pool it is about to ping. Everything else leaves its row.
+    const auto v = static_cast<std::size_t>(node);
+    env_.cut_row(node, {pool, store_.wiring(v), store_.donated(v)});
+  }
   std::vector<double> values(pool.size(), unmeasured());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     const NodeId v = pool[i];

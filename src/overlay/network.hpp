@@ -221,8 +221,9 @@ class EgoistNetwork {
   /// Measures `node`'s links to `pool`, probing in pool order. The node
   /// itself and offline members are not probed and hold the metric's
   /// unmeasured value. The pool is every online node in dense mode and a
-  /// sample in scale mode (what keeps the scale-mode measurement plane at
-  /// O(probed pairs)).
+  /// sample in scale mode. Scale mode first cuts the node's ping row to
+  /// the pool plus its wiring and donated links, which bounds the plane at
+  /// k + k2 + br_sample EWMAs a node.
   Measurement measure(int node, std::vector<NodeId> pool);
 
   /// The value of a link nobody measured: kUnreachable, or 0 for

@@ -1,6 +1,7 @@
 // Measurement-plane contract tests for the underlay-backend seam: dense
 // planes keep the historical n^2 layout below the threshold, sparse planes
-// key state by probed pairs (and derive drift procedurally), and
+// keep one fixed-capacity EWMA row per probing node (and derive drift
+// procedurally), a cut row keeps its surviving EWMAs bit for bit, and
 // identically-seeded planes on one substrate stay in lockstep on either
 // backend.
 #include "overlay/environment.hpp"
@@ -9,6 +10,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -56,9 +59,10 @@ TEST(EnvironmentPlaneTest, DenseAndSparsePlanesAgreeOnPingValues) {
 }
 
 TEST(EnvironmentPlaneTest, SparseRowsGrowAndKeepEveryEwmaBitForBit) {
-  // The per-node rows rehash as they double; every EWMA must survive each
-  // doubling bit for bit. Random probe order with re-probes, and some
-  // nodes probing every target, so rows grow from 16 slots to 512.
+  // A plane nobody bounds gives each row room for all n targets at its
+  // node's first ping; every EWMA must match the dense plane's bit for
+  // bit as the rows fill. Random probe order with re-probes, and some
+  // nodes probing every target, so some rows fill to n.
   constexpr int kN = 300;
   EnvironmentConfig dense;
   dense.coord_warmup_rounds = 5;
@@ -100,19 +104,50 @@ TEST(EnvironmentPlaneTest, SparseRowsGrowAndKeepEveryEwmaBitForBit) {
   EXPECT_EQ(dense_env.probed_pairs(), static_cast<std::size_t>(kN) * kN);
 }
 
-TEST(EnvironmentPlaneTest, SparsePlaneMemoryTracksProbedPairs) {
+TEST(EnvironmentPlaneTest, SparseRowFilledToItsBoundKeepsPlaneMemory) {
+  // A row is allocated once, at its node's first ping, with room for the
+  // plane's row bound: filling it to the bound, re-probing it, or cutting
+  // and refilling it allocates nothing more, and a target past the bound
+  // is refused.
   Environment env(200, 7, sparse_config(net::UnderlayKind::kProcedural));
   ASSERT_TRUE(env.sparse_plane());
+  env.bound_rows(20);
   EXPECT_EQ(env.probed_pairs(), 0u);
   const std::size_t empty_bytes = env.plane_memory_bytes();
-  for (int j = 1; j <= 20; ++j) env.measure_delay_ping(0, j);
-  EXPECT_EQ(env.probed_pairs(), 20u);
-  EXPECT_GT(env.plane_memory_bytes(), empty_bytes);
-  // Re-probing existing pairs allocates nothing new.
+  env.measure_delay_ping(0, 1);
   const std::size_t bytes = env.plane_memory_bytes();
+  EXPECT_GT(bytes, empty_bytes);
+  for (int j = 2; j <= 20; ++j) env.measure_delay_ping(0, j);
+  EXPECT_EQ(env.probed_pairs(), 20u);
+  EXPECT_EQ(env.plane_memory_bytes(), bytes);
   for (int j = 1; j <= 20; ++j) env.measure_delay_ping(0, j);
   EXPECT_EQ(env.probed_pairs(), 20u);
   EXPECT_EQ(env.plane_memory_bytes(), bytes);
+  EXPECT_THROW(env.measure_delay_ping(0, 21), std::length_error);
+  EXPECT_EQ(env.probed_pairs(), 20u);
+
+  // The first cut sizes the plane's per-target marks once; refilling the
+  // cut row to its bound then reuses its slots.
+  const std::vector<int> keep{1, 2};
+  env.cut_row(0, {keep, keep});
+  EXPECT_EQ(env.probed_pairs(), 2u);
+  const std::size_t cut_bytes = env.plane_memory_bytes();
+  for (int j = 30; j < 48; ++j) env.measure_delay_ping(0, j);
+  EXPECT_EQ(env.probed_pairs(), 20u);
+  EXPECT_EQ(env.plane_memory_bytes(), cut_bytes);
+  env.cut_row(0, {keep});
+  EXPECT_EQ(env.plane_memory_bytes(), cut_bytes);
+  // Rows allocated under one bound cannot take another.
+  EXPECT_THROW(env.bound_rows(30), std::logic_error);
+  EXPECT_NO_THROW(env.bound_rows(20));
+
+  // A plane nobody bounds sizes each row for all n targets.
+  Environment open(200, 7, sparse_config(net::UnderlayKind::kProcedural));
+  open.measure_delay_ping(0, 1);
+  const std::size_t open_bytes = open.plane_memory_bytes();
+  for (int j = 0; j < 200; ++j) open.measure_delay_ping(0, j);
+  EXPECT_EQ(open.probed_pairs(), 200u);
+  EXPECT_EQ(open.plane_memory_bytes(), open_bytes);
 
   // The dense plane at the same n would hold 2 * n^2 doubles.
   EnvironmentConfig dense;
@@ -121,6 +156,85 @@ TEST(EnvironmentPlaneTest, SparsePlaneMemoryTracksProbedPairs) {
   ASSERT_FALSE(dense_env.sparse_plane());
   EXPECT_EQ(dense_env.plane_memory_bytes(), 2u * 200 * 200 * sizeof(double));
   EXPECT_LT(bytes * 100, dense_env.plane_memory_bytes());
+}
+
+TEST(EnvironmentPlaneTest, CutRowsKeepTheirEwmasBitForBit) {
+  // Two identically seeded planes get the same pings; one cuts each
+  // prober's row to a random kept set after the first rounds. Every EWMA
+  // the cut keeps must read back bit for bit as on the uncut plane, through
+  // further pings and substrate advances.
+  constexpr int kN = 64;
+  constexpr int kProbers = 6;
+  Environment cut(kN, 23, sparse_config(net::UnderlayKind::kProcedural));
+  Environment uncut(kN, 23, sparse_config(net::UnderlayKind::kProcedural));
+  const auto ping_both = [&](int i, int j) {
+    const double a = cut.measure_delay_ping(i, j);
+    const double b = uncut.measure_delay_ping(i, j);
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << i << "->" << j;
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < kProbers; ++i) {
+      for (int j = 0; j < kN; ++j) ping_both(i, j);
+    }
+    cut.advance(30.0);
+    uncut.advance(30.0);
+  }
+
+  util::Rng rng(8);
+  std::vector<std::vector<int>> kept(kProbers);
+  std::size_t held = 0;
+  for (int i = 0; i < kProbers; ++i) {
+    std::vector<int> targets(kN);
+    for (int j = 0; j < kN; ++j) targets[static_cast<std::size_t>(j)] = j;
+    kept[static_cast<std::size_t>(i)] = rng.sample_without_replacement(
+        std::span<const int>(targets), static_cast<std::size_t>(4 + 2 * i));
+    // Overlapping spans, as the overlay passes its pool and its links.
+    const auto& keep = kept[static_cast<std::size_t>(i)];
+    const std::span<const int> head(keep.data(), keep.size() / 2 + 1);
+    cut.cut_row(i, {keep, head});
+    held += keep.size();
+  }
+  EXPECT_EQ(cut.probed_pairs(), held);
+  EXPECT_EQ(uncut.probed_pairs(), static_cast<std::size_t>(kProbers) * kN);
+
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < kProbers; ++i) {
+      for (const int j : kept[static_cast<std::size_t>(i)]) ping_both(i, j);
+    }
+    cut.advance(30.0);
+    uncut.advance(30.0);
+  }
+  EXPECT_EQ(cut.probed_pairs(), held);
+}
+
+TEST(EnvironmentPlaneTest, CutTargetSeedsAFreshEwma) {
+  // After a cut, the next ping of a dropped target starts from its own
+  // sample, while the uncut plane folds the same sample into its EWMA.
+  Environment cut(32, 5, sparse_config(net::UnderlayKind::kProcedural));
+  Environment uncut(32, 5, sparse_config(net::UnderlayKind::kProcedural));
+  for (int round = 0; round < 3; ++round) {
+    cut.measure_delay_ping(0, 5);
+    cut.measure_delay_ping(0, 6);
+    uncut.measure_delay_ping(0, 5);
+    uncut.measure_delay_ping(0, 6);
+    cut.advance(60.0);
+    uncut.advance(60.0);
+  }
+  const double before = uncut.measure_delay_ping(0, 5);
+  EXPECT_EQ(cut.measure_delay_ping(0, 5), before);
+  const std::vector<int> keep{6};
+  cut.cut_row(0, {keep});
+  EXPECT_EQ(cut.probed_pairs(), 1u);
+
+  const double fresh = cut.measure_delay_ping(0, 5);
+  const double smoothed = uncut.measure_delay_ping(0, 5);
+  EXPECT_EQ(cut.probed_pairs(), 2u);
+  EXPECT_NE(fresh, smoothed);
+  // The uncut EWMA is 0.7 * before + 0.3 * sample, and the fresh one is
+  // the sample itself.
+  EXPECT_DOUBLE_EQ(smoothed, 0.7 * before + 0.3 * fresh);
+  // The kept target still agrees.
+  EXPECT_EQ(cut.measure_delay_ping(0, 6), uncut.measure_delay_ping(0, 6));
 }
 
 TEST(EnvironmentPlaneTest, ProceduralDriftIsBoundedAndMoves) {

@@ -248,12 +248,12 @@ TEST(GoldenTrajectoryTest, ScaleModeOnProceduralUnderlay) {
   // digests equal the full recompute's: the exact-mode contract. HybridBR's
   // tolerance mode keeps every node dirty here too.
   const Golden kGolden[] = {
-      {Policy::kBestResponse, "full", 0xdc13e7dc85b83660ull},
-      {Policy::kBestResponse, "exact", 0xdc13e7dc85b83660ull},
+      {Policy::kBestResponse, "full", 0x0dc63cc3b4620941ull},
+      {Policy::kBestResponse, "exact", 0x0dc63cc3b4620941ull},
       {Policy::kBestResponse, "tolerance", 0xa5bf2db899c7193cull},
-      {Policy::kHybridBR, "full", 0x896777aced9909a2ull},
-      {Policy::kHybridBR, "exact", 0x896777aced9909a2ull},
-      {Policy::kHybridBR, "tolerance", 0x896777aced9909a2ull},
+      {Policy::kHybridBR, "full", 0xd8a89346342d76a2ull},
+      {Policy::kHybridBR, "exact", 0xd8a89346342d76a2ull},
+      {Policy::kHybridBR, "tolerance", 0xd8a89346342d76a2ull},
   };
   for (const auto& g : kGolden) {
     auto c = scale_case(g.policy, net::UnderlayKind::kProcedural);
@@ -270,8 +270,8 @@ TEST(GoldenTrajectoryTest, ScaleModeStaggeredAndDense) {
   auto staggered = scale_case(Policy::kBestResponse,
                               net::UnderlayKind::kProcedural);
   staggered.spec.epoch_period(60.0).staggered(0xBDu);
-  expect_digest("scale mode / BR staggered", 0xc9c3540d085d3d0dull,
-                [&] { return egoist::testing::record_trajectory(staggered); });
+  expect_digest_at_every_worker_count("scale mode / BR staggered",
+                                      0xa957f8825ea371fbull, staggered);
 
   const auto dense = scale_case(Policy::kBestResponse,
                                 net::UnderlayKind::kDense);
@@ -303,14 +303,14 @@ TEST(GoldenTrajectoryTest, ScaleModeMetricsAndRepairs) {
   auto staggered = scale_case(Policy::kBestResponse,
                               net::UnderlayKind::kProcedural);
   staggered.spec.epoch_period(60.0).staggered(0xBDu).incremental(true, 0.05);
-  expect_digest("scale mode / BR staggered tolerance", 0xe8fff044e4dc3d57ull,
-                [&] { return egoist::testing::record_trajectory(staggered); });
+  expect_digest_at_every_worker_count("scale mode / BR staggered tolerance",
+                                      0x379499a0d86ee799ull, staggered);
 
   auto immediate = scale_case(Policy::kBestResponse,
                               net::UnderlayKind::kProcedural);
   immediate.spec.rewire_mode(RewireMode::kImmediate);
-  expect_digest("scale mode / BR immediate rewire", 0x76553639a0c2a3eeull,
-                [&] { return egoist::testing::record_trajectory(immediate); });
+  expect_digest_at_every_worker_count("scale mode / BR immediate rewire",
+                                      0x04ec296070af2e77ull, immediate);
 }
 
 }  // namespace

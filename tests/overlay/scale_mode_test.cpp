@@ -1,12 +1,14 @@
 // §5 scale-mode contract tests: sampled BR epochs are deterministic,
-// respect k, keep the measurement plane at O(probed pairs), work on both
-// backends and in the staggered host mode, and the config guards reject
-// unsupported combinations.
+// respect k, keep the measurement plane at k + k2 + br_sample EWMAs a node
+// under churn, work on both backends and in the staggered host mode, and
+// the config guards reject unsupported combinations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "host/overlay_host.hpp"
+#include "util/rng.hpp"
 
 namespace egoist::overlay {
 namespace {
@@ -90,6 +92,56 @@ TEST(ScaleModeTest, MeasurementStaysWithinSampledPairs) {
   const std::size_t per_node_budget = 3 * (config.br_sample + config.k + 1);
   EXPECT_LT(env.probed_pairs(), kN * per_node_budget);
   EXPECT_LT(env.probed_pairs(), kN * (kN - 1) / 2);
+}
+
+TEST(ScaleModeTest, PlaneStaysBoundedUnderChurn) {
+  // Each measurement cuts the prober's row to its links and its pool, so
+  // under joins and leaves the plane never holds more than
+  // n (k + k2 + br_sample) EWMAs, and its rows, allocated at the first
+  // ping, never reallocate. Workers 0 and 2 walk one trajectory.
+  constexpr std::size_t kN = 120;
+  constexpr int kEpochs = 32;
+  for (const auto policy : {Policy::kBestResponse, Policy::kHybridBR}) {
+    auto config = scale_config(policy);
+    config.donated_links = 2;
+    const std::size_t k2 = policy == Policy::kHybridBR ? 2 : 0;
+    const std::size_t bound = kN * (config.k + k2 + config.br_sample);
+    Environment env0(kN, 31, scale_env(net::UnderlayKind::kProcedural));
+    Environment env2(kN, 31, scale_env(net::UnderlayKind::kProcedural));
+    config.epoch_workers = 0;
+    EgoistNetwork net0(env0, config);
+    config.epoch_workers = 2;
+    EgoistNetwork net2(env2, config);
+    util::Rng churn(19);
+    std::size_t plane_bytes = 0;
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
+      const std::string label =
+          std::string(to_string(policy)) + " epoch " + std::to_string(epoch);
+      // Every epoch ~6 nodes flip: leaves, and rejoins of earlier leavers.
+      for (int flip = 0; flip < 6; ++flip) {
+        const int v = static_cast<int>(churn.uniform_int(0, kN - 1));
+        const bool online = !net0.is_online(v);
+        if (!online && net0.online_count() <= kN / 2) continue;
+        net0.set_online(v, online);
+        net2.set_online(v, online);
+      }
+      env0.advance(60.0);
+      env2.advance(60.0);
+      net0.run_epoch();
+      net2.run_epoch();
+      EXPECT_LE(env0.probed_pairs(), bound) << label;
+      if (epoch == 0) plane_bytes = env0.plane_memory_bytes();
+      EXPECT_EQ(env0.plane_memory_bytes(), plane_bytes) << label;
+      EXPECT_EQ(env2.probed_pairs(), env0.probed_pairs()) << label;
+      for (int v = 0; v < static_cast<int>(kN); ++v) {
+        const auto w0 = net0.wiring(v);
+        const auto w2 = net2.wiring(v);
+        ASSERT_TRUE(std::equal(w0.begin(), w0.end(), w2.begin(), w2.end()))
+            << label << " node " << v;
+      }
+    }
+    EXPECT_LT(net0.online_count(), kN);
+  }
 }
 
 TEST(ScaleModeTest, HybridBRKeepsDonatedBackboneLinks) {
