@@ -1,19 +1,25 @@
 // Google-benchmark microbenchmarks for the algorithmic hot paths: the
-// best-response local search, shortest/widest path computations, max-flow,
-// LSA flooding and Vivaldi updates. These back the scalability discussion
-// in Section 5 (local-search cost is the binding constraint at large n).
+// best-response local search, shortest/widest path computations, the
+// scale-mode landmark rows, max-flow, LSA flooding and Vivaldi updates.
+// These back the scalability discussion in Section 5 (local-search cost is
+// the binding constraint at large n).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <numeric>
 
 #include "core/policies.hpp"
 #include "core/residual.hpp"
 #include "core/sampling.hpp"
 #include "coord/vivaldi.hpp"
+#include "graph/csr_graph.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/shortest_path.hpp"
 #include "graph/widest_path.hpp"
 #include "net/delay_space.hpp"
 #include "proto/link_state.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -99,6 +105,80 @@ void BM_WidestPaths(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WidestPaths)->Arg(50)->Arg(295);
+
+/// Random k-out overlay with weights uniform in [1, 200) ms. No delay
+/// space: its n^2 values would dwarf the overlay at n = 5000.
+graph::Digraph make_random_overlay(std::size_t n, std::size_t k,
+                                   std::uint64_t seed) {
+  util::Rng rng(seed);
+  graph::Digraph g(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto uid = static_cast<graph::NodeId>(u);
+    while (g.out_edges(uid).size() < k) {
+      const auto v = static_cast<graph::NodeId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      if (v != uid) g.set_edge(uid, v, rng.uniform(1.0, 200.0));
+    }
+  }
+  return g;
+}
+
+void BM_LandmarkRows(benchmark::State& state) {
+  // Scale mode's landmark refresh: every node's distance to 64 landmarks
+  // over a k=10 overlay. searches=0 times one graph::paths_to pass over the
+  // in-edges; searches=1 times what that pass replaced, one CsrSearch per
+  // landmark on the reversed graph plus the strided copy into the n x 64
+  // matrix. Both fill the same matrix bit for bit.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool searches = state.range(1) != 0;
+  const auto g = make_random_overlay(n, 10, 29);
+  graph::Digraph reversed(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (const graph::Edge& e : g.out_edges(static_cast<graph::NodeId>(u))) {
+      reversed.set_edge(e.to, static_cast<graph::NodeId>(u), e.weight);
+    }
+  }
+  std::vector<graph::NodeId> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  util::Rng rng(31);
+  auto landmarks =
+      rng.sample_without_replacement(std::span<const graph::NodeId>(ids), 64);
+  std::sort(landmarks.begin(), landmarks.end());
+
+  const graph::CsrGraph in_csr(g, graph::CsrSides::kIn);
+  const graph::CsrGraph reversed_csr(reversed, graph::CsrSides::kOut);
+  graph::DistanceMatrix dist;
+  graph::CsrSearch search;
+  graph::PathsToStats stats;
+  for (auto _ : state) {
+    if (searches) {
+      dist.reshape(n, landmarks.size());
+      for (std::size_t c = 0; c < landmarks.size(); ++c) {
+        search.run(reversed_csr, landmarks[c]);
+        for (std::size_t v = 0; v < n; ++v) {
+          dist(v, c) = search.dist(static_cast<graph::NodeId>(v));
+        }
+      }
+    } else {
+      stats = graph::paths_to(in_csr, landmarks, false, dist);
+    }
+    benchmark::DoNotOptimize(dist.row(0).data());
+    benchmark::ClobberMemory();
+  }
+  if (!searches) {
+    state.counters["rounds"] = static_cast<double>(stats.rounds);
+    state.counters["relaxations_per_edge"] =
+        static_cast<double>(stats.row_relaxations) /
+        static_cast<double>(in_csr.edge_count());
+  }
+}
+BENCHMARK(BM_LandmarkRows)
+    ->ArgNames({"n", "searches"})
+    ->Args({2000, 0})
+    ->Args({2000, 1})
+    ->Args({5000, 0})
+    ->Args({5000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BestResponseLocalSearch(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,7 @@
 #include "graph/csr_graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "graph/semiring.hpp"
@@ -59,8 +60,8 @@ void CsrGraph::rebuild(const Digraph& g, CsrSides sides) {
   }
 
   if (has_in_edges()) {
-    // Reverse CSR (counting sort by target): repair seeds and in-edge
-    // searches scan the edges *entering* a node.
+    // Reverse CSR (counting sort by target): repair seeds and paths_to
+    // scan the edges *entering* a node.
     in_offset_.assign(n + 1, 0);
     for_each_kept_edge(g, active_, [&](std::size_t, const Edge& e) {
       ++in_offset_[static_cast<std::size_t>(e.to) + 1];
@@ -146,7 +147,7 @@ void CsrSearch::sift_down(std::size_t i) {
       static_cast<std::int32_t>(i);
 }
 
-template <bool kWidest, bool kInEdges>
+template <bool kWidest>
 void CsrSearch::search(const CsrGraph& g, NodeId src, NodeId stop_at) {
   const auto better = detail::make_better(std::bool_constant<kWidest>{});
   const auto s = static_cast<std::size_t>(src);
@@ -169,10 +170,8 @@ void CsrSearch::search(const CsrGraph& g, NodeId src, NodeId stop_at) {
     // First hop: the neighbour itself when relaxing from the source (whose
     // own hop is -1), else the settled node's own first hop.
     const NodeId hop = slot_[static_cast<std::size_t>(top.node)].hop;
-    const std::span<const NodeId> ends =
-        kInEdges ? g.in_sources(top.node) : g.out_targets(top.node);
-    const std::span<const double> weights =
-        kInEdges ? g.in_weights(top.node) : g.out_weights(top.node);
+    const std::span<const NodeId> ends = g.out_targets(top.node);
+    const std::span<const double> weights = g.out_weights(top.node);
     for (std::size_t i = 0; i < ends.size(); ++i) {
       const double candidate = detail::combine<kWidest>(top.key, weights[i]);
       Slot& next = slot_[static_cast<std::size_t>(ends[i])];
@@ -197,10 +196,8 @@ void CsrSearch::search(const CsrGraph& g, NodeId src, NodeId stop_at) {
 }
 
 void CsrSearch::run(const CsrGraph& g, NodeId src, Request request) {
-  if (request.in_edges ? !g.has_in_edges() : !g.has_out_edges()) {
-    throw CsrSideNotBuilt(request.in_edges
-                              ? "CsrSearch: graph has no in-edges"
-                              : "CsrSearch: graph has no out-edges");
+  if (!g.has_out_edges()) {
+    throw CsrSideNotBuilt("CsrSearch: graph has no out-edges");
   }
   g.check_node(src);
   if (request.stop_at != kNoTarget) g.check_node(request.stop_at);
@@ -212,15 +209,9 @@ void CsrSearch::run(const CsrGraph& g, NodeId src, Request request) {
       request.widest ? detail::init_value<true>() : detail::init_value<false>();
   if (!g.is_active(src)) return;
   if (request.widest) {
-    if (request.in_edges) {
-      search<true, true>(g, src, request.stop_at);
-    } else {
-      search<true, false>(g, src, request.stop_at);
-    }
-  } else if (request.in_edges) {
-    search<false, true>(g, src, request.stop_at);
+    search<true>(g, src, request.stop_at);
   } else {
-    search<false, false>(g, src, request.stop_at);
+    search<false>(g, src, request.stop_at);
   }
 }
 
@@ -230,6 +221,86 @@ std::vector<NodeId> CsrSearch::path_to(NodeId v) const {
   for (NodeId x = v; x != -1; x = parent(x)) path.push_back(x);
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+namespace {
+
+/// Relaxes the row `to` of an edge's source through the edge, lane by
+/// lane, from the row `from` of its target; returns whether any lane
+/// changed. The change flag ORs the bit differences of each lane's old and
+/// new value: GCC vectorizes that loop, where a bool or a count of changed
+/// lanes keeps it scalar.
+template <bool kWidest>
+bool relax_row(const double* from, double weight, double* to,
+               std::size_t lanes) {
+  const auto better = detail::make_better(std::bool_constant<kWidest>{});
+  std::uint64_t changed = 0;
+  for (std::size_t c = 0; c < lanes; ++c) {
+    const double old = to[c];
+    const double candidate = detail::combine<kWidest>(from[c], weight);
+    const double next = better(candidate, old) ? candidate : old;
+    changed |= std::bit_cast<std::uint64_t>(next) ^
+               std::bit_cast<std::uint64_t>(old);
+    to[c] = next;
+  }
+  return changed != 0;
+}
+
+template <bool kWidest>
+PathsToStats label_correct(const CsrGraph& g, std::span<const NodeId> targets,
+                           DistanceMatrix& out) {
+  const std::size_t lanes = targets.size();
+  out.reset(g.node_count(), lanes, detail::init_value<kWidest>());
+  // `listed`: the row waits in this round's frontier (unvisited yet) or in
+  // the next one. A row changed before its visit this round is read then,
+  // so it is not listed twice.
+  std::vector<std::uint8_t> listed(g.node_count(), 0);
+  std::vector<NodeId> frontier;
+  std::vector<NodeId> next;
+  for (std::size_t c = 0; c < lanes; ++c) {
+    const auto t = static_cast<std::size_t>(targets[c]);
+    if (!g.is_active(targets[c])) continue;
+    out(t, c) = detail::source_value<kWidest>();
+    if (!listed[t]) {
+      listed[t] = 1;
+      frontier.push_back(targets[c]);
+    }
+  }
+
+  PathsToStats stats;
+  while (!frontier.empty()) {
+    ++stats.rounds;
+    for (const NodeId u : frontier) {
+      listed[static_cast<std::size_t>(u)] = 0;
+      const double* from = out.row(static_cast<std::size_t>(u)).data();
+      const std::span<const NodeId> sources = g.in_sources(u);
+      const std::span<const double> weights = g.in_weights(u);
+      stats.row_relaxations += sources.size();
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        const auto s = static_cast<std::size_t>(sources[i]);
+        if (relax_row<kWidest>(from, weights[i], out.row(s).data(), lanes) &&
+            !listed[s]) {
+          listed[s] = 1;
+          next.push_back(sources[i]);
+        }
+      }
+    }
+    frontier.swap(next);
+    next.clear();
+  }
+  return stats;
+}
+
+}  // namespace
+
+PathsToStats paths_to(const CsrGraph& g, std::span<const NodeId> targets,
+                      bool widest, DistanceMatrix& out) {
+  if (!g.has_in_edges()) {
+    throw CsrSideNotBuilt("paths_to: graph has no in-edges");
+  }
+  for (const NodeId t : targets) g.check_node(t);
+  return widest ? label_correct<true>(g, targets, out)
+                : label_correct<false>(g, targets, out);
 }
 
 }  // namespace egoist::graph

@@ -1,25 +1,31 @@
-// A flat compressed-sparse-row snapshot of a Digraph, and the one
-// single-source search over it.
+// A flat compressed-sparse-row snapshot of a Digraph, the one
+// single-source search over it, and the one many-target pass over it.
 //
 // CsrGraph stores forward and reverse offset / endpoint / weight arrays
 // plus an active bitmap, rebuilt in place from a Digraph. Edge-weight
 // validation and inactive-endpoint filtering happen once at build time
 // instead of inside every relaxation. A caller that walks one direction
-// only builds that side (serving walks out-edges, the landmark refresh
-// in-edges); PathEngine builds both.
+// only builds that side (serving walks out-edges, paths_to in-edges);
+// PathEngine builds both.
 //
-// CsrSearch is a Dijkstra over that snapshot, for either fold (shortest
-// or widest paths), along out-edges (paths from the source) or in-edges
-// (paths to it), optionally stopping once one target is settled. Its heap
-// is an indexed 4-ary heap ordered by (value, node id): the exact pop
-// order of graph::dijkstra's and graph::widest_paths' std::priority_queue
-// over (value, id) pairs. Both relax only on a strict improvement, so a
-// full run reproduces the reference's values *and* parent arrays bit for
-// bit, and an in-edge run reproduces the reference on the explicitly
-// reversed graph. Once the target is popped, its value, parent chain and
-// first hop are final (every later pop is no better, and only a strictly
-// better value rewrites them), so a stopped run answers exactly what the
-// full row would. tests/graph/csr_search_test.cpp holds the references.
+// CsrSearch is a Dijkstra over that snapshot along out-edges, for either
+// fold (shortest or widest paths), optionally stopping once one target is
+// settled. Its heap is an indexed 4-ary heap ordered by (value, node id):
+// the exact pop order of graph::dijkstra's and graph::widest_paths'
+// std::priority_queue over (value, id) pairs. Both relax only on a strict
+// improvement, so a full run reproduces the reference's values *and*
+// parent arrays bit for bit. Once the target is popped, its value, parent
+// chain and first hop are final (every later pop is no better, and only a
+// strictly better value rewrites them), so a stopped run answers exactly
+// what the full row would.
+//
+// paths_to fills every node's values towards L targets at once: one
+// label-correcting pass over the in-edges that relaxes whole L-wide rows.
+// Each value is the fold's min (or max) over paths, which no visit order
+// changes, so every lane equals graph::dijkstra / graph::widest_paths from
+// its target on the reversed graph bit for bit.
+// tests/graph/csr_search_test.cpp and tests/graph/paths_to_test.cpp hold
+// the references.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +35,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
+#include "graph/distance_matrix.hpp"
 #include "graph/shortest_path.hpp"
 
 namespace egoist::graph {
@@ -37,7 +44,8 @@ namespace egoist::graph {
 /// in-edges (walks towards it), or both.
 enum class CsrSides : std::uint8_t { kOut, kIn, kBoth };
 
-/// Thrown by CsrSearch::run when asked to walk a side its graph lacks.
+/// Thrown by CsrSearch::run and paths_to when asked to walk a side their
+/// graph lacks.
 class CsrSideNotBuilt : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -118,30 +126,28 @@ class CsrGraph {
 /// Passed as CsrSearch::Request::stop_at to run a search to completion.
 inline constexpr NodeId kNoTarget = -1;
 
-/// Single-source shortest or widest paths over a CsrGraph, on caller-owned
-/// scratch. Per node the scratch holds the value, the tree parent, the
-/// first hop (the node next to the source on the tree path), the heap
-/// position and a generation stamp. The stamp is bumped per run and never
-/// reset, so a node not touched by the latest run reads as unreached, and
-/// one CsrSearch may serve any sequence of graphs and sizes. Steady-state
-/// runs allocate nothing. Not thread-safe: one CsrSearch per thread.
+/// Single-source shortest or widest paths along the out-edges of a
+/// CsrGraph, on caller-owned scratch. Per node the scratch holds the value,
+/// the tree parent, the first hop (the node next to the source on the tree
+/// path), the heap position and a generation stamp. The stamp is bumped per
+/// run and never reset, so a node not touched by the latest run reads as
+/// unreached, and one CsrSearch may serve any sequence of graphs and sizes.
+/// Steady-state runs allocate nothing. Not thread-safe: one CsrSearch per
+/// thread.
 class CsrSearch {
  public:
   struct Request {
     /// Widest paths: max over paths of the minimum weight (bandwidth).
     /// Otherwise shortest paths: min over paths of the weight sum.
     bool widest = false;
-    /// Walk in-edges: values are then paths *to* the source, i.e. the
-    /// search runs on the reversed graph.
-    bool in_edges = false;
     /// Stop once this node is settled (kNoTarget: settle everything).
     NodeId stop_at = kNoTarget;
   };
 
   /// Runs one search from `src`. An inactive source reaches nothing, not
   /// even itself (PathEngine's inactive rows). Throws CsrSideNotBuilt when
-  /// `g` lacks the side the request walks, and std::out_of_range on an
-  /// invalid `src` or `stop_at`.
+  /// `g` lacks out-edges, and std::out_of_range on an invalid `src` or
+  /// `stop_at`.
   void run(const CsrGraph& g, NodeId src, Request request);
   void run(const CsrGraph& g, NodeId src) { run(g, src, Request{}); }
 
@@ -165,8 +171,8 @@ class CsrSearch {
     const Slot* s = live(v);
     return s != nullptr ? s->hop : NodeId{-1};
   }
-  /// The tree path src..v, read off the parent chain (for an in-edge run,
-  /// the path v..src of the graph, reversed). Empty when v is unreached.
+  /// The tree path src..v, read off the parent chain. Empty when v is
+  /// unreached.
   std::vector<NodeId> path_to(NodeId v) const;
 
   /// Nodes popped from the heap by the last run (the target included).
@@ -193,7 +199,7 @@ class CsrSearch {
     return s.stamp == generation_ ? &s : nullptr;
   }
 
-  template <bool kWidest, bool kInEdges>
+  template <bool kWidest>
   void search(const CsrGraph& g, NodeId src, NodeId stop_at);
   template <bool kWidest>
   void sift_up(std::size_t i);
@@ -207,5 +213,33 @@ class CsrSearch {
   std::size_t settled_ = 0;
   double unreached_value_ = kUnreachable;
 };
+
+/// The work one paths_to call did.
+struct PathsToStats {
+  std::size_t rounds = 0;           ///< worklist generations
+  std::size_t row_relaxations = 0;  ///< in-edges scanned, L lanes each
+};
+
+/// Every node's shortest (or, `widest`, widest) path value towards each of
+/// `targets`: afterwards `out` is n x L, and out(v, c) is the value of the
+/// best path v -> targets[c] in `g`, i.e. graph::dijkstra /
+/// graph::widest_paths from targets[c] on the reversed graph, at v. Unreached
+/// cells read kUnreachable (shortest) or 0 (widest); an inactive target's
+/// column stays unreached, even at the target itself. `out` is reshaped and
+/// every cell written, so one matrix may serve any sequence of graphs.
+///
+/// One label-correcting pass: a worklist holds the rows that changed, and
+/// each in-edge s -> u of a listed row u relaxes s's whole row lane by lane,
+/// out(s, c) = better(combine(out(u, c), w), out(s, c)), through the same
+/// detail:: fold helpers as CsrSearch, so +inf and NaN delay edges and
+/// 0-bandwidth edges reach nothing. A node's row is listed at most once per
+/// round. Work grows
+/// with the relaxations (the initial fill aside, no round scans all n
+/// rows); the worst case is one round per hop of the longest shortest path,
+/// so a chain or ring runs about n rounds of one row each. Throws
+/// CsrSideNotBuilt when `g` lacks in-edges and std::out_of_range on an
+/// invalid target.
+PathsToStats paths_to(const CsrGraph& g, std::span<const NodeId> targets,
+                      bool widest, DistanceMatrix& out);
 
 }  // namespace egoist::graph

@@ -327,23 +327,14 @@ void EgoistNetwork::refresh_landmarks() {
         landmark_state_.landmarks[c])] = static_cast<std::int32_t>(c);
   }
 
-  // One in-edge search of the announced overlay per landmark: distances
-  // *to* a landmark are distances *from* it along reversed edges, so L
-  // searches serve every node's evaluation this epoch.
-  // The CSR and the search scratch live for the refresh only, so an
-  // overlay holds no second copy of its announced graph between epochs.
-  const std::size_t n = store_.size();
+  // Distances *to* a landmark walk the announced overlay's in-edges; one
+  // L-wide pass fills every node's row towards all L landmarks, which
+  // serves every node's evaluation this epoch. The CSR lives for the
+  // refresh only, so an overlay holds no second copy of its announced
+  // graph between epochs.
   const graph::CsrGraph csr(announced_, graph::CsrSides::kIn);
-  graph::CsrSearch search;
-  const graph::CsrSearch::Request request{
-      .widest = config_.metric == Metric::kBandwidth, .in_edges = true};
-  landmark_state_.dist.reshape(n, landmark_state_.landmarks.size());
-  for (std::size_t c = 0; c < landmark_state_.landmarks.size(); ++c) {
-    search.run(csr, landmark_state_.landmarks[c], request);
-    for (std::size_t v = 0; v < n; ++v) {
-      landmark_state_.dist(v, c) = search.dist(static_cast<NodeId>(v));
-    }
-  }
+  graph::paths_to(csr, landmark_state_.landmarks,
+                  config_.metric == Metric::kBandwidth, landmark_state_.dist);
   landmark_state_.valid = true;
   landmark_state_.evals_left = online_count();
 }

@@ -237,8 +237,9 @@ class EgoistNetwork {
                                     std::span<const double> values) const;
 
   /// (Re)computes the epoch-shared landmark state: samples br_landmarks
-  /// online destinations and runs one in-edge search of the announced
-  /// graph per landmark (shortest for delay/load, widest for bandwidth).
+  /// online destinations and fills every node's row towards all of them
+  /// in one graph::paths_to pass over the announced graph's in-edges
+  /// (shortest for delay/load, widest for bandwidth).
   void refresh_landmarks();
 
   /// --- The BR decision, shared by every schedule ---
@@ -370,14 +371,15 @@ class EgoistNetwork {
   std::optional<double> epoch_penalty_;
 
   /// Scale-mode landmark state: distance/bottleneck from every node to each
-  /// landmark (n x L, epoch-shared), the landmark ids, and the id -> column
+  /// landmark (n x L, epoch-shared; row v holds v's L values, the layout
+  /// core::LandmarkObjective reads), the landmark ids, and the id -> column
   /// map. Nodes decide on the announced graph as of the last refresh, like
   /// agents acting on the last flooded link state. A refresh serves one
   /// epoch-equivalent of evaluations: run_epoch refreshes at its boundary;
   /// the staggered/run_node path decrements `evals_left` and refreshes
-  /// after online_count() evaluations, so both schedules recompute the L
-  /// in-edge searches once per epoch, not once per node. Membership
-  /// changes invalidate the state (landmarks may have left).
+  /// after online_count() evaluations, so both schedules recompute the
+  /// n x L matrix once per epoch, not once per node. Membership changes
+  /// invalidate the state (landmarks may have left).
   struct LandmarkState {
     bool valid = false;
     std::size_t evals_left = 0;

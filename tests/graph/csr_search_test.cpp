@@ -1,92 +1,30 @@
 // graph::CsrSearch against its references: graph::dijkstra and
-// graph::widest_paths on the same Digraph (out-edge runs) or on an
-// explicitly reversed copy (in-edge runs). The random graphs carry small
-// integer weights (exact ties, zero-weight edges), +inf and NaN weights
-// between active nodes, and inactive nodes. Values are compared bit for
-// bit and parent arrays exactly: the search settles nodes in the
-// references' (value, id) pop order, which is what lets a stopped run
-// answer exactly like the full row.
+// graph::widest_paths on the same Digraph, over the random graphs of
+// random_digraphs.hpp (integer ties, zero-weight, +inf and NaN edges,
+// inactive nodes). Values are compared bit for bit and parent arrays
+// exactly: the search settles nodes in the references' (value, id) pop
+// order, which is what lets a stopped run answer exactly like the full row.
+// paths_to_test.cpp checks paths to a node (the reversed graph).
 #include "graph/csr_graph.hpp"
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "graph/shortest_path.hpp"
 #include "graph/widest_path.hpp"
+#include "random_digraphs.hpp"
 #include "util/rng.hpp"
 
 namespace egoist::graph {
 namespace {
 
-enum class Weights { kIntegers, kReals, kNonFinite };
-
-/// Random digraph: each node draws `out_degree` targets (duplicates and
-/// self-picks dropped), a share of nodes starts inactive.
-Digraph random_digraph(util::Rng& rng, std::size_t n, std::size_t out_degree,
-                       double inactive_fraction, Weights weights) {
-  Digraph g(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    if (rng.chance(inactive_fraction)) {
-      g.set_active(static_cast<NodeId>(u), false);
-    }
-  }
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t d = 0; d < out_degree; ++d) {
-      const auto v = static_cast<NodeId>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-      if (v == static_cast<NodeId>(u)) continue;
-      double w = 0.0;
-      switch (weights) {
-        case Weights::kIntegers:  // 0..3: exact ties and zero-weight edges
-          w = static_cast<double>(rng.uniform_int(0, 3));
-          break;
-        case Weights::kReals:
-          w = rng.uniform(0.1, 100.0);
-          break;
-        case Weights::kNonFinite: {
-          const auto pick = rng.uniform_int(0, 9);
-          w = pick == 0   ? std::numeric_limits<double>::infinity()
-              : pick == 1 ? std::numeric_limits<double>::quiet_NaN()
-                          : static_cast<double>(rng.uniform_int(0, 3));
-          break;
-        }
-      }
-      g.set_edge(static_cast<NodeId>(u), v, w);
-    }
-  }
-  return g;
-}
-
-/// Every edge u -> v of g as v -> u, activity flags kept.
-Digraph reversed(const Digraph& g) {
-  Digraph r(g.node_count());
-  for (std::size_t u = 0; u < g.node_count(); ++u) {
-    const auto uid = static_cast<NodeId>(u);
-    r.set_active(uid, g.is_active(uid));
-    for (const Edge& e : g.out_edges(uid)) r.set_edge(e.to, uid, e.weight);
-  }
-  return r;
-}
-
-/// The graphs every reference comparison runs on.
-std::vector<Digraph> fixtures() {
-  util::Rng rng(0xC5125EA2u);
-  std::vector<Digraph> graphs;
-  for (const Weights weights :
-       {Weights::kIntegers, Weights::kReals, Weights::kNonFinite}) {
-    for (const std::size_t n : {1, 2, 9, 40, 90}) {
-      graphs.push_back(random_digraph(rng, n, 1 + n % 5, 0.15, weights));
-    }
-  }
-  return graphs;
-}
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+using egoist::testing::bits;
+using egoist::testing::csr_fixtures;
+using egoist::testing::random_digraph;
+using egoist::testing::Weights;
 
 /// The node after src on the reference tree path to v; -1 at src and at
 /// unreached nodes.
@@ -116,7 +54,7 @@ void expect_equals_reference(const CsrSearch& search, NodeId src,
 
 TEST(CsrSearchTest, FullRunsMatchDijkstraBitsAndParents) {
   CsrSearch search;
-  for (const Digraph& g : fixtures()) {
+  for (const Digraph& g : csr_fixtures()) {
     const CsrGraph csr(g);
     for (NodeId src = 0; src < static_cast<NodeId>(g.node_count()); ++src) {
       if (!g.is_active(src)) continue;
@@ -129,39 +67,16 @@ TEST(CsrSearchTest, FullRunsMatchDijkstraBitsAndParents) {
   }
 }
 
-TEST(CsrSearchTest, InEdgeRunsMatchDijkstraOnTheReversedGraph) {
-  CsrSearch search;
-  for (const Digraph& g : fixtures()) {
-    const CsrGraph csr(g);
-    const Digraph r = reversed(g);
-    for (NodeId src = 0; src < static_cast<NodeId>(g.node_count()); ++src) {
-      if (!g.is_active(src)) continue;
-      search.run(csr, src, {.in_edges = true});
-      const auto tree = dijkstra(r, src);
-      expect_equals_reference(search, src, tree.dist, tree.parent,
-                              "reversed n=" + std::to_string(g.node_count()) +
-                                  " src=" + std::to_string(src));
-    }
-  }
-}
-
 TEST(CsrSearchTest, WidestRunsMatchWidestPaths) {
   CsrSearch search;
-  for (const Digraph& g : fixtures()) {
+  for (const Digraph& g : csr_fixtures()) {
     const CsrGraph csr(g);
-    const Digraph r = reversed(g);
     for (NodeId src = 0; src < static_cast<NodeId>(g.node_count()); ++src) {
       if (!g.is_active(src)) continue;
       search.run(csr, src, {.widest = true});
-      const auto out_tree = widest_paths(g, src);
-      expect_equals_reference(search, src, out_tree.bottleneck, out_tree.parent,
+      const auto tree = widest_paths(g, src);
+      expect_equals_reference(search, src, tree.bottleneck, tree.parent,
                               "widest n=" + std::to_string(g.node_count()) +
-                                  " src=" + std::to_string(src));
-      search.run(csr, src, {.widest = true, .in_edges = true});
-      const auto in_tree = widest_paths(r, src);
-      expect_equals_reference(search, src, in_tree.bottleneck, in_tree.parent,
-                              "widest reversed n=" +
-                                  std::to_string(g.node_count()) +
                                   " src=" + std::to_string(src));
     }
   }
@@ -171,29 +86,25 @@ TEST(CsrSearchTest, StoppedRunsAnswerLikeTheFullRun) {
   CsrSearch full;
   CsrSearch stopped;
   std::size_t fewer = 0;
-  for (const Digraph& g : fixtures()) {
+  for (const Digraph& g : csr_fixtures()) {
     const CsrGraph csr(g);
     const auto n = static_cast<NodeId>(g.node_count());
     for (const bool widest : {false, true}) {
-      for (const bool in_edges : {false, true}) {
-        for (NodeId src = 0; src < n; ++src) {
-          if (!g.is_active(src)) continue;
-          full.run(csr, src, {.widest = widest, .in_edges = in_edges});
-          for (NodeId dst = 0; dst < n; ++dst) {
-            stopped.run(csr, src,
-                        {.widest = widest, .in_edges = in_edges,
-                         .stop_at = dst});
-            ASSERT_EQ(stopped.reached(dst), full.reached(dst))
-                << src << "->" << dst;
-            ASSERT_EQ(bits(stopped.dist(dst)), bits(full.dist(dst)))
-                << src << "->" << dst;
-            ASSERT_EQ(stopped.first_hop(dst), full.first_hop(dst))
-                << src << "->" << dst;
-            ASSERT_EQ(stopped.path_to(dst), full.path_to(dst))
-                << src << "->" << dst;
-            ASSERT_LE(stopped.settled_count(), full.settled_count());
-            if (stopped.settled_count() < full.settled_count()) ++fewer;
-          }
+      for (NodeId src = 0; src < n; ++src) {
+        if (!g.is_active(src)) continue;
+        full.run(csr, src, {.widest = widest});
+        for (NodeId dst = 0; dst < n; ++dst) {
+          stopped.run(csr, src, {.widest = widest, .stop_at = dst});
+          ASSERT_EQ(stopped.reached(dst), full.reached(dst))
+              << src << "->" << dst;
+          ASSERT_EQ(bits(stopped.dist(dst)), bits(full.dist(dst)))
+              << src << "->" << dst;
+          ASSERT_EQ(stopped.first_hop(dst), full.first_hop(dst))
+              << src << "->" << dst;
+          ASSERT_EQ(stopped.path_to(dst), full.path_to(dst))
+              << src << "->" << dst;
+          ASSERT_LE(stopped.settled_count(), full.settled_count());
+          if (stopped.settled_count() < full.settled_count()) ++fewer;
         }
       }
     }
@@ -204,7 +115,7 @@ TEST(CsrSearchTest, StoppedRunsAnswerLikeTheFullRun) {
 TEST(CsrSearchTest, OneSidedGraphsAnswerLikeBothSidesAndRefuseTheOther) {
   CsrSearch both_search;
   CsrSearch side_search;
-  for (const Digraph& g : fixtures()) {
+  for (const Digraph& g : csr_fixtures()) {
     const CsrGraph both(g);
     const CsrGraph out_only(g, CsrSides::kOut);
     const CsrGraph in_only(g, CsrSides::kIn);
@@ -213,30 +124,25 @@ TEST(CsrSearchTest, OneSidedGraphsAnswerLikeBothSidesAndRefuseTheOther) {
     ASSERT_EQ(out_only.edge_count(), both.edge_count());
     ASSERT_EQ(in_only.edge_count(), both.edge_count());
     const auto n = static_cast<NodeId>(g.node_count());
-    for (const bool in_edges : {false, true}) {
-      const CsrGraph& side = in_edges ? in_only : out_only;
-      const CsrGraph& other = in_edges ? out_only : in_only;
-      for (NodeId src = 0; src < n; ++src) {
-        both_search.run(both, src, {.in_edges = in_edges});
-        side_search.run(side, src, {.in_edges = in_edges});
-        for (NodeId v = 0; v < n; ++v) {
-          ASSERT_EQ(bits(side_search.dist(v)), bits(both_search.dist(v)))
-              << in_edges << " " << src << "->" << v;
-          ASSERT_EQ(side_search.parent(v), both_search.parent(v));
-        }
-        EXPECT_THROW(side_search.run(other, src, {.in_edges = in_edges}),
-                     CsrSideNotBuilt);
-        EXPECT_THROW(side_search.run(other, src,
-                                     {.widest = true, .in_edges = in_edges}),
-                     CsrSideNotBuilt);
+    for (NodeId src = 0; src < n; ++src) {
+      both_search.run(both, src);
+      side_search.run(out_only, src);
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(bits(side_search.dist(v)), bits(both_search.dist(v)))
+            << src << "->" << v;
+        ASSERT_EQ(side_search.parent(v), both_search.parent(v));
       }
+      EXPECT_THROW(side_search.run(in_only, src), CsrSideNotBuilt);
+      EXPECT_THROW(side_search.run(in_only, src, {.widest = true}),
+                   CsrSideNotBuilt);
     }
   }
   // Rebuilding in place switches the sides: a reused graph drops the side
   // it no longer builds.
-  CsrGraph reused(fixtures().back(), CsrSides::kIn);
-  reused.rebuild(fixtures().back(), CsrSides::kOut);
-  EXPECT_THROW(side_search.run(reused, 0, {.in_edges = true}), CsrSideNotBuilt);
+  CsrGraph reused(csr_fixtures().back(), CsrSides::kOut);
+  reused.rebuild(csr_fixtures().back(), CsrSides::kIn);
+  EXPECT_THROW(side_search.run(reused, 0), CsrSideNotBuilt);
+  reused.rebuild(csr_fixtures().back(), CsrSides::kOut);
   EXPECT_NO_THROW(side_search.run(reused, 0));
 }
 
